@@ -72,24 +72,35 @@ class _Family:
 
     def __init__(self, fns: Sequence[Nonlinearity]):
         self.fns = tuple(fns)
-        groups: list[tuple[Nonlinearity, list[int]]] = []
-        index: dict[Nonlinearity, int] = {}
+        groups: dict[Nonlinearity, list[int]] = {}
         for node, fn in enumerate(self.fns):
-            if fn not in index:
-                index[fn] = len(groups)
-                groups.append((fn, []))
-            groups[index[fn]][1].append(node)
+            groups.setdefault(fn, []).append(node)
         self.homogeneous = len(groups) == 1
-        self._groups = [(fn, np.asarray(idx)) for fn, idx in groups]
+        self._groups = [(self.fns[0], slice(None))] if self.homogeneous else [
+            (fn, np.asarray(nodes)) for fn, nodes in groups.items()
+        ]
+
+    def groups(self):
+        """Iterate ``(fn, nodes)`` over the groups of equal functions.
+
+        ``nodes`` indexes the last (node) axis: ``slice(None)`` for a
+        homogeneous family, so the whole array is mapped without a gather
+        or scatter, and an index array otherwise.
+        """
+        return iter(self._groups)
+
+    def _map(self, y: np.ndarray, op) -> np.ndarray:
+        """Assemble ``op(fn, y[..., nodes], nodes)`` over the groups."""
+        if self.homogeneous:
+            return op(self.fns[0], y, slice(None))
+        out = np.empty_like(y, dtype=float)
+        for fn, nodes in self.groups():
+            out[..., nodes] = op(fn, y[..., nodes], nodes)
+        return out
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
         """Evaluate componentwise; last axis indexes nodes."""
-        if self.homogeneous:
-            return self._groups[0][0].evaluate(y)
-        out = np.empty_like(y, dtype=float)
-        for fn, idx in self._groups:
-            out[..., idx] = fn.evaluate(y[..., idx])
-        return out
+        return self._map(y, lambda fn, sub, nodes: fn.evaluate(sub))
 
     def inverse(self, y: np.ndarray, epoch_offset: int = 0) -> np.ndarray:
         """Componentwise inverse with (epoch, node) context in errors.
@@ -97,21 +108,18 @@ class _Family:
         ``y`` has nodes on the last axis; for 2-d input the first axis is
         epochs starting at ``epoch_offset``.
         """
-        out = np.empty_like(y, dtype=float)
-        for fn, idx in self._groups:
-            sub = y[..., idx]
+        def invert(fn, sub, nodes):
             bad = fn.inverse_domain_mask(sub)
             if bad is not None and np.any(bad):
-                flat = int(np.argmax(bad))
-                pos = np.unravel_index(flat, np.shape(sub))
-                node = int(idx[pos[-1]])
+                pos = np.unravel_index(int(np.argmax(bad)), np.shape(sub))
+                node = int(np.arange(len(self.fns))[nodes][pos[-1]])
                 epoch = epoch_offset + int(pos[0]) if np.ndim(sub) == 2 else None
                 raise FunctionDomainError(
                     f"input outside the domain of {fn.describe()} inverse",
                     float(sub[pos]), node=node, epoch=epoch,
                 )
-            out[..., idx] = fn.evaluate_inverse(sub)
-        return out
+            return fn.evaluate_inverse(sub)
+        return self._map(y, invert)
 
 
 @dataclass(frozen=True)

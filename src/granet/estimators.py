@@ -110,22 +110,15 @@ def egg_from_trajectory(traj: Trajectory, triple: NonlinearityTriple,
                         n_samples=lag.count)
 
 
-def _raw_moments(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, int]:
-    n = traj.n_steps
-    base = traj.states[:n]
-    lead = traj.states[1:n + 1]
-    r0 = lagmoments.cross_moment_sums(base, base) / n
-    r1 = lagmoments.cross_moment_sums(lead, base) / n
-    return r0, r1, n
-
-
 def granger_estimate(traj: Trajectory,
                      cond_limit: float = DEFAULT_COND_LIMIT) -> EstimateReport:
     """Linear one-lag regression on raw (non-centred) state moments."""
     if traj.n_steps < 1:
         raise ValueError("granger_estimate needs at least one step")
-    r0, r1, n = _raw_moments(traj)
-    a_hat, cond = _solve_right(r1, r0, cond_limit, "zero-lag state moment matrix")
+    n = traj.n_steps
+    r0, r1 = lagmoments._moment_sums(traj.states, n)
+    a_hat, cond = _solve_right(r1 / n, r0 / n, cond_limit,
+                               "zero-lag state moment matrix")
     return EstimateReport(
         A_hat=a_hat, estimator_kind="granger", n_samples=n, cond_F0=cond,
     )
@@ -135,9 +128,10 @@ def correlation_estimate(traj: Trajectory) -> EstimateReport:
     """Raw zero-lag moment matrix used directly as the estimate."""
     if traj.n_steps < 1:
         raise ValueError("correlation_estimate needs at least one step")
-    r0, _, n = _raw_moments(traj)
+    n = traj.n_steps
+    r0, _ = lagmoments._moment_sums(traj.states, n)
     return EstimateReport(
-        A_hat=r0, estimator_kind="correlation", n_samples=n, cond_F0=None,
+        A_hat=r0 / n, estimator_kind="correlation", n_samples=n, cond_F0=None,
     )
 
 
@@ -146,8 +140,9 @@ def precision_estimate(traj: Trajectory,
     """Inverse of the raw zero-lag moment matrix."""
     if traj.n_steps < 1:
         raise ValueError("precision_estimate needs at least one step")
-    r0, _, n = _raw_moments(traj)
-    a_hat, cond = _solve_right(np.eye(traj.n_nodes), r0, cond_limit,
+    n = traj.n_steps
+    r0, _ = lagmoments._moment_sums(traj.states, n)
+    a_hat, cond = _solve_right(np.eye(traj.n_nodes), r0 / n, cond_limit,
                                "zero-lag state moment matrix")
     return EstimateReport(
         A_hat=a_hat, estimator_kind="precision", n_samples=n, cond_F0=cond,
@@ -174,15 +169,7 @@ def least_squares_estimate(traj: Trajectory, triple: NonlinearityTriple,
     n = traj.n_steps
     if n < 1:
         raise ValueError("least_squares_estimate needs at least one step")
-    base = traj.states[:n]
-    design = triple.eval_h(base)
-    weights, in_z = lagmoments._omega_block(triple, config, base)
-    with np.errstate(invalid="ignore"):
-        targets = weights * triple.eval_sigma.inverse(
-            traj.states[1:n + 1], epoch_offset=1
-        )
-    if in_z.any():
-        targets[in_z] = 0.0
+    targets, design = lagmoments._onelag_terms(triple, config, traj.states, 0, n)
     coeffs, _, rank, singular_values = np.linalg.lstsq(design, targets, rcond=None)
     if rank < traj.n_nodes:
         cond = float(singular_values[0] / singular_values[-1]) \

@@ -341,9 +341,12 @@ def run_sweep(config: dict, out_dir: "str | Path", workers: int = 1) -> Path:
     (``n_steps``, ``delta`` or ``observed_set_size``), the list of
     ``values`` and a ``master_seed`` from which each point derives an
     independent simulation seed.  A failing point is recorded in its
-    summary row and does not stop the sweep.  Points run concurrently when
-    ``workers > 1``.  Returns the summary CSV path.
+    summary row and does not stop the sweep.  Points run concurrently on
+    up to ``workers`` processes (never more than there are points);
+    ``workers`` must be at least 1.  Returns the summary CSV path.
     """
+    _require(isinstance(workers, int) and workers >= 1,
+             f"workers must be an integer >= 1, got {workers!r}")
     _require(isinstance(config, dict), "sweep config must be a mapping")
     unknown = set(config) - {"base", "axis", "values", "master_seed",
                              "summary_estimator"}
@@ -375,6 +378,7 @@ def run_sweep(config: dict, out_dir: "str | Path", workers: int = 1) -> Path:
             kind = summary_kind
         jobs.append((index, value, point, str(out_dir / f"point_{index:03d}"), kind))
 
+    workers = min(workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_sweep_point, jobs))

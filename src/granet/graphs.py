@@ -11,7 +11,7 @@ row sums to exactly ``rho``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,13 +28,11 @@ class DirectedGraph:
         Number of nodes, at least 1.
     edges : iterable of (int, int)
         Ordered pairs ``(i, j)``: node ``j`` influences node ``i``.
-    includes_self_loops : bool
-        Whether edges of the form ``(i, i)`` are permitted.
+        Self-loops ``(i, i)`` are rejected.
     """
 
     n_nodes: int
     edges: frozenset[Edge] = field(default_factory=frozenset)
-    includes_self_loops: bool = False
 
     def __post_init__(self):
         if self.n_nodes < 1:
@@ -46,7 +44,7 @@ class DirectedGraph:
                 raise ValueError(
                     f"edge ({i}, {j}) out of range for n_nodes={self.n_nodes}"
                 )
-            if i == j and not self.includes_self_loops:
+            if i == j:
                 raise ValueError(f"self-loop ({i}, {i}) not permitted")
 
     @property
@@ -56,10 +54,6 @@ class DirectedGraph:
     def has_edge(self, i: int, j: int) -> bool:
         """True when node ``j`` influences node ``i``."""
         return (i, j) in self.edges
-
-    def in_degree(self, i: int) -> int:
-        """Number of incoming edges of node ``i`` (self-loop counted once)."""
-        return sum(1 for a, _ in self.edges if a == i)
 
     def adjacency(self) -> np.ndarray:
         """Boolean matrix with ``adj[i, j]`` true iff edge ``(i, j)`` exists."""
@@ -188,8 +182,4 @@ def subgraph(graph: DirectedGraph, nodes: Sequence[int]) -> DirectedGraph:
         for i, j in graph.edges
         if i in local and j in local
     )
-    return DirectedGraph(
-        n_nodes=len(nodes),
-        edges=edges,
-        includes_self_loops=graph.includes_self_loops,
-    )
+    return DirectedGraph(n_nodes=len(nodes), edges=edges)

@@ -12,15 +12,18 @@ mode the reciprocal weight is clamped near each root of ``g_i`` (constant
 on a ``delta``-neighbourhood, equal to its boundary value) so no step is
 ever dropped.
 
-Accumulation is compensated: the incremental path uses Kahan summation and
-the batch path reduces fixed-size chunks, keeping the relative accumulation
-error far below 1e-10 even over 1e6 steps.
+Over a range of pairs, the weighted one-lag target ``omega * sigma^{-1}``
+is formed by one kernel, :func:`_onelag_terms`, which also zeroes the rows
+of singular base states.  Batch moments come from one chunk reducer,
+:func:`_moment_sums`, fed either by that kernel or, for the linear
+baselines, by raw state slices.  :func:`accumulate` is the per-step
+reference path.  All sums are plain (uncompensated): over 2e4 steps their
+relative error stays near 1e-14, far inside every tolerance checked here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,15 +68,15 @@ def _regularized_weights(triple: NonlinearityTriple, delta: float,
                          y: np.ndarray) -> np.ndarray:
     """Clamped reciprocal weights; ``y`` has nodes on the last axis."""
     out = np.empty_like(y, dtype=float)
-    for fn, idx in triple.eval_g._groups:
-        sub = y[..., idx]
+    for fn, nodes in triple.eval_g.groups():
+        sub = y[..., nodes]
         if fn.zeros is None:
             raise ValueError(
                 f"{fn.describe()} has a non-isolated root set and cannot "
                 "be regularised"
             )
         if not fn.zeros:
-            out[..., idx] = 1.0 / fn.evaluate(sub)
+            out[..., nodes] = 1.0 / fn.evaluate(sub)
             continue
         roots = np.asarray(fn.zeros)
         offsets = sub[..., None] - roots
@@ -85,7 +88,7 @@ def _regularized_weights(triple: NonlinearityTriple, delta: float,
         # Within the neighbourhood, evaluate g at the boundary on the same
         # side as the state (ties at the root go to the upper boundary).
         boundary = root + delta * np.where(nearest >= 0, 1.0, -1.0)
-        out[..., idx] = 1.0 / fn.evaluate(np.where(inside, boundary, sub))
+        out[..., nodes] = 1.0 / fn.evaluate(np.where(inside, boundary, sub))
     return out
 
 
@@ -102,13 +105,8 @@ def omega_eval(triple: NonlinearityTriple, config: WeightingConfig,
         raise ValueError(
             f"state shape {y.shape} does not match n_nodes={triple.n_nodes}"
         )
-    if config.mode == "regularized":
-        return _regularized_weights(triple, config.delta, y), False
-    g_vals = triple.eval_g(y)
-    in_z = bool(np.any(np.abs(g_vals) <= config.singular_tol))
-    with np.errstate(divide="ignore"):
-        weights = 1.0 / g_vals
-    return weights, in_z
+    weights, in_z = _omega_block(triple, config, y[None, :])
+    return weights[0], bool(in_z[0])
 
 
 def _omega_block(triple: NonlinearityTriple, config: WeightingConfig,
@@ -124,36 +122,86 @@ def _omega_block(triple: NonlinearityTriple, config: WeightingConfig,
     return weights, in_z
 
 
-def _kahan_add(total: np.ndarray, comp: np.ndarray, term: np.ndarray) -> None:
-    adjusted = term - comp
-    new_total = total + adjusted
-    comp[:] = (new_total - total) - adjusted
-    total[:] = new_total
+def _onelag_terms(triple: NonlinearityTriple, config: WeightingConfig,
+                  states: np.ndarray, start: int,
+                  stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """One-lag targets and regressors of the pairs ``k = start .. stop - 1``.
+
+    Returns ``(targets, h)`` with rows ``omega(y[k]) * sigma^{-1}(y[k+1])``
+    and ``h(y[k])``.  Target rows of singular base states (exact mode) are
+    zero, so those pairs only feed the zero-lag moment.  Domain errors of
+    ``sigma^{-1}`` name the epoch of ``y[k+1]``.
+    """
+    base = states[start:stop]
+    weights, in_z = _omega_block(triple, config, base)
+    with np.errstate(invalid="ignore"):
+        targets = weights * triple.eval_sigma.inverse(
+            states[start + 1:stop + 1], epoch_offset=start + 1
+        )
+    if in_z.any():
+        targets[in_z] = 0.0
+    return targets, triple.eval_h(base)
+
+
+def _moment_sums(states: np.ndarray, n_pairs: int,
+                 terms=None) -> tuple[np.ndarray, np.ndarray]:
+    """Chunk-reduced ``(sum base^T base, sum lead^T base)`` over pairs.
+
+    ``terms(start, stop)`` returns the ``(lead, base)`` rows of the pairs
+    ``start .. stop - 1``; by default they are the raw states
+    ``(y[k+1], y[k])``.  Chunks of ``_BATCH_CHUNK`` pairs are reduced with
+    matrix products and the per-chunk parts summed in order; that order
+    keeps stored moments byte-identical across releases.
+    """
+    if terms is None:
+        def terms(start, stop):
+            return states[start + 1:stop + 1], states[start:stop]
+    base_parts: list[np.ndarray] = []
+    cross_parts: list[np.ndarray] = []
+    for start in range(0, n_pairs, _BATCH_CHUNK):
+        lead, base = terms(start, min(start + _BATCH_CHUNK, n_pairs))
+        base_parts.append(base.T @ base)
+        cross_parts.append(lead.T @ base)
+    shape = (states.shape[1],) * 2
+    return sum(base_parts, np.zeros(shape)), sum(cross_parts, np.zeros(shape))
+
+
+def _pair_count(traj: Trajectory, triple: NonlinearityTriple,
+                n_pairs: int | None) -> int:
+    """Validated number of ``(y[k], y[k+1])`` pairs (default: all steps)."""
+    if triple.n_nodes != traj.n_nodes:
+        raise ValueError(
+            f"dimension mismatch: trajectory {traj.n_nodes}, "
+            f"triple {triple.n_nodes}"
+        )
+    n = traj.n_steps if n_pairs is None else int(n_pairs)
+    if not 0 <= n <= traj.n_steps:
+        raise ValueError(f"n_pairs must lie in [0, {traj.n_steps}], got {n}")
+    return n
 
 
 @dataclass
 class LagMatrices:
     """Running (unnormalised) lag-moment sums.
 
-    ``f0_sum`` and ``f1_sum`` hold the sums over ``count`` steps; divide by
-    ``count`` (see :func:`finalize`) to obtain the empirical averages.
-    Instances are single-writer: :func:`accumulate` mutates in place.
+    ``f0_sum`` and ``f1_sum`` hold plain sums over ``count`` steps; divide
+    by ``count`` (see :func:`finalize`) to obtain the empirical averages.
+    :func:`accumulate` adds one step in place (single writer);
+    :func:`from_trajectory` fills a whole range through the chunk reducer.
     Partial accumulators over disjoint step ranges combine with
-    :meth:`merge`, which is associative and commutative.
+    :meth:`merge`, which is associative and commutative up to rounding.
     """
 
     n_nodes: int
     count: int = 0
     f0_sum: np.ndarray = None
     f1_sum: np.ndarray = None
-    _f0_comp: np.ndarray = field(default=None, repr=False)
-    _f1_comp: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.n_nodes < 1:
             raise ValueError(f"n_nodes must be >= 1, got {self.n_nodes}")
         shape = (self.n_nodes, self.n_nodes)
-        for name in ("f0_sum", "f1_sum", "_f0_comp", "_f1_comp"):
+        for name in ("f0_sum", "f1_sum"):
             value = getattr(self, name)
             if value is None:
                 setattr(self, name, np.zeros(shape))
@@ -172,8 +220,6 @@ class LagMatrices:
             count=self.count + other.count,
             f0_sum=self.f0_sum + other.f0_sum,
             f1_sum=self.f1_sum + other.f1_sum,
-            _f0_comp=self._f0_comp + other._f0_comp,
-            _f1_comp=self._f1_comp + other._f1_comp,
         )
 
 
@@ -187,10 +233,10 @@ def accumulate(lag: LagMatrices, triple: NonlinearityTriple,
     """
     h_vals = triple.eval_h(np.asarray(y_k, dtype=float))
     weights, in_z = omega_eval(triple, config, np.asarray(y_k, dtype=float))
-    _kahan_add(lag.f0_sum, lag._f0_comp, np.outer(h_vals, h_vals))
+    lag.f0_sum += np.outer(h_vals, h_vals)
     if not in_z:
         target = weights * triple.eval_sigma.inverse(np.asarray(y_k1, dtype=float))
-        _kahan_add(lag.f1_sum, lag._f1_comp, np.outer(target, h_vals))
+        lag.f1_sum += np.outer(target, h_vals)
     lag.count += 1
     return lag
 
@@ -204,34 +250,12 @@ def from_trajectory(traj: Trajectory, triple: NonlinearityTriple,
     ``(y[k], y[k+1])`` for ``k = 0 .. n_pairs - 1`` (default: all steps),
     but reduced chunkwise with matrix products for speed.
     """
-    if triple.n_nodes != traj.n_nodes:
-        raise ValueError(
-            f"dimension mismatch: trajectory {traj.n_nodes}, "
-            f"triple {triple.n_nodes}"
-        )
-    n = traj.n_steps if n_pairs is None else int(n_pairs)
-    if not 0 <= n <= traj.n_steps:
-        raise ValueError(f"n_pairs must lie in [0, {traj.n_steps}], got {n}")
-    states = traj.states
-    f0_parts: list[np.ndarray] = []
-    f1_parts: list[np.ndarray] = []
-    for start in range(0, n, _BATCH_CHUNK):
-        stop = min(start + _BATCH_CHUNK, n)
-        base = states[start:stop]
-        nxt = states[start + 1:stop + 1]
-        h_block = triple.eval_h(base)
-        weights, in_z = _omega_block(triple, config, base)
-        with np.errstate(invalid="ignore"):
-            targets = weights * triple.eval_sigma.inverse(nxt, epoch_offset=start + 1)
-        if in_z.any():
-            targets[in_z] = 0.0
-        f0_parts.append(h_block.T @ h_block)
-        f1_parts.append(targets.T @ h_block)
-    lag = LagMatrices(n_nodes=traj.n_nodes, count=n)
-    if f0_parts:
-        lag.f0_sum += sum(f0_parts)
-        lag.f1_sum += sum(f1_parts)
-    return lag
+    n = _pair_count(traj, triple, n_pairs)
+    f0_sum, f1_sum = _moment_sums(
+        traj.states, n,
+        lambda start, stop: _onelag_terms(triple, config, traj.states, start, stop),
+    )
+    return LagMatrices(n_nodes=traj.n_nodes, count=n, f0_sum=f0_sum, f1_sum=f1_sum)
 
 
 def finalize(lag: LagMatrices) -> tuple[np.ndarray, np.ndarray]:
@@ -239,18 +263,6 @@ def finalize(lag: LagMatrices) -> tuple[np.ndarray, np.ndarray]:
     if lag.count < 1:
         raise InvalidStateError("cannot finalize an empty accumulator")
     return lag.f0_sum / lag.count, lag.f1_sum / lag.count
-
-
-def cross_moment_sums(lead: np.ndarray, base: np.ndarray) -> np.ndarray:
-    """Chunk-reduced ``sum_k outer(lead[k], base[k])`` for raw moments."""
-    if lead.shape != base.shape:
-        raise ValueError(f"shape mismatch: {lead.shape} vs {base.shape}")
-    parts = [
-        lead[start:start + _BATCH_CHUNK].T @ base[start:start + _BATCH_CHUNK]
-        for start in range(0, lead.shape[0], _BATCH_CHUNK)
-    ]
-    n = lead.shape[1]
-    return sum(parts) if parts else np.zeros((n, n))
 
 
 def running_weight_moment(traj: Trajectory, triple: NonlinearityTriple,
@@ -264,15 +276,15 @@ def running_weight_moment(traj: Trajectory, triple: NonlinearityTriple,
     the one-lag accumulator drops) are excluded from the average; until the
     first regular state the running mean is 0.
     """
-    n = traj.n_steps if n_pairs is None else int(n_pairs)
-    norms, valid = _weight_norms(traj, triple, config, n)
+    norms, valid = _weight_norms(traj, triple, config, n_pairs)
     return np.cumsum(norms) / np.maximum(np.cumsum(valid), 1)
 
 
 def _weight_norms(traj: Trajectory, triple: NonlinearityTriple,
                   config: WeightingConfig,
-                  n: int) -> tuple[np.ndarray, np.ndarray]:
+                  n_pairs: int | None) -> tuple[np.ndarray, np.ndarray]:
     """Per-epoch squared weight norms and the regular-state mask."""
+    n = _pair_count(traj, triple, n_pairs)
     norms = np.empty(n)
     valid = np.empty(n, dtype=bool)
     for start in range(0, n, _BATCH_CHUNK):
@@ -306,8 +318,7 @@ def omega_tail_index(traj: Trajectory, triple: NonlinearityTriple,
         raise ValueError(f"top_fraction must be in (0, 0.5], got {top_fraction}")
     if min_top < 1:
         raise ValueError(f"min_top must be >= 1, got {min_top}")
-    n = traj.n_steps if n_pairs is None else int(n_pairs)
-    norms, valid = _weight_norms(traj, triple, config, n)
+    norms, valid = _weight_norms(traj, triple, config, n_pairs)
     values = norms[valid]
     k = max(int(min_top), int(values.size * top_fraction))
     if k + 1 > values.size:
@@ -334,23 +345,14 @@ def running_onelag_max(traj: Trajectory, triple: NonlinearityTriple,
     """
     if every < 1:
         raise ValueError(f"every must be >= 1, got {every}")
-    n = traj.n_steps
-    lag = LagMatrices(n_nodes=traj.n_nodes)
+    n = _pair_count(traj, triple, None)
+    f1_sum = np.zeros((traj.n_nodes, traj.n_nodes))
     epochs: list[int] = []
     peaks: list[float] = []
-    states = traj.states
     for start in range(0, n, every):
         stop = min(start + every, n)
-        base = states[start:stop]
-        weights, in_z = _omega_block(triple, config, base)
-        with np.errstate(invalid="ignore"):
-            targets = weights * triple.eval_sigma.inverse(
-                states[start + 1:stop + 1], epoch_offset=start + 1
-            )
-        if in_z.any():
-            targets[in_z] = 0.0
-        lag.f1_sum += targets.T @ triple.eval_h(base)
-        lag.count = stop
+        targets, h_block = _onelag_terms(triple, config, traj.states, start, stop)
+        f1_sum += targets.T @ h_block
         epochs.append(stop)
-        peaks.append(float(np.max(np.abs(lag.f1_sum))) / stop)
+        peaks.append(float(np.max(np.abs(f1_sum))) / stop)
     return np.asarray(epochs), np.asarray(peaks)

@@ -231,6 +231,17 @@ def test_sweep_empty_values_exit(tmp_path):
     assert rc == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_sweep_workers_below_one_exit_config(tmp_path, workers):
+    sweep = {"base": small_experiment_config(), "axis": "n_steps",
+             "values": [100], "master_seed": 7, "summary_estimator": "egg"}
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(sweep))
+    rc = cli.main(["sweep", "--config", str(cfg_path), "--workers", workers,
+                   "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_CONFIG
+
+
 def test_sweep_failed_points_exit_numerical(tmp_path):
     base = xp.experiment_preset("singular-h")
     base["sim"]["n_steps"] = 300

@@ -136,6 +136,26 @@ def test_transform_domain_error_names_epoch_and_node():
     assert "epoch 2" in msg and "node 1" in msg
 
 
+def test_family_groups_map_heterogeneous_nodes():
+    sigma = (nl.tanh(), nl.identity(), nl.tanh(), nl.identity())
+    triple = NonlinearityTriple(sigma=sigma, g=(nl.constant_one(),) * 4,
+                                h=(nl.identity(),) * 4)
+    assert list(triple.eval_g.groups()) == [(nl.constant_one(), slice(None))]
+    family = triple.eval_sigma
+    assert [(fn, nodes.tolist()) for fn, nodes in family.groups()] == [
+        (nl.tanh(), [0, 2]), (nl.identity(), [1, 3])]
+    y = np.random.default_rng(3).uniform(-0.9, 0.9, size=(3, 4))
+    per_node = np.column_stack([fn.evaluate(y[:, i]) for i, fn in enumerate(sigma)])
+    assert np.array_equal(family(y), per_node)
+    per_node = np.column_stack(
+        [fn.evaluate_inverse(y[:, i]) for i, fn in enumerate(sigma)])
+    assert np.array_equal(family.inverse(y), per_node)
+    y[1, 2] = 1.5  # outside the open range of tanh
+    with pytest.raises(FunctionDomainError) as err:
+        family.inverse(y, epoch_offset=10)
+    assert err.value.epoch == 11 and err.value.node == 2
+
+
 def test_simulate_validation():
     a = zero_matrix(2)
     triple = triple_preset("linear", 2)

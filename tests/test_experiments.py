@@ -240,3 +240,38 @@ def test_sweep_workers_agree_with_serial(tmp_path):
     serial = xp.run_sweep(sweep, tmp_path / "serial", workers=1)
     parallel = xp.run_sweep(sweep, tmp_path / "parallel", workers=2)
     assert Path(serial).read_text() == Path(parallel).read_text()
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_sweep_rejects_workers_below_one(tmp_path, workers):
+    sweep = {"base": small_config(), "axis": "n_steps", "values": [100],
+             "master_seed": 5, "summary_estimator": "egg"}
+    with pytest.raises(ConfigError, match="workers"):
+        xp.run_sweep(sweep, tmp_path, workers=workers)
+    assert not (tmp_path / "point_000").exists()
+
+
+def test_sweep_pool_is_capped_at_the_point_count(tmp_path, monkeypatch):
+    # a stand-in pool that runs the points in-process and records its size
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(xp, "ProcessPoolExecutor", RecordingPool)
+    sweep = {"base": small_config(), "axis": "n_steps", "values": [100, 150],
+             "master_seed": 5, "summary_estimator": "egg"}
+    xp.run_sweep(sweep, tmp_path / "capped", workers=64)
+    assert sizes == [2]
+    xp.run_sweep(dict(sweep, values=[100]), tmp_path / "single", workers=64)
+    assert sizes == [2]  # one point runs serially, without a pool

@@ -160,6 +160,16 @@ def test_from_trajectory_prefix_matches_manual_loop():
         1.0, np.abs(lag.f1_sum).max())
 
 
+def test_empty_batch_then_one_step_matches_a_fresh_accumulator():
+    triple = linear_triple(2)
+    traj = Trajectory(n_nodes=2, n_steps=1, states=[[1.0, 0.0], [0.0, 1.0]], seed=0)
+    lag = accumulate(from_trajectory(traj, triple, EXACT, n_pairs=0), triple,
+                     EXACT, traj.states[0], traj.states[1])
+    fresh = from_trajectory(traj, triple, EXACT)
+    assert np.array_equal(lag.f0_sum, fresh.f0_sum)
+    assert np.array_equal(lag.f1_sum, fresh.f1_sum)
+
+
 def test_moment_identity_per_sample():
     # sigma^{-1}(y_{k+1}) recovers the additive drive exactly, so
     # F1hat - A F0hat equals the noise cross-moment term, corrected by the
@@ -208,6 +218,40 @@ def test_merge_matches_single_pass_and_commutes():
         assert other.count == whole.count
         assert np.abs(other.f0_sum - whole.f0_sum).max() <= 1e-10
         assert np.abs(other.f1_sum - whole.f1_sum).max() <= 1e-10
+
+
+def test_plain_summation_tracks_extended_precision(trajectory_factory):
+    # the per-step path sums without compensation; over 5k pairs it stays
+    # within 1e-12 relative of an extended-precision running sum
+    n_pairs = 5_000
+    traj = trajectory_factory("example2", 3001, 200_000)
+    triple = triple_preset("example2", 50)
+    lag = LagMatrices(n_nodes=50)
+    h_rows, target_rows = [], []
+    for k in range(n_pairs):
+        accumulate(lag, triple, EXACT, traj.states[k], traj.states[k + 1])
+        w, in_z = omega_eval(triple, EXACT, traj.states[k])
+        h_rows.append(triple.eval_h(traj.states[k]))
+        target_rows.append(np.zeros(50) if in_z
+                           else w * triple.eval_sigma.inverse(traj.states[k + 1]))
+    h = np.asarray(h_rows, dtype=np.longdouble)
+    targets = np.asarray(target_rows, dtype=np.longdouble)
+    for got, ref in ((lag.f0_sum, h.T @ h), (lag.f1_sum, targets.T @ h)):
+        rel = np.abs(got - ref).max() / np.abs(ref).max()
+        assert rel <= 1e-12
+
+
+@pytest.mark.parametrize("fn", [from_trajectory, running_weight_moment,
+                                omega_tail_index])
+def test_n_pairs_outside_the_trajectory_is_rejected(instance50, fn):
+    _, matrix = instance50
+    triple = linear_triple(50)
+    traj = simulate(matrix, triple, NoiseModel.uniform(50), 0.0, 200, seed=6)
+    for n_pairs in (-1, traj.n_steps + 1):
+        with pytest.raises(ValueError, match=r"n_pairs must lie in \[0, 200\]"):
+            fn(traj, triple, EXACT, n_pairs=n_pairs)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        fn(traj, linear_triple(3), EXACT)
 
 
 def test_f0_symmetry_and_psd(trajectory_factory):
