@@ -16,13 +16,12 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import estimators, experiments, fileio, lagmoments, presets, recovery
+from . import estimators, experiments, fileio, presets, recovery
 from .dynamics import NoiseModel, simulate
 from .errors import ConfigError, NumericalError
 from .graphs import (CombinationMatrix, build_combination_matrix,
@@ -80,19 +79,12 @@ def _cmd_estimate(args) -> int:
         delta=args.delta,
     )
     observed = [int(v) for v in args.observed.split(",")] if args.observed else None
-    kinds = [k.strip() for k in args.estimators.split(",")]
-    for kind in kinds:
-        if kind not in estimators.ESTIMATOR_KINDS:
-            raise ConfigError(f"unknown estimator kind {kind!r}")
-        if kind.endswith("_partial") and observed is None:
-            raise ConfigError(f"{kind} requires --observed")
     out = _out_dir(args)
     status = EXIT_OK
-    for kind in kinds:
+    for kind in (k.strip() for k in args.estimators.split(",")):
         try:
-            report = experiments._run_single_estimator(
-                kind, traj, triple, weighting, observed, args.cond_limit,
-            )
+            report = estimators.run_estimator(kind, traj, triple, weighting,
+                                              observed, args.cond_limit)
         except NumericalError as exc:
             print(f"{kind}: {exc}", file=sys.stderr)
             status = EXIT_NUMERICAL
@@ -140,9 +132,8 @@ def _cmd_sweep(args) -> int:
         config["master_seed"] = args.seed
     summary = experiments.run_sweep(config, args.out, workers=args.workers)
     print(f"wrote sweep summary to {summary}")
-    with open(summary) as fh:
-        failed = sum(1 for line in fh.read().splitlines()[1:]
-                     if line.rstrip().rsplit(",", 1)[-1] not in ("", '""'))
+    with open(summary, newline="") as fh:
+        failed = sum(1 for row in csv.DictReader(fh) if row["error"])
     return EXIT_NUMERICAL if failed else EXIT_OK
 
 

@@ -16,16 +16,55 @@ import numpy as np
 
 from . import lagmoments
 from .dynamics import NonlinearityTriple, Trajectory
-from .errors import NearSingularError, SingularMatrixError
+from .errors import ConfigError, NearSingularError, SingularMatrixError
 from .lagmoments import WeightingConfig
 
 #: Estimators abort when the matrix to invert is worse-conditioned than this.
 DEFAULT_COND_LIMIT = 1e12
 
-ESTIMATOR_KINDS = (
-    "egg", "granger", "correlation", "precision",
-    "egg_partial", "granger_partial", "least_squares",
-)
+#: kind -> (partial, call taking the keywords of :func:`run_estimator`).  A
+#: call looks its estimator up when it runs, not when the table is built, so
+#: a patched module attribute (a tracer's or a test's) reaches every dispatch.
+_TABLE = {
+    "egg": (False, lambda traj, triple, config, cond_limit, **_:
+            egg_from_trajectory(traj, triple, config, cond_limit)),
+    "granger": (False, lambda traj, cond_limit, **_:
+                granger_estimate(traj, cond_limit)),
+    "correlation": (False, lambda traj, **_: correlation_estimate(traj)),
+    "precision": (False, lambda traj, cond_limit, **_:
+                  precision_estimate(traj, cond_limit)),
+    "egg_partial": (True, lambda traj, observed, **rest:
+                    partial_estimate(traj, observed, "egg", **rest)),
+    "granger_partial": (True, lambda traj, observed, **rest:
+                        partial_estimate(traj, observed, "granger", **rest)),
+    "least_squares": (False, lambda traj, triple, config, **_:
+                      least_squares_estimate(traj, triple, config)),
+}
+
+ESTIMATOR_KINDS = tuple(_TABLE)
+_PARTIAL_KINDS = tuple(kind for kind, (partial, _) in _TABLE.items() if partial)
+
+
+def _check_kinds(kinds: Sequence, observed, key: str = "estimators") -> None:
+    """Reject an unknown kind, or a partial kind without an observed set."""
+    for kind in kinds:
+        if kind not in ESTIMATOR_KINDS:
+            raise ConfigError(f"{key}: unknown kind {kind!r}")
+        if kind in _PARTIAL_KINDS and observed is None:
+            raise ConfigError(f"{key}: partial estimation requires observed_set")
+
+
+def run_estimator(kind: str, traj: Trajectory, triple: NonlinearityTriple,
+                  config: WeightingConfig | None = None,
+                  observed: Sequence[int] | None = None,
+                  cond_limit: float = DEFAULT_COND_LIMIT) -> EstimateReport:
+    """Run estimator ``kind``; partial kinds estimate on the ``observed`` nodes.
+
+    An unknown kind, or a partial kind without ``observed``, is a ConfigError.
+    """
+    _check_kinds((kind,), observed)
+    return _TABLE[kind][1](traj=traj, triple=triple, config=config,
+                           observed=observed, cond_limit=cond_limit)
 
 
 @dataclass(frozen=True)
@@ -44,11 +83,7 @@ class EstimateReport:
     observed_set: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.estimator_kind not in ESTIMATOR_KINDS:
-            raise ValueError(
-                f"unknown estimator kind {self.estimator_kind!r}; "
-                f"expected one of {ESTIMATOR_KINDS}"
-            )
+        _check_kinds((self.estimator_kind,), self.observed_set, "estimator_kind")
         a = np.asarray(self.A_hat, dtype=float).copy()
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"A_hat must be square, got shape {a.shape}")
@@ -103,6 +138,8 @@ def egg_from_trajectory(traj: Trajectory, triple: NonlinearityTriple,
                         config: WeightingConfig | None = None,
                         cond_limit: float = DEFAULT_COND_LIMIT) -> EstimateReport:
     """Accumulate lag moments over a trajectory and run :func:`egg_estimate`."""
+    if triple is None:
+        raise ValueError("egg estimation requires the nonlinearity triple")
     config = config or WeightingConfig()
     lag = lagmoments.from_trajectory(traj, triple, config)
     f0_hat, f1_hat = lagmoments.finalize(lag)
@@ -193,6 +230,8 @@ def partial_estimate(traj: Trajectory, observed: Sequence[int], kind: str,
     reduced coordinates.  ``kind`` selects the weighted ("egg") or raw
     ("granger") regression.
     """
+    if f"{kind}_partial" not in _PARTIAL_KINDS:
+        raise ValueError(f"kind {kind!r} has no partial form in {_PARTIAL_KINDS}")
     if observed is None:
         raise ValueError("observed node set is required for partial estimation")
     observed = sorted(int(v) for v in observed)
@@ -209,22 +248,12 @@ def partial_estimate(traj: Trajectory, observed: Sequence[int], kind: str,
         n_nodes=len(observed), n_steps=traj.n_steps, states=sub_states,
         seed=traj.seed, triple_id=f"{traj.triple_id}|subset",
     )
-    if kind == "egg":
-        if triple is None:
-            raise ValueError("partial egg estimation requires the triple")
-        report = egg_from_trajectory(
-            sub_traj, triple.restrict(observed), config, cond_limit=cond_limit
-        )
-        new_kind = "egg_partial"
-    elif kind == "granger":
-        report = granger_estimate(sub_traj, cond_limit=cond_limit)
-        new_kind = "granger_partial"
-    else:
-        raise ValueError(
-            f"kind must be 'egg' or 'granger' for partial estimation, got {kind!r}"
-        )
+    report = _TABLE[kind][1](
+        traj=sub_traj, triple=None if triple is None else triple.restrict(observed),
+        config=config, observed=None, cond_limit=cond_limit,
+    )
     return EstimateReport(
-        A_hat=report.A_hat, estimator_kind=new_kind,
+        A_hat=report.A_hat, estimator_kind=f"{kind}_partial",
         n_samples=report.n_samples, cond_F0=report.cond_F0,
         observed_set=tuple(observed),
     )

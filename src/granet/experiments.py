@@ -20,7 +20,7 @@ from typing import Any
 import numpy as np
 
 from . import estimators, fileio, lagmoments, presets, recovery
-from .dynamics import NoiseModel, NonlinearityTriple, Trajectory, simulate
+from .dynamics import NoiseModel, Trajectory, simulate
 from .errors import ConfigError, NumericalError
 from .estimators import DEFAULT_COND_LIMIT, EstimateReport
 from .graphs import (CombinationMatrix, DirectedGraph,
@@ -46,9 +46,6 @@ _DEFAULTS: dict[str, Any] = {
     "save_trajectory": None,
 }
 
-_PARTIAL_KINDS = {"egg_partial", "granger_partial"}
-
-
 def experiment_preset(name: str) -> dict:
     """Default experiment config for a named triple preset."""
     if name not in presets.TRIPLE_PRESETS:
@@ -63,6 +60,10 @@ def experiment_preset(name: str) -> dict:
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ConfigError(message)
+
+
+def _number(value, types=(int, float)) -> bool:
+    return isinstance(value, types) and not isinstance(value, bool)
 
 
 def expand_config(raw: dict) -> dict:
@@ -81,7 +82,9 @@ def expand_config(raw: dict) -> dict:
     for key, value in raw.items():
         if key == "preset":
             continue
-        if isinstance(base.get(key), dict) and isinstance(value, dict):
+        if isinstance(base.get(key), dict):
+            _require(isinstance(value, dict),
+                     f"{key}: must be a mapping, got {type(value).__name__}")
             sub_unknown = set(value) - set(base[key])
             _require(not sub_unknown,
                      f"unknown keys under {key!r}: {sorted(sub_unknown)}")
@@ -90,16 +93,24 @@ def expand_config(raw: dict) -> dict:
             base[key] = copy.deepcopy(value)
 
     graph = base["graph"]
-    _require(isinstance(graph["n_nodes"], int) and graph["n_nodes"] >= 1,
+    _require(_number(graph["n_nodes"], int) and graph["n_nodes"] >= 1,
              "graph.n_nodes: must be a positive integer")
+    for path in ("graph.p", "rho", "noise_std", "weighting.delta",
+                 "weighting.singular_tol", "cond_limit"):
+        section, _, name = path.rpartition(".")
+        value = base[section][name] if section else base[name]
+        _require(_number(value), f"{path}: must be a number, got {value!r}")
     _require(0.0 <= graph["p"] <= 1.0, "graph.p: must lie in [0, 1]")
-    _require(isinstance(graph["seed"], int), "graph.seed: must be an integer")
+    _require(_number(graph["seed"], int), "graph.seed: must be an integer")
     _require(0.0 < base["rho"] < 1.0, "rho: must lie in (0, 1)")
     _require(base["noise_std"] > 0, "noise_std: must be > 0")
     sim = base["sim"]
-    _require(isinstance(sim["n_steps"], int) and sim["n_steps"] >= 1,
-             "sim.n_steps: must be a positive integer")
-    _require(isinstance(sim["seed"], int), "sim.seed: must be an integer")
+    _require(_number(sim["n_steps"], int) and sim["n_steps"] >= 2,
+             "sim.n_steps: must be an integer >= 2")
+    _require(_number(sim["seed"], int), "sim.seed: must be an integer")
+    y0 = sim["y0"]
+    _require(_number(y0) or (isinstance(y0, list) and all(map(_number, y0))),
+             "sim.y0: must be a number or a list of numbers")
     weighting = base["weighting"]
     try:
         WeightingConfig(**weighting)
@@ -107,22 +118,17 @@ def expand_config(raw: dict) -> dict:
         raise ConfigError(f"weighting: {exc}") from exc
     _require(isinstance(base["estimators"], list) and base["estimators"],
              "estimators: must be a non-empty list")
-    for kind in base["estimators"]:
-        _require(kind in estimators.ESTIMATOR_KINDS,
-                 f"estimators: unknown kind {kind!r}")
     observed = base["observed_set"]
     if observed is not None:
         _require(isinstance(observed, list) and observed,
                  "observed_set: must be a non-empty list or null")
-        _require(len(set(observed)) == len(observed),
-                 "observed_set: nodes must be distinct")
-        _require(all(isinstance(v, int) and 0 <= v < graph["n_nodes"]
+        _require(all(_number(v, int) and 0 <= v < graph["n_nodes"]
                      for v in observed),
                  "observed_set: nodes must be integers in range")
+        _require(len(set(observed)) == len(observed),
+                 "observed_set: nodes must be distinct")
         base["observed_set"] = sorted(observed)
-    if _PARTIAL_KINDS & set(base["estimators"]):
-        _require(observed is not None,
-                 "estimators: partial estimation requires observed_set")
+    estimators._check_kinds(base["estimators"], observed)
     _require(base["cond_limit"] > 0, "cond_limit: must be > 0")
     _require(base["norm"] in ("infinity", "two"),
              "norm: must be 'infinity' or 'two'")
@@ -153,29 +159,6 @@ class ExperimentResult:
     @property
     def failed(self) -> bool:
         return bool(self.errors)
-
-
-def _run_single_estimator(kind: str, traj: Trajectory,
-                          triple: NonlinearityTriple,
-                          weighting: WeightingConfig, observed,
-                          cond_limit: float) -> EstimateReport:
-    if kind == "egg":
-        return estimators.egg_from_trajectory(traj, triple, weighting,
-                                              cond_limit=cond_limit)
-    if kind == "granger":
-        return estimators.granger_estimate(traj, cond_limit=cond_limit)
-    if kind == "correlation":
-        return estimators.correlation_estimate(traj)
-    if kind == "precision":
-        return estimators.precision_estimate(traj, cond_limit=cond_limit)
-    if kind == "least_squares":
-        return estimators.least_squares_estimate(traj, triple, weighting)
-    if kind in _PARTIAL_KINDS:
-        return estimators.partial_estimate(
-            traj, observed, kind.removesuffix("_partial"),
-            triple=triple, config=weighting, cond_limit=cond_limit,
-        )
-    raise ConfigError(f"unknown estimator kind {kind!r}")
 
 
 def run_experiment(config: dict, out_dir: "str | Path") -> ExperimentResult:
@@ -222,8 +205,8 @@ def run_experiment(config: dict, out_dir: "str | Path") -> ExperimentResult:
     errors: dict[str, str] = {}
     for kind in config["estimators"]:
         try:
-            report = _run_single_estimator(kind, traj, triple, weighting,
-                                           observed, config["cond_limit"])
+            report = estimators.run_estimator(kind, traj, triple, weighting,
+                                              observed, config["cond_limit"])
         except NumericalError as exc:
             errors[kind] = str(exc)
             (run_dir / f"estimate_{kind}.json").write_text(
@@ -285,11 +268,12 @@ def _point_config(base: dict, axis: str, value, master_seed: int,
     seed = _point_seed(master_seed, index)
     config["sim"]["seed"] = seed
     if axis == "n_steps":
-        _require(isinstance(value, int) and value >= 1,
-                 f"sweep values for n_steps must be positive integers, got {value!r}")
+        _require(_number(value, int) and value >= 2,
+                 f"sweep values for n_steps must be integers >= 2, got {value!r}")
         config["sim"]["n_steps"] = value
     elif axis == "delta":
-        _require(value >= 0, f"sweep values for delta must be >= 0, got {value!r}")
+        _require(_number(value) and value >= 0,
+                 f"sweep values for delta must be numbers >= 0, got {value!r}")
         if value == 0:
             config["weighting"] = {"mode": "exact", "delta": 0.0,
                                    "singular_tol": config["weighting"].get("singular_tol", 0.0)}
@@ -298,13 +282,13 @@ def _point_config(base: dict, axis: str, value, master_seed: int,
                                    "singular_tol": 0.0}
     elif axis == "observed_set_size":
         n_nodes = config["graph"]["n_nodes"]
-        _require(isinstance(value, int) and 1 <= value <= n_nodes,
+        _require(_number(value, int) and 1 <= value <= n_nodes,
                  f"observed_set_size values must lie in [1, {n_nodes}], got {value!r}")
         chooser = np.random.default_rng(seed)
         config["observed_set"] = sorted(
             int(v) for v in chooser.choice(n_nodes, size=value, replace=False)
         )
-        if not _PARTIAL_KINDS & set(config["estimators"]):
+        if not set(estimators._PARTIAL_KINDS) & set(config["estimators"]):
             config["estimators"] = ["egg_partial"]
     else:
         raise ConfigError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
@@ -370,12 +354,8 @@ def run_sweep(config: dict, out_dir: "str | Path", workers: int = 1) -> Path:
     jobs = []
     for index, value in enumerate(values):
         point = _point_config(base, axis, value, master_seed, index)
-        if summary_kind is None:
-            kind = point["estimators"][0]
-        else:
-            _require(summary_kind in estimators.ESTIMATOR_KINDS,
-                     f"summary_estimator: unknown kind {summary_kind!r}")
-            kind = summary_kind
+        kind = point["estimators"][0] if summary_kind is None else summary_kind
+        estimators._check_kinds((kind,), point["observed_set"], "summary_estimator")
         jobs.append((index, value, point, str(out_dir / f"point_{index:03d}"), kind))
 
     workers = min(workers, len(jobs))

@@ -15,13 +15,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import NonlinearityTriple, Trajectory, resolve_exponents
+from .dynamics import (_PQ_TOL, NonlinearityTriple, Trajectory,
+                       resolve_exponents)
 from .errors import ConfigError, DegenerateClusterError
 from .graphs import CombinationMatrix, DirectedGraph
 from .lagmoments import WeightingConfig, omega_tail_index
 from .nonlinearities import Nonlinearity
-
-_PQ_TOL = 1e-9
 
 # A weight-norm tail exponent of 1 is where the norms lose their mean and
 # the one-lag running average stops converging; the critical value sits a

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from granet import cli, fileio
+from granet import cli, estimators, fileio
 from granet import experiments as xp
 
 
@@ -167,6 +167,36 @@ def test_experiment_config_error_exit(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("overrides, key", [
+    ({"graph": "x"}, "graph"),
+    ({"rho": "a"}, "rho"),
+    ({"noise_std": None}, "noise_std"),
+    ({"cond_limit": "x"}, "cond_limit"),
+    ({"weighting": {"delta": "x"}}, "delta"),
+    ({"sim": {"y0": {}}}, "y0"),
+])
+def test_experiment_mistyped_value_exit_config(tmp_path, capsys, overrides, key):
+    cfg = dict(small_experiment_config(), **overrides)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    rc = cli.main(["experiment", "--config", str(cfg_path),
+                   "--out", str(tmp_path / "run")])
+    assert rc == cli.EXIT_CONFIG
+    assert key in capsys.readouterr().err
+
+
+def test_sweep_mistyped_delta_exit_config(tmp_path, capsys):
+    sweep = {"base": small_experiment_config(), "axis": "delta",
+             "values": [0.1, "x"], "master_seed": 7}
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(sweep))
+    rc = cli.main(["sweep", "--config", str(cfg_path),
+                   "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_CONFIG
+    assert "delta" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "point_000").exists()
+
+
 def test_invalid_json_config(tmp_path):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text("not json at all {")
@@ -253,3 +283,44 @@ def test_sweep_failed_points_exit_numerical(tmp_path):
     rc = cli.main(["sweep", "--config", str(cfg_path),
                    "--out", str(tmp_path / "out")])
     assert rc == cli.EXIT_NUMERICAL
+
+
+def test_dispatch_reads_the_patched_module_attribute(tmp_path, monkeypatch):
+    # experiments and the CLI look the estimator up at call time, so a
+    # patch of ``granet.estimators`` (as a tracer makes) reaches both,
+    # also through the partial kind
+    calls = []
+    original = estimators.granger_estimate
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].n_nodes)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(estimators, "granger_estimate", spy)
+    cfg = dict(small_experiment_config(), observed_set=[0, 2, 4],
+               estimators=["granger", "granger_partial"])
+    xp.run_experiment(cfg, tmp_path / "run")
+    assert calls == [6, 3]
+    assert cli.main(["estimate", "--trajectory",
+                     str(tmp_path / "run" / "trajectory.csv"),
+                     "--estimators", "granger,granger_partial",
+                     "--observed", "1,3", "--out", str(tmp_path / "est")]) == 0
+    assert calls == [6, 3, 6, 2]
+
+
+def test_estimate_reproduces_experiment_files(tmp_path):
+    cfg = dict(small_experiment_config(), triple="example1",
+               save_trajectory=True, observed_set=[0, 2, 3, 5],
+               estimators=list(estimators.ESTIMATOR_KINDS))
+    result = xp.run_experiment(cfg, tmp_path / "run")
+    assert result.errors == {}
+    assert cli.main(["estimate", "--trajectory",
+                     str(tmp_path / "run" / "trajectory.csv"),
+                     "--triple", "example1",
+                     "--estimators", ",".join(estimators.ESTIMATOR_KINDS),
+                     "--observed", "0,2,3,5", "--out", str(tmp_path / "est")]) == 0
+    for kind in estimators.ESTIMATOR_KINDS:
+        for suffix in ("csv", "json"):
+            name = f"estimate_{kind}.{suffix}"
+            assert (tmp_path / "est" / name).read_bytes() == \
+                (tmp_path / "run" / name).read_bytes(), name

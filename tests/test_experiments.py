@@ -50,6 +50,8 @@ def test_expand_validates_fields():
         xp.expand_config(small_config(triple="no-such-preset"))
     with pytest.raises(ConfigError):
         xp.expand_config(small_config(sim={"n_steps": 0, "seed": 1, "y0": 0.0}))
+    with pytest.raises(ConfigError, match="n_steps"):
+        xp.expand_config(small_config(sim={"n_steps": 1, "seed": 1, "y0": 0.0}))
     with pytest.raises(ConfigError):
         xp.expand_config(small_config(estimators=["egg", "mystery"]))
 
@@ -207,6 +209,14 @@ def test_sweep_validation(tmp_path):
         xp.run_sweep({"base": base, "axis": "n_steps", "values": [100],
                       "master_seed": 1, "summary_estimator": "egg",
                       "stray": True}, tmp_path)
+
+
+def test_sweep_rejects_a_single_step_before_any_point_runs(tmp_path):
+    sweep = {"base": small_config(), "axis": "n_steps", "values": [200, 1],
+             "master_seed": 1, "summary_estimator": "egg"}
+    with pytest.raises(ConfigError, match="n_steps"):
+        xp.run_sweep(sweep, tmp_path)
+    assert not list(tmp_path.glob("point_*"))
 
 
 def test_sweep_delta_axis_switches_to_regularized(tmp_path):
