@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import FunctionDomainError, SimulationDivergedError
 from .graphs import CombinationMatrix
-from .nonlinearities import Nonlinearity
+from .nonlinearities import _KERNELS, Nonlinearity
 
 #: States whose magnitude exceeds this are treated as diverged.
 DIVERGENCE_LIMIT = 1e12
@@ -89,37 +89,43 @@ class _Family:
         """
         return iter(self._groups)
 
-    def _map(self, y: np.ndarray, op) -> np.ndarray:
-        """Assemble ``op(fn, y[..., nodes], nodes)`` over the groups."""
-        if self.homogeneous:
-            return op(self.fns[0], y, slice(None))
-        out = np.empty_like(y, dtype=float)
-        for fn, nodes in self.groups():
-            out[..., nodes] = op(fn, y[..., nodes], nodes)
-        return out
-
     def __call__(self, y: np.ndarray) -> np.ndarray:
-        """Evaluate componentwise; last axis indexes nodes."""
-        return self._map(y, lambda fn, sub, nodes: fn.evaluate(sub))
+        """Evaluate componentwise; ``y`` is a float array, nodes on the last axis."""
+        if self.homogeneous:
+            fn = self.fns[0]
+            return _KERNELS[fn.kind][0](y, *fn.params)
+        out = np.empty_like(y, dtype=float)
+        for fn, nodes in self._groups:
+            out[..., nodes] = _KERNELS[fn.kind][0](y[..., nodes], *fn.params)
+        return out
 
     def inverse(self, y: np.ndarray, epoch_offset: int = 0) -> np.ndarray:
         """Componentwise inverse with (epoch, node) context in errors.
 
-        ``y`` has nodes on the last axis; for 2-d input the first axis is
-        epochs starting at ``epoch_offset``.
+        ``y`` is a float array with nodes on the last axis; for 2-d input
+        the first axis is epochs starting at ``epoch_offset``.  Groups are
+        checked in order, each once, and the first failing group reports
+        its first offending entry.
         """
-        def invert(fn, sub, nodes):
-            bad = fn.inverse_domain_mask(sub)
-            if bad is not None and np.any(bad):
-                pos = np.unravel_index(int(np.argmax(bad)), np.shape(sub))
-                node = int(np.arange(len(self.fns))[nodes][pos[-1]])
-                epoch = epoch_offset + int(pos[0]) if np.ndim(sub) == 2 else None
+        out = None if self.homogeneous else np.empty_like(y, dtype=float)
+        for fn, nodes in self._groups:
+            _, inverse, domain = _KERNELS[fn.kind]
+            if inverse is None:
+                raise ValueError(f"{fn.kind}{fn.params} has no implemented inverse")
+            sub = y[..., nodes]
+            bad = None if domain is None else domain(sub, *fn.params)
+            if bad is not None and bad.any():
+                pos = np.unravel_index(int(np.argmax(bad)), bad.shape)
                 raise FunctionDomainError(
                     f"input outside the domain of {fn.describe()} inverse",
-                    float(sub[pos]), node=node, epoch=epoch,
+                    float(sub[pos]),
+                    node=int(np.arange(len(self.fns))[nodes][pos[-1]]),
+                    epoch=epoch_offset + int(pos[0]) if sub.ndim == 2 else None,
                 )
-            return fn.evaluate_inverse(sub)
-        return self._map(y, invert)
+            if out is None:
+                return inverse(sub, *fn.params)
+            out[..., nodes] = inverse(sub, *fn.params)
+        return out
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ import copy
 import csv
 import dataclasses
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Any
@@ -66,6 +67,10 @@ def _number(value, types=(int, float)) -> bool:
     return isinstance(value, types) and not isinstance(value, bool)
 
 
+def _finite(value) -> bool:
+    return _number(value) and math.isfinite(value)
+
+
 def expand_config(raw: dict) -> dict:
     """Validate a config and return its fully explicit form.
 
@@ -103,14 +108,16 @@ def expand_config(raw: dict) -> dict:
     _require(0.0 <= graph["p"] <= 1.0, "graph.p: must lie in [0, 1]")
     _require(_number(graph["seed"], int), "graph.seed: must be an integer")
     _require(0.0 < base["rho"] < 1.0, "rho: must lie in (0, 1)")
-    _require(base["noise_std"] > 0, "noise_std: must be > 0")
+    _require(math.isfinite(base["noise_std"]) and base["noise_std"] > 0,
+             "noise_std: must be finite and > 0")
     sim = base["sim"]
     _require(_number(sim["n_steps"], int) and sim["n_steps"] >= 2,
              "sim.n_steps: must be an integer >= 2")
     _require(_number(sim["seed"], int), "sim.seed: must be an integer")
     y0 = sim["y0"]
-    _require(_number(y0) or (isinstance(y0, list) and all(map(_number, y0))),
-             "sim.y0: must be a number or a list of numbers")
+    _require(_finite(y0) or (isinstance(y0, list) and len(y0) == graph["n_nodes"]
+                             and all(map(_finite, y0))),
+             "sim.y0: must be a finite number or a list of n_nodes finite numbers")
     weighting = base["weighting"]
     try:
         WeightingConfig(**weighting)
@@ -272,8 +279,8 @@ def _point_config(base: dict, axis: str, value, master_seed: int,
                  f"sweep values for n_steps must be integers >= 2, got {value!r}")
         config["sim"]["n_steps"] = value
     elif axis == "delta":
-        _require(_number(value) and value >= 0,
-                 f"sweep values for delta must be numbers >= 0, got {value!r}")
+        _require(_finite(value) and value >= 0,
+                 f"sweep values for delta must be finite numbers >= 0, got {value!r}")
         if value == 0:
             config["weighting"] = {"mode": "exact", "delta": 0.0,
                                    "singular_tol": config["weighting"].get("singular_tol", 0.0)}

@@ -51,10 +51,6 @@ class DirectedGraph:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def has_edge(self, i: int, j: int) -> bool:
-        """True when node ``j`` influences node ``i``."""
-        return (i, j) in self.edges
-
     def adjacency(self) -> np.ndarray:
         """Boolean matrix with ``adj[i, j]`` true iff edge ``(i, j)`` exists."""
         adj = np.zeros((self.n_nodes, self.n_nodes), dtype=bool)

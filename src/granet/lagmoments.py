@@ -23,6 +23,7 @@ relative error stays near 1e-14, far inside every tolerance checked here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,8 @@ class WeightingConfig:
             raise ValueError(
                 f"mode must be 'exact' or 'regularized', got {self.mode!r}"
             )
+        if not (math.isfinite(self.delta) and math.isfinite(self.singular_tol)):
+            raise ValueError("delta and singular_tol must be finite")
         if self.delta < 0 or self.singular_tol < 0:
             raise ValueError("delta and singular_tol must be >= 0")
         if self.mode == "exact" and self.delta != 0.0:
@@ -67,29 +70,25 @@ class WeightingConfig:
 def _regularized_weights(triple: NonlinearityTriple, delta: float,
                          y: np.ndarray) -> np.ndarray:
     """Clamped reciprocal weights; ``y`` has nodes on the last axis."""
-    out = np.empty_like(y, dtype=float)
+    clamped = np.array(y, dtype=float)
     for fn, nodes in triple.eval_g.groups():
-        sub = y[..., nodes]
         if fn.zeros is None:
             raise ValueError(
                 f"{fn.describe()} has a non-isolated root set and cannot "
                 "be regularised"
             )
         if not fn.zeros:
-            out[..., nodes] = 1.0 / fn.evaluate(sub)
             continue
-        roots = np.asarray(fn.zeros)
-        offsets = sub[..., None] - roots
+        sub = y[..., nodes]
+        offsets = sub[..., None] - np.asarray(fn.zeros)
         nearest = np.take_along_axis(
             offsets, np.argmin(np.abs(offsets), axis=-1)[..., None], axis=-1
         )[..., 0]
-        root = sub - nearest
-        inside = np.abs(nearest) < delta
-        # Within the neighbourhood, evaluate g at the boundary on the same
-        # side as the state (ties at the root go to the upper boundary).
-        boundary = root + delta * np.where(nearest >= 0, 1.0, -1.0)
-        out[..., nodes] = 1.0 / fn.evaluate(np.where(inside, boundary, sub))
-    return out
+        # Within delta of the nearest root, move the state to the boundary
+        # on its own side (ties at the root go to the upper boundary).
+        boundary = sub - nearest + delta * np.where(nearest >= 0, 1.0, -1.0)
+        clamped[..., nodes] = np.where(np.abs(nearest) < delta, boundary, sub)
+    return 1.0 / triple.eval_g(clamped)
 
 
 def omega_eval(triple: NonlinearityTriple, config: WeightingConfig,

@@ -14,6 +14,10 @@ more about the operating range.
 ``zeros`` lists the isolated real roots of the function when they are known
 in closed form (used to regularise reciprocal weights); ``None`` marks a
 function whose root set is not a finite set of isolated points.
+
+How a kind is evaluated, inverted and domain-checked lives in one table,
+``_KERNELS``: kind -> (function, inverse or None, inverse-domain mask or
+None).  A kind is invertible exactly when the table has its inverse.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ class Nonlinearity:
     params: tuple[float, ...] = ()
     envelope: tuple[float, float] | None = None
     exponent_role: float | None = None
-    invertible: bool = False
     zeros: tuple[float, ...] | None = ()
 
     def __post_init__(self):
@@ -56,36 +59,35 @@ class Nonlinearity:
 
     # -- evaluation ---------------------------------------------------------
 
+    @property
+    def invertible(self) -> bool:
+        """Whether the catalogue implements an inverse for this kind."""
+        return _KERNELS[self.kind][1] is not None
+
     def evaluate(self, y):
         """Apply the function elementwise to ``y`` (scalar or array)."""
-        out = _EVAL[self.kind](np.asarray(y, dtype=float), *self.params)
-        return float(out) if np.isscalar(y) or np.ndim(y) == 0 else out
+        out = _KERNELS[self.kind][0](np.asarray(y, dtype=float), *self.params)
+        return out if np.ndim(out) else float(out)
 
     def evaluate_inverse(self, y):
         """Apply the inverse elementwise; raises on out-of-domain input.
 
-        Only functions with ``invertible=True`` support this.  Domain
-        violations raise :class:`FunctionDomainError` naming the first
-        offending value.
+        Only invertible functions support this.  Domain violations raise
+        :class:`FunctionDomainError` naming the first offending value.
         """
-        if not self.invertible:
+        _, inverse, domain = _KERNELS[self.kind]
+        if inverse is None:
             raise ValueError(f"{self.kind}{self.params} has no implemented inverse")
         arr = np.asarray(y, dtype=float)
-        bad = _INV_DOMAIN[self.kind](arr, *self.params)
-        if bad is not None and np.any(bad):
-            idx = np.unravel_index(int(np.argmax(bad)), arr.shape) if arr.ndim else ()
-            value = float(arr[idx]) if arr.ndim else float(arr)
-            raise FunctionDomainError(
-                f"input outside the domain of {self.describe()} inverse", value
-            )
-        out = _INV[self.kind](arr, *self.params)
-        return float(out) if np.isscalar(y) or np.ndim(y) == 0 else out
-
-    def inverse_domain_mask(self, y: np.ndarray) -> np.ndarray | None:
-        """Boolean mask of entries outside the inverse domain (None = all ok)."""
-        if not self.invertible:
-            raise ValueError(f"{self.kind}{self.params} has no implemented inverse")
-        return _INV_DOMAIN[self.kind](np.asarray(y, dtype=float), *self.params)
+        if domain is not None:
+            bad = domain(arr, *self.params)
+            if bad.any():
+                raise FunctionDomainError(
+                    f"input outside the domain of {self.describe()} inverse",
+                    float(arr[np.unravel_index(int(np.argmax(bad)), arr.shape)]),
+                )
+        out = inverse(arr, *self.params)
+        return out if np.ndim(out) else float(out)
 
     def describe(self) -> str:
         if self.params:
@@ -101,7 +103,6 @@ class Nonlinearity:
             params=self.params,
             envelope=(float(alpha), float(beta)),
             exponent_role=exponent_role if exponent_role is not None else self.exponent_role,
-            invertible=self.invertible,
             zeros=self.zeros,
         )
 
@@ -110,30 +111,20 @@ def _signed_power(y, a):
     return np.copysign(np.abs(y) ** a, y)
 
 
-_EVAL: dict[str, Callable] = {
-    "identity": lambda y: y,
-    "constant_one": lambda y: np.ones_like(y),
-    "sign_power": _signed_power,
-    "tanh": np.tanh,
-    "tanh_shifted": lambda y, c: np.tanh(y) + c,
-    "limiter": lambda y, lo, hi: np.clip(y, lo, hi),
-    "sin_plus_sign_power": lambda y, freq, a: np.sin(freq * y) + _signed_power(y, a),
-}
-
-_INV: dict[str, Callable] = {
-    "identity": lambda y: y,
-    "sign_power": lambda y, a: _signed_power(y, 1.0 / a),
-    "tanh": np.arctanh,
-    "tanh_shifted": lambda y, c: np.arctanh(y - c),
-}
-
-# Per kind: mask of inputs outside the inverse's domain (None when the
-# inverse is defined on the whole line).
-_INV_DOMAIN: dict[str, Callable] = {
-    "identity": lambda y: None,
-    "sign_power": lambda y, a: None,
-    "tanh": lambda y: np.abs(y) >= 1.0,
-    "tanh_shifted": lambda y, c: np.abs(y - c) >= 1.0,
+# Per kind: (function, inverse or None, mask of inputs outside the inverse's
+# domain or None when the inverse is defined on the whole line).  Each entry
+# takes a float array followed by the kind's params.
+_KERNELS: dict[str, tuple[Callable, Callable | None, Callable | None]] = {
+    "identity": (lambda y: y, lambda y: y, None),
+    "constant_one": (lambda y: np.ones_like(y), None, None),
+    "sign_power": (_signed_power, lambda y, a: _signed_power(y, 1.0 / a), None),
+    "tanh": (np.tanh, np.arctanh, lambda y: np.abs(y) >= 1.0),
+    "tanh_shifted": (lambda y, c: np.tanh(y) + c,
+                     lambda y, c: np.arctanh(y - c),
+                     lambda y, c: np.abs(y - c) >= 1.0),
+    "limiter": (lambda y, lo, hi: np.clip(y, lo, hi), None, None),
+    "sin_plus_sign_power": (
+        lambda y, freq, a: np.sin(freq * y) + _signed_power(y, a), None, None),
 }
 
 
@@ -145,7 +136,6 @@ def identity() -> Nonlinearity:
         kind="identity",
         envelope=(1.0, 0.0),
         exponent_role=1.0,
-        invertible=True,
         zeros=(0.0,),
     )
 
@@ -156,7 +146,6 @@ def constant_one() -> Nonlinearity:
         kind="constant_one",
         envelope=(0.0, 1.0),
         exponent_role=None,
-        invertible=False,
         zeros=(),
     )
 
@@ -184,7 +173,6 @@ def sign_power(a: float) -> Nonlinearity:
         params=(float(a),),
         envelope=env,
         exponent_role=float(a) if bounded_growth else None,
-        invertible=True,
         zeros=(0.0,),
     )
 
@@ -195,7 +183,6 @@ def tanh() -> Nonlinearity:
         kind="tanh",
         envelope=(0.0, 1.0),
         exponent_role=None,
-        invertible=True,
         zeros=(0.0,),
     )
 
@@ -212,7 +199,6 @@ def tanh_shifted(c: float) -> Nonlinearity:
         params=(c,),
         envelope=(0.0, 1.0 + abs(c)),
         exponent_role=None,
-        invertible=True,
         zeros=fn_zeros,
     )
 
@@ -234,7 +220,6 @@ def limiter(lo: float = -1.0, hi: float = 1.0) -> Nonlinearity:
         params=(lo, hi),
         envelope=(0.0, max(abs(lo), abs(hi))),
         exponent_role=None,
-        invertible=False,
         zeros=fn_zeros,
     )
 
@@ -253,7 +238,6 @@ def sin_plus_sign_power(freq: float, a: float) -> Nonlinearity:
         params=(float(freq), float(a)),
         envelope=(1.0, 1.0),
         exponent_role=float(a),
-        invertible=False,
         zeros=(0.0,),
     )
 

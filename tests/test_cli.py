@@ -174,6 +174,13 @@ def test_experiment_config_error_exit(tmp_path, capsys):
     ({"cond_limit": "x"}, "cond_limit"),
     ({"weighting": {"delta": "x"}}, "delta"),
     ({"sim": {"y0": {}}}, "y0"),
+    ({"weighting": {"mode": "regularized", "delta": float("nan")}}, "weighting"),
+    ({"weighting": {"mode": "regularized", "delta": float("inf")}}, "weighting"),
+    ({"triple": "singular-g", "weighting": {"singular_tol": float("nan")}},
+     "weighting"),
+    ({"sim": {"y0": float("nan")}}, "y0"),
+    ({"sim": {"y0": [0, 1]}}, "y0"),
+    ({"noise_std": float("inf")}, "noise_std"),
 ])
 def test_experiment_mistyped_value_exit_config(tmp_path, capsys, overrides, key):
     cfg = dict(small_experiment_config(), **overrides)
@@ -183,18 +190,20 @@ def test_experiment_mistyped_value_exit_config(tmp_path, capsys, overrides, key)
                    "--out", str(tmp_path / "run")])
     assert rc == cli.EXIT_CONFIG
     assert key in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_sweep_mistyped_delta_exit_config(tmp_path, capsys):
-    sweep = {"base": small_experiment_config(), "axis": "delta",
-             "values": [0.1, "x"], "master_seed": 7}
-    cfg_path = tmp_path / "sweep.json"
-    cfg_path.write_text(json.dumps(sweep))
-    rc = cli.main(["sweep", "--config", str(cfg_path),
-                   "--out", str(tmp_path / "out")])
-    assert rc == cli.EXIT_CONFIG
-    assert "delta" in capsys.readouterr().err
-    assert not (tmp_path / "out" / "point_000").exists()
+    for bad in ("x", float("inf")):
+        sweep = {"base": small_experiment_config(), "axis": "delta",
+                 "values": [0.1, bad], "master_seed": 7}
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps(sweep))
+        rc = cli.main(["sweep", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_CONFIG
+        assert "delta" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "point_000").exists()
 
 
 def test_invalid_json_config(tmp_path):

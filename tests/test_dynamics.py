@@ -156,6 +156,25 @@ def test_family_groups_map_heterogeneous_nodes():
     assert err.value.epoch == 11 and err.value.node == 2
 
 
+def test_family_inverse_reports_first_failing_group():
+    sigma = (nl.tanh(), nl.tanh_shifted(2.0)) * 2
+    triple = NonlinearityTriple(sigma=sigma, g=(nl.constant_one(),) * 4,
+                                h=(nl.identity(),) * 4)
+    y = np.tile([0.0, 2.0, 0.0, 2.0], (10, 1))
+    y[5, 3] = 3.5  # earlier epoch, but in the later tanh_shifted group
+    y[7, 0] = 1.0
+    with pytest.raises(FunctionDomainError) as err:
+        triple.eval_sigma.inverse(y, epoch_offset=100)
+    assert (err.value.epoch, err.value.node, err.value.value) == (107, 0, 1.0)
+    assert str(err.value) == ("input outside the domain of tanh inverse "
+                              "at epoch 107, node 0: value 1.0")
+    with pytest.raises(FunctionDomainError) as err:
+        triple.eval_sigma.inverse(y[7])
+    assert (err.value.epoch, err.value.node) == (None, 0)
+    assert str(err.value) == ("input outside the domain of tanh inverse "
+                              "at node 0: value 1.0")
+
+
 def test_simulate_validation():
     a = zero_matrix(2)
     triple = triple_preset("linear", 2)

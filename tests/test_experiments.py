@@ -5,9 +5,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from granet import ConfigError, fileio
+from granet import ConfigError, fileio, presets
 from granet import experiments as xp
+from granet.estimators import ESTIMATOR_KINDS
 
 
 def small_config(**overrides):
@@ -68,6 +71,55 @@ def test_expand_observed_set_rules():
     # partial estimators need an observed set
     with pytest.raises(ConfigError):
         xp.expand_config(small_config(estimators=["granger_partial"]))
+
+
+_SIGMA_SPECS = st.one_of(
+    st.sampled_from(["identity", "tanh"]),
+    st.floats(0.1, 1.0).map(lambda a: {"kind": "sign_power", "params": [a]}),
+    st.floats(-3.0, 3.0).map(lambda c: {"kind": "tanh_shifted", "params": [c]}),
+)
+
+
+@st.composite
+def valid_configs(draw):
+    n = draw(st.integers(3, 8))
+    cfg = {"graph": {"n_nodes": n, "p": draw(st.floats(0.0, 1.0)),
+                     "seed": draw(st.integers(0, 2**31))},
+           "sim": {"y0": draw(st.one_of(
+               st.floats(-1.0, 1.0),
+               st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))}}
+    source = draw(st.sampled_from(["preset", "triple", "explicit"]))
+    if source == "explicit":
+        # g = 1 declares no growth exponent, so any sign_power h fits
+        sigma = draw(st.one_of(_SIGMA_SPECS, st.lists(
+            _SIGMA_SPECS, min_size=n, max_size=n).map(lambda s: {"per_node": s})))
+        cfg["triple"] = {"sigma": sigma, "g": "constant_one",
+                         "h": {"kind": "sign_power",
+                               "params": [draw(st.floats(0.1, 1.0))]}}
+    else:
+        cfg[source] = draw(st.sampled_from(presets.TRIPLE_PRESETS))
+    if draw(st.booleans()):
+        cfg["weighting"] = {"mode": "regularized",
+                            "delta": draw(st.floats(1e-3, 1.0))}
+    else:
+        cfg["weighting"] = {"mode": "exact",
+                            "singular_tol": draw(st.floats(0.0, 1e-3))}
+    kinds = [k for k in ESTIMATOR_KINDS if not k.endswith("_partial")]
+    if draw(st.booleans()):
+        cfg["observed_set"] = draw(st.lists(st.integers(0, n - 1),
+                                            min_size=1, unique=True))
+        kinds = list(ESTIMATOR_KINDS)
+    cfg["estimators"] = draw(st.lists(st.sampled_from(kinds), min_size=1,
+                                      unique=True))
+    return cfg
+
+
+@settings(deadline=None, max_examples=60)
+@given(valid_configs())
+def test_expand_is_idempotent_and_survives_json(cfg):
+    expanded = xp.expand_config(cfg)
+    assert xp.expand_config(expanded) == expanded
+    assert json.loads(json.dumps(expanded)) == expanded
 
 
 def test_experiment_preset_names():

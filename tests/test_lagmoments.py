@@ -62,9 +62,35 @@ def test_omega_regularized_boundary_fill():
     assert w[0] == pytest.approx(2.0, abs=1e-12)
 
 
+def test_omega_regularized_heterogeneous_matches_per_node_clamp():
+    g = (nl.sign_power(0.4), nl.tanh()) * 3
+    triple = NonlinearityTriple(sigma=(nl.identity(),) * 6, g=g,
+                                h=(nl.sign_power(0.6),) * 6)
+    delta = 0.05
+    cfg = WeightingConfig(mode="regularized", delta=delta)
+    y = np.random.default_rng(4).normal(scale=0.1, size=(40, 6))
+    y[:4] = [[0.0] * 6, [delta] * 6, [-delta] * 6, [0.7] * 6]
+    got = np.array([omega_eval(triple, cfg, row)[0] for row in y])
+    for node, fn in enumerate(g):
+        # the clamp formula, one node (column) at a time
+        sub = y[:, node]
+        offsets = sub[:, None] - np.asarray(fn.zeros)
+        nearest = np.take_along_axis(
+            offsets, np.argmin(np.abs(offsets), axis=-1)[:, None], axis=-1)[:, 0]
+        boundary = (sub - nearest) + delta * np.where(nearest >= 0, 1.0, -1.0)
+        clamped = np.where(np.abs(nearest) < delta, boundary, sub)
+        expected = 1.0 / fn.evaluate(clamped)
+        assert np.array_equal(got[:, node], expected)
+
+
 def test_weighting_config_validation():
     with pytest.raises(ValueError):
         WeightingConfig(mode="fuzzy")
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            WeightingConfig(mode="regularized", delta=bad)
+        with pytest.raises(ValueError, match="finite"):
+            WeightingConfig(singular_tol=bad)
     with pytest.raises(ValueError):
         WeightingConfig(mode="exact", delta=0.1)
     with pytest.raises(ValueError):

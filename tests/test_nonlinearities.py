@@ -13,8 +13,10 @@ from granet.dynamics import resolve_exponents
 
 
 def test_sign_power_value():
-    assert nl.sign_power(0.5).evaluate(4.0) == 2.0
-    assert nl.sign_power(0.5).evaluate(-4.0) == -2.0
+    # a Python float and a 0-d array both evaluate to a float
+    for y, expected in ((4.0, 2.0), (-4.0, -2.0), (np.array(4.0), 2.0)):
+        got = nl.sign_power(0.5).evaluate(y)
+        assert type(got) is float and got == expected
 
 
 def test_tanh_at_origin():
@@ -26,7 +28,9 @@ def test_sin_plus_sign_power_at_origin():
 
 
 def test_sign_power_inverse_value():
-    assert nl.sign_power(0.5).evaluate_inverse(2.0) == 4.0
+    for y in (2.0, np.array(2.0)):
+        got = nl.sign_power(0.5).evaluate_inverse(y)
+        assert type(got) is float and got == 4.0
 
 
 def test_tanh_inverse_value():
