@@ -27,7 +27,7 @@ SEED = 3001
 def main() -> None:
     graph = generate_binomial_graph(N_NODES, 0.2, 101)
     matrix = build_combination_matrix(graph, 0.5)
-    truth = support_offdiagonal(matrix, 0.0)
+    truth = support_offdiagonal(matrix)
     triple = triple_preset("example1", N_NODES)
 
     t0 = time.time()

@@ -30,7 +30,7 @@ def main() -> None:
         triple = triple_preset(preset, N_NODES)
         traj = simulate(matrix, triple, noise, 0.0, N_STEPS, seed=3001)
 
-        epochs, peaks = running_onelag_max(traj, triple, config, every=100)
+        epochs, peaks = running_onelag_max(traj, triple, config)
         ratio = peaks.max() / np.median(peaks)
         moment = running_weight_moment(traj, triple, config)
         report = assumption_report(traj, triple, config)

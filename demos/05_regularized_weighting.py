@@ -23,7 +23,7 @@ def main() -> None:
     n_nodes, n_steps = 50, 100_000
     graph = generate_binomial_graph(n_nodes, 0.2, 101)
     matrix = build_combination_matrix(graph, 0.5)
-    truth = support_offdiagonal(matrix, 0.0)
+    truth = support_offdiagonal(matrix)
     triple = triple_preset("singular-g", n_nodes)
     traj = simulate(matrix, triple, NoiseModel.uniform(n_nodes), 0.0,
                     n_steps, seed=3002)

@@ -32,7 +32,7 @@ def main() -> None:
                     args.steps, seed=args.seed)
 
     observed = tuple(range(args.observed))
-    sub_truth = subgraph(support_offdiagonal(matrix, 0.0), observed)
+    sub_truth = subgraph(support_offdiagonal(matrix), observed)
     sub_entries = matrix.entries[np.ix_(observed, observed)]
 
     report = partial_estimate(traj, observed, "egg", triple=triple)

@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from . import estimators, experiments, fileio, presets, recovery
-from .dynamics import NoiseModel, simulate
+from .dynamics import NoiseModel, NonlinearityTriple, simulate
 from .errors import ConfigError, NumericalError
 from .graphs import (CombinationMatrix, build_combination_matrix,
                      generate_binomial_graph, support_offdiagonal)
@@ -32,6 +32,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
+
+_TRIPLE_HELP = ("triple preset name (default example1), or a JSON file with a "
+                "triple spec or a run's config.expanded.json")
 
 
 def _out_dir(args) -> Path:
@@ -47,6 +50,20 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
 
 
+def _load_triple(spec: str, n_nodes: int) -> NonlinearityTriple:
+    """A triple preset name, or a JSON file holding a triple spec or a run's
+    ``config.expanded.json`` (whose ``"triple"`` entry is used)."""
+    if spec in presets.TRIPLE_PRESETS:
+        return presets.triple_preset(spec, n_nodes)
+    payload = _load_config(spec)
+    if isinstance(payload, dict) and "triple" in payload:
+        payload = payload["triple"]
+    try:
+        return presets.triple_from_spec(payload, n_nodes)
+    except ValueError as exc:
+        raise ConfigError(f"{spec}: {exc}") from exc
+
+
 def _cmd_generate(args) -> int:
     graph = generate_binomial_graph(args.n, args.p, args.seed)
     matrix = build_combination_matrix(graph, args.rho)
@@ -59,10 +76,9 @@ def _cmd_generate(args) -> int:
 
 def _cmd_simulate(args) -> int:
     entries = fileio.load_matrix(args.matrix)
-    matrix = CombinationMatrix(n_nodes=entries.shape[0],
-                               rho=float(entries.sum(axis=1).mean()),
+    matrix = CombinationMatrix(rho=float(entries.sum(axis=1).mean()),
                                entries=entries)
-    triple = presets.triple_from_spec(args.triple, matrix.n_nodes)
+    triple = _load_triple(args.triple, matrix.n_nodes)
     noise = NoiseModel.uniform(matrix.n_nodes, args.std)
     traj = simulate(matrix, triple, noise, args.y0, args.steps, args.seed)
     out = _out_dir(args)
@@ -73,7 +89,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_estimate(args) -> int:
     traj = fileio.load_trajectory(args.trajectory)
-    triple = presets.triple_from_spec(args.triple, traj.n_nodes)
+    triple = _load_triple(args.triple, traj.n_nodes)
     weighting = WeightingConfig(
         mode="regularized" if args.delta > 0 else "exact",
         delta=args.delta,
@@ -154,8 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="simulate the coupled dynamics")
     p.add_argument("--matrix", required=True, help="combination matrix CSV")
-    p.add_argument("--triple", default="example1",
-                   help="triple preset name (default example1)")
+    p.add_argument("--triple", default="example1", help=_TRIPLE_HELP)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--std", type=float, default=1.0, help="noise std")
@@ -165,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="estimate from a stored trajectory")
     p.add_argument("--trajectory", required=True)
-    p.add_argument("--triple", default="example1")
+    p.add_argument("--triple", default="example1", help=_TRIPLE_HELP)
     p.add_argument("--estimators", default="egg",
                    help="comma-separated estimator kinds")
     p.add_argument("--delta", type=float, default=0.0,

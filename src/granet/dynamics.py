@@ -12,7 +12,7 @@ mapped to the additive representation ``z[n] = sigma^{-1}(y[n])``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -240,24 +240,29 @@ class Trajectory:
     condition.  All entries are finite by construction.
     """
 
-    n_nodes: int
-    n_steps: int
     states: np.ndarray
     seed: int
-    triple_id: str = "custom"
 
     def __post_init__(self):
         states = np.asarray(self.states, dtype=float)
-        if states.shape != (self.n_steps + 1, self.n_nodes):
+        if states.ndim != 2 or states.shape[0] < 1:
             raise ValueError(
-                f"states shape {states.shape} does not match "
-                f"(n_steps + 1, n_nodes) = {(self.n_steps + 1, self.n_nodes)}"
+                "states must be 2-d (n_steps + 1, n_nodes) with at least one "
+                f"row, got shape {states.shape}"
             )
         if not np.all(np.isfinite(states)):
             raise ValueError("trajectory states must all be finite")
         states = states.copy()
         states.setflags(write=False)
         object.__setattr__(self, "states", states)
+
+    @property
+    def n_nodes(self) -> int:
+        return self.states.shape[1]
+
+    @property
+    def n_steps(self) -> int:
+        return self.states.shape[0] - 1
 
 
 def simulate(matrix: CombinationMatrix, triple: NonlinearityTriple,
@@ -305,7 +310,6 @@ def simulate(matrix: CombinationMatrix, triple: NonlinearityTriple,
     rng = np.random.default_rng(seed)
     a_entries = matrix.entries
     std = noise.per_node_std
-    unit_std = bool(np.all(std == 1.0))
     eval_sigma, eval_g, eval_h = triple.eval_sigma, triple.eval_g, triple.eval_h
 
     chunk = 65536
@@ -314,8 +318,7 @@ def simulate(matrix: CombinationMatrix, triple: NonlinearityTriple,
     while done < n_steps:
         m = min(chunk, n_steps - done)
         block = rng.standard_normal((m, n))
-        if not unit_std:
-            block *= std
+        block *= std
         for t in range(m):
             drive = eval_g(y) * (a_entries @ eval_h(y))
             drive += block[t]
@@ -329,10 +332,7 @@ def simulate(matrix: CombinationMatrix, triple: NonlinearityTriple,
                 )
             states[done + t + 1] = y
         done += m
-    return Trajectory(
-        n_nodes=n, n_steps=n_steps, states=states, seed=seed,
-        triple_id=triple.triple_id,
-    )
+    return Trajectory(states=states, seed=seed)
 
 
 def transform_to_additive(traj: Trajectory,
@@ -350,7 +350,4 @@ def transform_to_additive(traj: Trajectory,
             f"triple {triple.n_nodes}"
         )
     z = triple.eval_sigma.inverse(traj.states, epoch_offset=0)
-    return Trajectory(
-        n_nodes=traj.n_nodes, n_steps=traj.n_steps, states=z,
-        seed=traj.seed, triple_id=f"{traj.triple_id}|additive",
-    )
+    return Trajectory(states=z, seed=traj.seed)

@@ -243,11 +243,7 @@ def partial_estimate(traj: Trajectory, observed: Sequence[int], kind: str,
         raise ValueError(
             f"observed nodes must lie in [0, {traj.n_nodes}), got {observed}"
         )
-    sub_states = traj.states[:, observed]
-    sub_traj = Trajectory(
-        n_nodes=len(observed), n_steps=traj.n_steps, states=sub_states,
-        seed=traj.seed, triple_id=f"{traj.triple_id}|subset",
-    )
+    sub_traj = Trajectory(states=traj.states[:, observed], seed=traj.seed)
     report = _TABLE[kind][1](
         traj=sub_traj, triple=None if triple is None else triple.restrict(observed),
         config=config, observed=None, cond_limit=cond_limit,

@@ -5,14 +5,20 @@ exactly through text.  Graph files list ``i,j`` pairs under a ``# N=<n>``
 header; trajectory files carry ``# N=<n>, steps=<k>, seed=<s>``; lag-moment
 files prepend ``# count=<c>`` to the dense matrix payload.  Writers emit
 deterministic bytes for identical inputs.
+
+Every loader raises a :class:`ConfigError` that starts with the path when
+the content is bad: a cell that is not a number, a ragged row, bytes that
+are not UTF-8, or no data row where the format needs one.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +33,33 @@ from .recovery import AssumptionReport, RecoveryMetrics, SortedProfile
 _FMT = "%.17g"
 
 
+@contextlib.contextmanager
+def _naming(name: "str | Path"):
+    """Re-raise a ValueError from reading a file as a ConfigError that starts
+    with ``name``: the file's path, or the paths of two files that disagree."""
+    try:
+        with warnings.catch_warnings():
+            # Formats that need a row check for one in _rows; the warning
+            # would only reach stderr.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            yield
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
+def _first_line(path: "str | Path") -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.readline()
+
+
+def _rows(path: "str | Path") -> np.ndarray:
+    """The comma-separated float rows of ``path``; there must be one."""
+    rows = np.loadtxt(path, delimiter=",", ndmin=2, encoding="utf-8")
+    if not rows.size:
+        raise ValueError("no data rows")
+    return rows
+
+
 def save_graph(graph: DirectedGraph, path: "str | Path") -> None:
     lines = [f"# N={graph.n_nodes}"]
     lines += [f"{i},{j}" for i, j in graph.sorted_edges()]
@@ -34,24 +67,24 @@ def save_graph(graph: DirectedGraph, path: "str | Path") -> None:
 
 
 def load_graph(path: "str | Path") -> DirectedGraph:
-    text = Path(path).read_text().strip().splitlines()
-    if not text or not text[0].startswith("#"):
-        raise ConfigError(f"{path}: missing '# N=<n>' header")
-    match = re.match(r"#\s*N\s*=\s*(\d+)", text[0])
-    if not match:
-        raise ConfigError(f"{path}: malformed header {text[0]!r}")
-    n = int(match.group(1))
-    edges = set()
-    for line in text[1:]:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            i, j = (int(part) for part in line.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"{path}: malformed edge line {line!r}") from exc
-        edges.add((i, j))
-    return DirectedGraph(n_nodes=n, edges=frozenset(edges))
+    with _naming(path):
+        text = Path(path).read_text(encoding="utf-8").strip().splitlines()
+        if not text or not text[0].startswith("#"):
+            raise ValueError("missing '# N=<n>' header")
+        match = re.match(r"#\s*N\s*=\s*(\d+)", text[0])
+        if not match:
+            raise ValueError(f"malformed header {text[0]!r}")
+        edges = set()
+        for line in text[1:]:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                i, j = (int(part) for part in line.split(","))
+            except ValueError as exc:
+                raise ValueError(f"malformed edge line {line!r}") from exc
+            edges.add((i, j))
+        return DirectedGraph(n_nodes=int(match.group(1)), edges=frozenset(edges))
 
 
 def save_matrix(matrix: np.ndarray, path: "str | Path") -> None:
@@ -59,7 +92,8 @@ def save_matrix(matrix: np.ndarray, path: "str | Path") -> None:
 
 
 def load_matrix(path: "str | Path") -> np.ndarray:
-    return np.loadtxt(path, delimiter=",", ndmin=2)
+    with _naming(path):
+        return _rows(path)
 
 
 def save_trajectory(traj: Trajectory, path: "str | Path") -> None:
@@ -67,23 +101,23 @@ def save_trajectory(traj: Trajectory, path: "str | Path") -> None:
     np.savetxt(path, traj.states, fmt=_FMT, delimiter=",", header=header)
 
 
-def load_trajectory(path: "str | Path", triple_id: str = "custom") -> Trajectory:
-    with open(path) as fh:
-        first = fh.readline()
-    match = re.match(
-        r"#\s*N\s*=\s*(\d+),\s*steps\s*=\s*(\d+),\s*seed\s*=\s*(-?\d+)", first
-    )
-    if not match:
-        raise ConfigError(f"{path}: malformed trajectory header {first!r}")
-    n, steps, seed = (int(g) for g in match.groups())
-    states = np.loadtxt(path, delimiter=",", ndmin=2)
-    if states.shape != (steps + 1, n):
-        raise ConfigError(
-            f"{path}: payload shape {states.shape} does not match header "
-            f"(N={n}, steps={steps})"
+def load_trajectory(path: "str | Path") -> Trajectory:
+    with _naming(path):
+        first = _first_line(path)
+        match = re.match(
+            r"#\s*N\s*=\s*(\d+),\s*steps\s*=\s*(\d+),\s*seed\s*=\s*(-?\d+)",
+            first,
         )
-    return Trajectory(n_nodes=n, n_steps=steps, states=states, seed=seed,
-                      triple_id=triple_id)
+        if not match:
+            raise ValueError(f"malformed trajectory header {first!r}")
+        n, steps, seed = (int(g) for g in match.groups())
+        states = _rows(path)
+        if states.shape != (steps + 1, n):
+            raise ValueError(
+                f"payload shape {states.shape} does not match header "
+                f"(N={n}, steps={steps})"
+            )
+        return Trajectory(states=states, seed=seed)
 
 
 def save_lag_matrices(lag: LagMatrices, f0_path: "str | Path",
@@ -95,22 +129,21 @@ def save_lag_matrices(lag: LagMatrices, f0_path: "str | Path",
 
 def load_lag_matrices(f0_path: "str | Path",
                       f1_path: "str | Path") -> LagMatrices:
-    counts = []
+    counts, sums = [], []
     for path in (f0_path, f1_path):
-        with open(path) as fh:
-            first = fh.readline()
-        match = re.match(r"#\s*count\s*=\s*(\d+)", first)
-        if not match:
-            raise ConfigError(f"{path}: missing '# count=<c>' header")
-        counts.append(int(match.group(1)))
-    if counts[0] != counts[1]:
-        raise ConfigError(
-            f"lag files disagree on count: {counts[0]} vs {counts[1]}"
-        )
-    f0 = np.loadtxt(f0_path, delimiter=",", ndmin=2)
-    f1 = np.loadtxt(f1_path, delimiter=",", ndmin=2)
-    return LagMatrices(n_nodes=f0.shape[0], count=counts[0],
-                       f0_sum=f0, f1_sum=f1)
+        with _naming(path):
+            match = re.match(r"#\s*count\s*=\s*(\d+)", _first_line(path))
+            if not match:
+                raise ValueError("missing '# count=<c>' header")
+            counts.append(int(match.group(1)))
+            sums.append(_rows(path))
+    with _naming(f"{f0_path} and {f1_path}"):
+        if counts[0] != counts[1]:
+            raise ValueError(
+                f"lag files disagree on count: {counts[0]} vs {counts[1]}"
+            )
+        return LagMatrices(n_nodes=sums[0].shape[0], count=counts[0],
+                           f0_sum=sums[0], f1_sum=sums[1])
 
 
 def _jsonable(value):
@@ -148,7 +181,8 @@ def save_recovery_metrics(metrics: RecoveryMetrics, path: "str | Path") -> None:
 
 
 def load_recovery_metrics(path: "str | Path") -> RecoveryMetrics:
-    payload = json.loads(Path(path).read_text())
+    with _naming(path):
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
     for key in ("edge_error_rate", "matrix_rel_error", "identifiability_gap"):
         if isinstance(payload.get(key), str):
             payload[key] = float(payload[key])
@@ -170,7 +204,10 @@ def save_profile(profile: SortedProfile, path: "str | Path") -> None:
 
 
 def load_profile(path: "str | Path") -> SortedProfile:
-    raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    # Three columns even with no row: a one-node matrix has no off-diagonal slot.
+    with _naming(path):
+        raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2,
+                         usecols=(0, 1, 2), encoding="utf-8")
     return SortedProfile(
         slot_ids=raw[:, 0].astype(int),
         true_values=raw[:, 1],

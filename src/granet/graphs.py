@@ -71,22 +71,22 @@ class CombinationMatrix:
     the matrix equals ``rho``.
     """
 
-    n_nodes: int
     rho: float
     entries: np.ndarray
 
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=float)
-        if entries.shape != (self.n_nodes, self.n_nodes):
-            raise ValueError(
-                f"entries shape {entries.shape} does not match "
-                f"n_nodes={self.n_nodes}"
-            )
+        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
+            raise ValueError(f"entries must be square, got shape {entries.shape}")
         if not 0 < self.rho < 1:
             raise ValueError(f"rho must lie in (0, 1), got {self.rho}")
         entries = entries.copy()
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
+
+    @property
+    def n_nodes(self) -> int:
+        return self.entries.shape[0]
 
     def row_sum_deviation(self) -> float:
         """Largest absolute deviation of a row sum from ``rho``."""
@@ -131,7 +131,6 @@ def build_combination_matrix(graph: DirectedGraph, rho: float) -> CombinationMat
     """
     if not 0 < rho < 1:
         raise ValueError(f"rho must lie in (0, 1), got {rho}")
-    n = graph.n_nodes
     adj = graph.adjacency().astype(float)
     with_self = adj.copy()
     np.fill_diagonal(with_self, 1.0)
@@ -139,22 +138,19 @@ def build_combination_matrix(graph: DirectedGraph, rho: float) -> CombinationMat
     entries = rho * adj / degrees[:, None]
     np.fill_diagonal(entries, 0.0)
     np.fill_diagonal(entries, rho - entries.sum(axis=1))
-    return CombinationMatrix(n_nodes=n, rho=rho, entries=entries)
+    return CombinationMatrix(rho=rho, entries=entries)
 
 
-def support_offdiagonal(matrix: "CombinationMatrix | np.ndarray",
-                        tol: float = 0.0) -> DirectedGraph:
+def support_offdiagonal(matrix: "CombinationMatrix | np.ndarray") -> DirectedGraph:
     """Recover the off-diagonal support of a matrix as a directed graph.
 
-    Entries with ``|a_ij| > tol`` and ``i != j`` become edges; the diagonal
-    is ignored entirely.
+    Entries with ``|a_ij| > 0`` and ``i != j`` become edges (NaN entries do
+    not); the diagonal is ignored entirely.
     """
     a = np.asarray(getattr(matrix, "entries", matrix), dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if tol < 0:
-        raise ValueError(f"tol must be >= 0, got {tol}")
-    mask = np.abs(a) > tol
+    mask = np.abs(a) > 0
     np.fill_diagonal(mask, False)
     edges = frozenset((int(i), int(j)) for i, j in zip(*np.nonzero(mask)))
     return DirectedGraph(n_nodes=a.shape[0], edges=edges)

@@ -33,6 +33,13 @@ from .errors import InvalidStateError
 
 _BATCH_CHUNK = 8192
 
+#: Size of the Hill fit in :func:`omega_tail_index`.
+_TAIL_TOP_FRACTION = 0.01
+_TAIL_MIN_TOP = 100
+
+#: Sampling step of :func:`running_onelag_max`, in pairs.
+_ONELAG_MAX_EVERY = 100
+
 
 @dataclass(frozen=True)
 class WeightingConfig:
@@ -299,27 +306,22 @@ def _weight_norms(traj: Trajectory, triple: NonlinearityTriple,
 
 def omega_tail_index(traj: Trajectory, triple: NonlinearityTriple,
                      config: WeightingConfig,
-                     n_pairs: int | None = None,
-                     top_fraction: float = 0.01,
-                     min_top: int = 100) -> float:
+                     n_pairs: int | None = None) -> float:
     """Tail exponent of the squared weight norms, via the Hill estimator.
 
     Fits a power law ``P(||omega(y)||^2 > t) ~ t**(-a)`` to the upper order
     statistics of the per-epoch squared weight norms and returns ``a``.  An
     exponent at or below one means the norms have no finite mean, so the
     running average inside the one-lag functional drifts between ever larger
-    spikes instead of settling.  The top ``max(min_top, top_fraction * n)``
-    values are used; exactly singular states are excluded first.  Returns
-    ``inf`` when too few regular states remain or when the upper tail is
-    flat (bounded weights), both unremarkable tails.
+    spikes instead of settling.  The top ``max(_TAIL_MIN_TOP,
+    _TAIL_TOP_FRACTION * n)`` values (100 and 0.01) are used; exactly
+    singular states are excluded first.  Returns ``inf`` when too few
+    regular states remain or when the upper tail is flat (bounded weights),
+    both unremarkable tails.
     """
-    if not 0.0 < top_fraction <= 0.5:
-        raise ValueError(f"top_fraction must be in (0, 0.5], got {top_fraction}")
-    if min_top < 1:
-        raise ValueError(f"min_top must be >= 1, got {min_top}")
     norms, valid = _weight_norms(traj, triple, config, n_pairs)
     values = norms[valid]
-    k = max(int(min_top), int(values.size * top_fraction))
+    k = max(_TAIL_MIN_TOP, int(values.size * _TAIL_TOP_FRACTION))
     if k + 1 > values.size:
         return float("inf")
     ordered = np.partition(values, values.size - k - 1)
@@ -334,22 +336,19 @@ def omega_tail_index(traj: Trajectory, triple: NonlinearityTriple,
 
 
 def running_onelag_max(traj: Trajectory, triple: NonlinearityTriple,
-                       config: WeightingConfig,
-                       every: int = 100) -> tuple[np.ndarray, np.ndarray]:
+                       config: WeightingConfig) -> tuple[np.ndarray, np.ndarray]:
     """Largest entry magnitude of the running one-lag average over time.
 
-    Returns ``(epochs, peaks)`` sampled every ``every`` steps; a sequence of
-    peaks that keeps jumping by orders of magnitude is the signature of a
-    weight with no finite second moment.
+    Returns ``(epochs, peaks)`` sampled every ``_ONELAG_MAX_EVERY`` (100)
+    steps; a sequence of peaks that keeps jumping by orders of magnitude is
+    the signature of a weight with no finite second moment.
     """
-    if every < 1:
-        raise ValueError(f"every must be >= 1, got {every}")
     n = _pair_count(traj, triple, None)
     f1_sum = np.zeros((traj.n_nodes, traj.n_nodes))
     epochs: list[int] = []
     peaks: list[float] = []
-    for start in range(0, n, every):
-        stop = min(start + every, n)
+    for start in range(0, n, _ONELAG_MAX_EVERY):
+        stop = min(start + _ONELAG_MAX_EVERY, n)
         targets, h_block = _onelag_terms(triple, config, traj.states, start, stop)
         f1_sum += targets.T @ h_block
         epochs.append(stop)

@@ -30,8 +30,6 @@ import numpy as np
 
 from .errors import FunctionDomainError
 
-ArrayLike = "np.ndarray | float"
-
 
 @dataclass(frozen=True)
 class Nonlinearity:
@@ -65,29 +63,36 @@ class Nonlinearity:
         return _KERNELS[self.kind][1] is not None
 
     def evaluate(self, y):
-        """Apply the function elementwise to ``y`` (scalar or array)."""
-        out = _KERNELS[self.kind][0](np.asarray(y, dtype=float), *self.params)
-        return out if np.ndim(out) else float(out)
+        """Apply the function elementwise to ``y`` (scalar or array).
+
+        A scalar is computed as a one-element array, so it gets the same
+        bits as the array path, and is returned as a ``float``.
+        """
+        arr = np.asarray(y, dtype=float)
+        out = _KERNELS[self.kind][0](np.atleast_1d(arr), *self.params)
+        return out if arr.ndim else float(out[0])
 
     def evaluate_inverse(self, y):
         """Apply the inverse elementwise; raises on out-of-domain input.
 
         Only invertible functions support this.  Domain violations raise
-        :class:`FunctionDomainError` naming the first offending value.
+        :class:`FunctionDomainError` naming the first offending value.  A
+        scalar is handled as in :meth:`evaluate`.
         """
         _, inverse, domain = _KERNELS[self.kind]
         if inverse is None:
             raise ValueError(f"{self.kind}{self.params} has no implemented inverse")
         arr = np.asarray(y, dtype=float)
+        vec = np.atleast_1d(arr)
         if domain is not None:
-            bad = domain(arr, *self.params)
+            bad = domain(vec, *self.params)
             if bad.any():
                 raise FunctionDomainError(
                     f"input outside the domain of {self.describe()} inverse",
-                    float(arr[np.unravel_index(int(np.argmax(bad)), arr.shape)]),
+                    float(vec[np.unravel_index(int(np.argmax(bad)), vec.shape)]),
                 )
-        out = inverse(arr, *self.params)
-        return out if np.ndim(out) else float(out)
+        out = inverse(vec, *self.params)
+        return out if arr.ndim else float(out[0])
 
     def describe(self) -> str:
         if self.params:
@@ -261,7 +266,7 @@ def from_spec(spec: "str | dict") -> Nonlinearity:
     """
     if isinstance(spec, str):
         spec = {"kind": spec}
-    if "kind" not in spec:
+    if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError(f"nonlinearity spec missing 'kind': {spec!r}")
     kind = spec["kind"]
     if kind not in _FACTORIES:
@@ -274,15 +279,21 @@ def from_spec(spec: "str | dict") -> Nonlinearity:
         fn = _FACTORIES[kind](*params)
     except TypeError as exc:
         raise ValueError(f"bad params for {kind!r}: {params!r}") from exc
-    if "envelope" in spec and spec["envelope"] is not None:
-        alpha, beta = spec["envelope"]
-        fn = fn.with_envelope(alpha, beta, spec.get("exponent_role"))
-    elif "exponent_role" in spec and spec["exponent_role"] is not None:
+    envelope, role = spec.get("envelope"), spec.get("exponent_role")
+    if envelope is None and role is not None:
         if fn.envelope is None:
             raise ValueError(
                 f"exponent_role override for {kind!r} requires an envelope"
             )
-        fn = fn.with_envelope(*fn.envelope, spec["exponent_role"])
+        envelope = fn.envelope
+    if envelope is not None:
+        try:
+            fn = fn.with_envelope(*envelope, role)
+        except TypeError as exc:
+            raise ValueError(
+                f"bad envelope override for {kind!r}: {envelope!r}, "
+                f"exponent_role {role!r}"
+            ) from exc
     return fn
 
 

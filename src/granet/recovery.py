@@ -79,15 +79,11 @@ def kmeans2_1d(values: Sequence[float]) -> ClusterSplit:
     )
 
 
-def classify_edges(a_hat: np.ndarray,
-                   node_index_map: Sequence[int] | None = None,
-                   n_nodes_full: int | None = None) -> DirectedGraph:
+def classify_edges(a_hat: np.ndarray) -> DirectedGraph:
     """Cluster off-diagonal entries and declare the high group edges.
 
     The raw (signed) entries are split by :func:`kmeans2_1d`; slots above
-    the threshold become edges.  When ``node_index_map`` gives the original
-    labels of the matrix's rows, the returned graph is expressed in those
-    labels over ``n_nodes_full`` nodes.
+    the threshold become edges.
     """
     a = np.asarray(a_hat, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -96,20 +92,9 @@ def classify_edges(a_hat: np.ndarray,
     off_mask = ~np.eye(m, dtype=bool)
     split = kmeans2_1d(a[off_mask])
     rows, cols = np.nonzero(off_mask & (a > split.threshold))
-    if node_index_map is None:
-        return DirectedGraph(
-            n_nodes=m,
-            edges=frozenset(zip(rows.tolist(), cols.tolist())),
-        )
-    labels = [int(v) for v in node_index_map]
-    if len(labels) != m:
-        raise ValueError(
-            f"node_index_map has {len(labels)} labels for a {m}-node matrix"
-        )
-    full = n_nodes_full if n_nodes_full is not None else max(labels) + 1
     return DirectedGraph(
-        n_nodes=full,
-        edges=frozenset((labels[i], labels[j]) for i, j in zip(rows, cols)),
+        n_nodes=m,
+        edges=frozenset(zip(rows.tolist(), cols.tolist())),
     )
 
 

@@ -98,7 +98,7 @@ def test_criterion_03_recovery_beats_blind_baselines(instance50,
                                                      trajectory_factory):
     """Weighted recovery separates edges; raw-moment estimators do not."""
     _, matrix = instance50
-    truth = support_offdiagonal(matrix, 0.0)
+    truth = support_offdiagonal(matrix)
     ok, details = True, []
     for preset in ("example1", "example2"):
         triple = triple_preset(preset, 50)
@@ -138,7 +138,7 @@ def test_criterion_04_vanishing_weight_detectors(instance50):
     flag_fired = blowup_fired = 0
     for seed in SEEDS:
         traj = simulate(matrix, triple, noise, 0.0, 100_000, seed=seed)
-        _, peaks = running_onelag_max(traj, triple, config, every=100)
+        _, peaks = running_onelag_max(traj, triple, config)
         blowup_fired += peaks.max() / np.median(peaks) > 10
         report = assumption_report(traj, triple, config)
         flag_fired += report.omega_moment_flag is False
@@ -165,7 +165,7 @@ def test_criterion_06_regularization_trade_off(instance50,
                                                trajectory_factory):
     """Smaller delta: wilder profile oscillation but smaller mean offset."""
     _, matrix = instance50
-    truth = support_offdiagonal(matrix, 0.0)
+    truth = support_offdiagonal(matrix)
     triple = triple_preset("singular-g", 50)
     traj = trajectory_factory("singular-g", 3002, LONG_RUN)
     osc, offset, err = {}, {}, {}
@@ -191,7 +191,7 @@ def test_criterion_07_partial_observation(instance50, trajectory_factory):
     """Probing 10 of 50 nodes still recovers the observed subgraph."""
     _, matrix = instance50
     observed = tuple(range(10))
-    truth = subgraph(support_offdiagonal(matrix, 0.0), observed)
+    truth = subgraph(support_offdiagonal(matrix), observed)
     sub_entries = matrix.entries[np.ix_(observed, observed)]
     ok, details = True, []
     for preset in ("example1", "example2"):

@@ -1,10 +1,14 @@
 """In-process command-line interface checks."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import granet
 from granet import cli, estimators, fileio
 from granet import experiments as xp
 
@@ -214,8 +218,12 @@ def test_invalid_json_config(tmp_path):
     assert rc == cli.EXIT_CONFIG
 
 
-def test_missing_input_files_exit_io(tmp_path):
+def test_missing_input_files_exit_io(tmp_path, pipeline):
     missing = str(tmp_path / "nope")
+    assert cli.main(["estimate", "--trajectory",
+                     str(pipeline / "sim" / "trajectory.csv"),
+                     "--triple", missing,
+                     "--out", str(tmp_path / "e")]) == cli.EXIT_IO
     assert cli.main(["experiment", "--config", missing,
                      "--out", str(tmp_path / "a")]) == cli.EXIT_IO
     assert cli.main(["estimate", "--trajectory", missing,
@@ -224,6 +232,41 @@ def test_missing_input_files_exit_io(tmp_path):
                      "--out", str(tmp_path / "c")]) == cli.EXIT_IO
     assert cli.main(["score", "--estimate", missing, "--truth", missing,
                      "--out", str(tmp_path / "d")]) == cli.EXIT_IO
+
+
+@pytest.mark.parametrize("payload", [
+    "not json {",
+    json.dumps({"sigma": "tanh", "g": "constant_one"}),
+    json.dumps({"triple": {"sigma": "limiter", "g": "constant_one",
+                           "h": "identity"}}),
+    json.dumps({"sigma": 5, "g": "constant_one", "h": "identity"}),
+    json.dumps({"sigma": {"kind": "tanh", "envelope": 5},
+                "g": "constant_one", "h": "identity"}),
+])
+def test_bad_triple_file_exit_config(pipeline, tmp_path, capsys, payload):
+    path = tmp_path / "triple.json"
+    path.write_text(payload)
+    for argv in (["simulate", "--matrix", str(pipeline / "gen" / "matrix.csv"),
+                  "--steps", "10"],
+                 ["estimate", "--trajectory",
+                  str(pipeline / "sim" / "trajectory.csv")]):
+        rc = cli.main(argv + ["--triple", str(path), "--out", str(tmp_path)])
+        assert rc == cli.EXIT_CONFIG
+        assert str(path) in capsys.readouterr().err
+
+
+def test_empty_matrix_file_exits_config_without_warnings(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(granet.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "granet", "simulate", "--matrix", str(path),
+         "--steps", "10", "--out", str(tmp_path / "sim")],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == cli.EXIT_CONFIG
+    assert str(path) in proc.stderr
+    assert "Warning" not in proc.stderr
 
 
 def test_experiment_numerical_failure_exit(singular_run):
@@ -317,19 +360,34 @@ def test_dispatch_reads_the_patched_module_attribute(tmp_path, monkeypatch):
     assert calls == [6, 3, 6, 2]
 
 
+_SIGMAS = [{"kind": "tanh"}, {"kind": "identity"},
+           {"kind": "tanh_shifted", "params": [2.0]},
+           {"kind": "sign_power", "params": [0.5]}]
+_PER_NODE_TRIPLE = {
+    "sigma": {"per_node": [_SIGMAS[i % 4] for i in range(6)]},
+    "g": {"per_node": [{"kind": "sign_power", "params": [0.4]},
+                       {"kind": "tanh"}] * 3},
+    "h": {"kind": "sign_power", "params": [0.6]},
+}
+
+
 def test_estimate_reproduces_experiment_files(tmp_path):
-    cfg = dict(small_experiment_config(), triple="example1",
-               save_trajectory=True, observed_set=[0, 2, 3, 5],
-               estimators=list(estimators.ESTIMATOR_KINDS))
-    result = xp.run_experiment(cfg, tmp_path / "run")
-    assert result.errors == {}
-    assert cli.main(["estimate", "--trajectory",
-                     str(tmp_path / "run" / "trajectory.csv"),
-                     "--triple", "example1",
-                     "--estimators", ",".join(estimators.ESTIMATOR_KINDS),
-                     "--observed", "0,2,3,5", "--out", str(tmp_path / "est")]) == 0
-    for kind in estimators.ESTIMATOR_KINDS:
-        for suffix in ("csv", "json"):
-            name = f"estimate_{kind}.{suffix}"
-            assert (tmp_path / "est" / name).read_bytes() == \
-                (tmp_path / "run" / name).read_bytes(), name
+    # a preset by name, and a per-node triple through the run's stored config
+    for case, triple in (("preset", "example1"), ("per_node", _PER_NODE_TRIPLE)):
+        run, est = tmp_path / case / "run", tmp_path / case / "est"
+        cfg = dict(small_experiment_config(), triple=triple,
+                   save_trajectory=True, observed_set=[0, 2, 3, 5],
+                   estimators=list(estimators.ESTIMATOR_KINDS))
+        result = xp.run_experiment(cfg, run)
+        assert result.errors == {}
+        triple_arg = triple if isinstance(triple, str) \
+            else str(run / "config.expanded.json")
+        assert cli.main(["estimate", "--trajectory", str(run / "trajectory.csv"),
+                         "--triple", triple_arg,
+                         "--estimators", ",".join(estimators.ESTIMATOR_KINDS),
+                         "--observed", "0,2,3,5", "--out", str(est)]) == 0
+        for kind in estimators.ESTIMATOR_KINDS:
+            for suffix in ("csv", "json"):
+                name = f"estimate_{kind}.{suffix}"
+                assert (est / name).read_bytes() == (run / name).read_bytes(), \
+                    (case, name)

@@ -1,5 +1,7 @@
 """Simulator behavior: exact reductions, determinism, guards."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,51 @@ from granet import nonlinearities as nl
 
 
 def zero_matrix(n):
-    return CombinationMatrix(n, 0.5, np.zeros((n, n)))
+    return CombinationMatrix(0.5, np.zeros((n, n)))
+
+
+def heterogeneous_triple(n):
+    """sigma cycles through four kinds, g alternates two, h is uniform."""
+    sigma = (nl.tanh(), nl.identity(), nl.tanh_shifted(2.0), nl.sign_power(0.5))
+    g = (nl.sign_power(0.4), nl.tanh())
+    return NonlinearityTriple(sigma=tuple(sigma[i % 4] for i in range(n)),
+                              g=tuple(g[i % 2] for i in range(n)),
+                              h=(nl.sign_power(0.6),) * n)
+
+
+def reference_states(matrix, triple, noise, n_steps, seed):
+    """The recursion one epoch at a time, on noise drawn in one shot."""
+    n = matrix.n_nodes
+    x = np.random.default_rng(seed).standard_normal((n_steps, n)) \
+        * noise.per_node_std
+    states = np.zeros((n_steps + 1, n))
+    for k in range(n_steps):
+        y = states[k]
+        states[k + 1] = triple.eval_sigma(
+            triple.eval_g(y) * (matrix.entries @ triple.eval_h(y)) + x[k])
+    return states
+
+
+@pytest.mark.parametrize("name, std, n_steps", [
+    ("example1", 1.0, 3000), ("example1", 0.7, 3000),
+    ("example2", 1.0, 3000), ("example2", 0.7, 3000),
+    # past the 65536-epoch noise chunk
+    ("linear", 1.0, 70_000), ("linear", 0.7, 3000),
+    ("heterogeneous", 1.0, 3000), ("heterogeneous", 0.7, 3000),
+])
+def test_simulate_equals_reference_recursion(instance50, name, std, n_steps):
+    if name == "heterogeneous":
+        n = 20
+        matrix = build_combination_matrix(generate_binomial_graph(n, 0.2, 101), 0.5)
+        triple = heterogeneous_triple(n)
+    else:
+        n = 50
+        _, matrix = instance50
+        triple = triple_preset(name, n)
+    noise = NoiseModel.uniform(n, std)
+    traj = simulate(matrix, triple, noise, 0.0, n_steps, seed=77)
+    assert np.array_equal(traj.states,
+                          reference_states(matrix, triple, noise, n_steps, 77))
 
 
 def test_zero_coupling_reproduces_noise_stream():
@@ -33,7 +79,7 @@ def test_zero_coupling_reproduces_noise_stream():
 
 
 def test_scalar_geometric_decay_with_silent_noise():
-    a = CombinationMatrix(1, 0.5, np.array([[0.5]]))
+    a = CombinationMatrix(0.5, np.array([[0.5]]))
     traj = simulate(a, triple_preset("linear", 1), NoiseModel.uniform(1, 0.0),
                     1.0, 3, seed=7)
     assert np.array_equal(traj.states.ravel(), [1.0, 0.5, 0.25, 0.125])
@@ -85,7 +131,7 @@ def test_bounded_sigma_keeps_states_in_range():
 
 
 def test_scalar_ar1_stationary_variance():
-    a = CombinationMatrix(1, 0.5, np.array([[0.5]]))
+    a = CombinationMatrix(0.5, np.array([[0.5]]))
     traj = simulate(a, triple_preset("linear", 1), NoiseModel.uniform(1),
                     0.0, 1_000_000, seed=11)
     var = float(np.mean(traj.states[1:] ** 2))
@@ -94,7 +140,7 @@ def test_scalar_ar1_stationary_variance():
 
 def test_divergence_guard_reports_first_epoch_and_node():
     # quadratic response around an unstable point blows up fast
-    a = CombinationMatrix(1, 0.9, np.array([[0.9]]))
+    a = CombinationMatrix(0.9, np.array([[0.9]]))
     triple = NonlinearityTriple(sigma=(nl.identity(),), g=(nl.constant_one(),),
                                 h=(nl.sign_power(2.0),))
     with pytest.raises(SimulationDivergedError) as err:
@@ -102,6 +148,28 @@ def test_divergence_guard_reports_first_epoch_and_node():
     assert err.value.epoch == 6
     assert err.value.node == 0
     assert abs(err.value.value) > 1e12
+
+
+@pytest.mark.parametrize("power, y0, std, epoch, value, messages", [
+    # an overflow to inf in h, then inf - inf in the matvec
+    (30.0, 1e11, 1.0, 1, float("nan"),
+     ["overflow encountered in power", "invalid value encountered in matmul"]),
+    # finite but above the limit: no warning
+    (3.0, 0.0, 1e5, 2, 280543951196263.75, []),
+])
+def test_divergence_pins_epoch_node_value_and_warnings(power, y0, std, epoch,
+                                                       value, messages):
+    matrix = build_combination_matrix(generate_binomial_graph(8, 0.4, 1), 0.9)
+    triple = NonlinearityTriple.uniform(nl.identity(), nl.constant_one(),
+                                        nl.sign_power(power), 8)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(SimulationDivergedError) as err:
+            simulate(matrix, triple, NoiseModel.uniform(8, std), y0, 10, seed=5)
+    assert (err.value.epoch, err.value.node) == (epoch, 0)
+    assert repr(err.value.value) == repr(value)
+    assert [(w.category, str(w.message)) for w in caught] == \
+        [(RuntimeWarning, message) for message in messages]
 
 
 def test_transform_identity_sigma_is_identity(instance50):
@@ -129,7 +197,7 @@ def test_transform_domain_error_names_epoch_and_node():
                                 h=(nl.identity(),) * n)
     states = np.zeros((4, n))
     states[2, 1] = 1.0  # outside the open range of tanh
-    traj = Trajectory(n_nodes=n, n_steps=3, states=states, seed=0)
+    traj = Trajectory(states=states, seed=0)
     with pytest.raises(FunctionDomainError) as err:
         transform_to_additive(traj, triple)
     msg = str(err.value)
@@ -211,12 +279,12 @@ def test_trajectory_rejects_nonfinite_states():
     bad = np.zeros((3, 2))
     bad[1, 0] = np.inf
     with pytest.raises(ValueError):
-        Trajectory(n_nodes=2, n_steps=2, states=bad, seed=0)
+        Trajectory(states=bad, seed=0)
 
 
 def test_trajectory_rejects_shape_mismatch():
     with pytest.raises(ValueError):
-        Trajectory(n_nodes=2, n_steps=2, states=np.zeros((2, 2)), seed=0)
+        Trajectory(states=np.zeros(3), seed=0)
 
 
 def test_triple_requires_invertible_sigma():

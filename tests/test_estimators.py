@@ -30,7 +30,7 @@ from granet import (
 
 
 def noiseless_scalar_ar():
-    a = CombinationMatrix(1, 0.5, np.array([[0.5]]))
+    a = CombinationMatrix(0.5, np.array([[0.5]]))
     return simulate(a, triple_preset("linear", 1), NoiseModel.uniform(1, 0.0),
                     1.0, 3, seed=0)
 
@@ -82,14 +82,14 @@ def test_granger_blind_on_nonlinear_data(trajectory_factory, instance50):
     graph, matrix = instance50
     traj = trajectory_factory("example1", 3001, 200_000)
     a_hat = granger_estimate(traj).A_hat
-    truth = support_offdiagonal(matrix, 0.0)
+    truth = support_offdiagonal(matrix)
     metrics = score(truth, truth, a_hat, matrix.entries)
     assert metrics.identifiability_gap <= 0
 
 
 def test_correlation_pure_noise_approximates_identity():
     n = 3
-    a = CombinationMatrix(n, 0.5, np.zeros((n, n)))
+    a = CombinationMatrix(0.5, np.zeros((n, n)))
     traj = simulate(a, triple_preset("linear", n), NoiseModel.uniform(n),
                     0.0, 1_000_000, seed=29)
     r0 = correlation_estimate(traj).A_hat
@@ -99,7 +99,7 @@ def test_correlation_pure_noise_approximates_identity():
 def test_correlation_constant_trajectory_is_rank_one():
     v = np.array([2.0, -1.0, 0.5])
     states = np.tile(v, (5, 1))
-    traj = Trajectory(n_nodes=3, n_steps=4, states=states, seed=0)
+    traj = Trajectory(states=states, seed=0)
     assert np.array_equal(correlation_estimate(traj).A_hat, np.outer(v, v))
 
 
@@ -107,7 +107,7 @@ def test_precision_diagonal_inverse():
     # four states whose raw second moment is exactly diag(4, 1)
     states = np.array(
         [[2.0, 1.0], [-2.0, 1.0], [2.0, -1.0], [-2.0, -1.0], [0.0, 0.0]])
-    traj = Trajectory(n_nodes=2, n_steps=4, states=states, seed=0)
+    traj = Trajectory(states=states, seed=0)
     assert np.array_equal(correlation_estimate(traj).A_hat, np.diag([4.0, 1.0]))
     assert np.allclose(precision_estimate(traj).A_hat, np.diag([0.25, 1.0]),
                        rtol=1e-14, atol=0)
@@ -116,23 +116,21 @@ def test_precision_diagonal_inverse():
 def test_precision_blind_on_nonlinear_data(trajectory_factory, instance50):
     _, matrix = instance50
     traj = trajectory_factory("example2", 3001, 200_000)
-    truth = support_offdiagonal(matrix, 0.0)
+    truth = support_offdiagonal(matrix)
     for estimate in (precision_estimate(traj), correlation_estimate(traj)):
         metrics = score(truth, truth, estimate.A_hat, matrix.entries)
         assert metrics.identifiability_gap <= 0
 
 
 def test_least_squares_single_pair_ratio():
-    traj = Trajectory(n_nodes=1, n_steps=1, states=np.array([[2.0], [3.0]]),
-                      seed=0)
+    traj = Trajectory(states=np.array([[2.0], [3.0]]), seed=0)
     rep = least_squares_estimate(traj, triple_preset("linear", 1))
     assert rep.A_hat[0, 0] == 1.5
     assert rep.estimator_kind == "least_squares"
 
 
 def test_least_squares_rank_deficient():
-    traj = Trajectory(n_nodes=2, n_steps=1,
-                      states=np.array([[1.0, 2.0], [0.5, 0.5]]), seed=0)
+    traj = Trajectory(states=np.array([[1.0, 2.0], [0.5, 0.5]]), seed=0)
     with pytest.raises(NearSingularError):
         least_squares_estimate(traj, triple_preset("linear", 2))
 
@@ -160,8 +158,7 @@ def test_linear_collapse_small():
 
 
 def _permuted_trajectory(traj, perm):
-    return Trajectory(n_nodes=traj.n_nodes, n_steps=traj.n_steps,
-                      states=traj.states[:, perm], seed=traj.seed)
+    return Trajectory(states=traj.states[:, perm], seed=traj.seed)
 
 
 @pytest.mark.parametrize("kind", ["egg", "granger", "correlation", "precision"])

@@ -1,11 +1,14 @@
 """File formats: CSV/JSON round-trips at full precision."""
 
 import json
+import re
+import warnings
 
 import numpy as np
 import pytest
 
 from granet import (
+    ConfigError,
     DirectedGraph,
     NoiseModel,
     RecoveryMetrics,
@@ -59,7 +62,7 @@ def test_trajectory_roundtrip(tmp_path, small_run):
     fileio.save_trajectory(traj, path)
     head = path.read_text().splitlines()[0]
     assert head == "# N=6, steps=120, seed=45"
-    back = fileio.load_trajectory(path, triple_id=traj.triple_id)
+    back = fileio.load_trajectory(path)
     assert np.array_equal(back.states, traj.states)
     assert back.seed == traj.seed
     assert back.n_steps == traj.n_steps
@@ -158,6 +161,60 @@ def test_load_trajectory_rejects_malformed(tmp_path):
         fileio.load_trajectory(bad)
 
 
+# loader -> (header line, whether the format needs a data row)
+_FORMATS = {
+    "graph": ("# N=3\n", False),
+    "matrix": ("", True),
+    "trajectory": ("# N=2, steps=1, seed=0\n", True),
+    "lag_matrices": ("# count=1\n", True),
+    "profile": ("slot,true,estimate\n", False),
+}
+_BAD_PAYLOADS = {
+    "bad cell": b"0,1,2\n1,x,2\n",
+    "ragged row": b"0,1,2\n1,2\n",
+    "not utf-8": b"0,1,2\n1,\xff,2\n",
+    "no rows": b"",
+}
+
+
+@pytest.mark.parametrize("kind, payload", [
+    (kind, payload) for kind, (_, needs_row) in _FORMATS.items()
+    for payload in _BAD_PAYLOADS if needs_row or payload != "no rows"
+])
+def test_loaders_name_the_file_on_a_bad_payload(tmp_path, kind, payload):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(_FORMATS[kind][0].encode() + _BAD_PAYLOADS[payload])
+    load = getattr(fileio, f"load_{kind}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: "):
+            load(path, path) if kind == "lag_matrices" else load(path)
+
+
+@pytest.mark.parametrize("payload", [b'{"false_edges": 0,', b'{"\xff": 0}'])
+def test_metrics_loader_names_the_file_on_a_bad_payload(tmp_path, payload):
+    path = tmp_path / "metrics.json"
+    path.write_bytes(payload)
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: "):
+        fileio.load_recovery_metrics(path)
+
+
+@pytest.mark.parametrize("f1_text", ["# count=2\n1\n", "# count=1\n1,2\n3,4\n"])
+def test_lag_loader_names_both_files_when_they_disagree(tmp_path, f1_text):
+    f0_path, f1_path = tmp_path / "f0.csv", tmp_path / "f1.csv"
+    f0_path.write_text("# count=1\n1\n")
+    f1_path.write_text(f1_text)
+    with pytest.raises(ConfigError,
+                       match=f"^{re.escape(f'{f0_path} and {f1_path}')}: "):
+        fileio.load_lag_matrices(f0_path, f1_path)
+
+
+def test_profile_without_rows_loads_empty(tmp_path):
+    path = tmp_path / "profile.csv"
+    fileio.save_profile(sorted_entry_profile(np.eye(1), np.eye(1)), path)
+    assert fileio.load_profile(path).slot_ids.size == 0
+
+
 def test_graph_file_sorted_edge_order(tmp_path):
     g = DirectedGraph(n_nodes=4, edges=frozenset({(2, 0), (0, 3), (2, 1)}))
     path = tmp_path / "graph.csv"
@@ -168,7 +225,7 @@ def test_graph_file_sorted_edge_order(tmp_path):
 
 def test_trajectory_roundtrip_large_magnitudes(tmp_path):
     states = np.array([[1e-300, -1e300], [123.456789012345678, 0.1]])
-    traj = Trajectory(n_nodes=2, n_steps=1, states=states, seed=9)
+    traj = Trajectory(states=states, seed=9)
     path = tmp_path / "t.csv"
     fileio.save_trajectory(traj, path)
     assert np.array_equal(fileio.load_trajectory(path).states, states)

@@ -77,19 +77,13 @@ def test_entries_nonnegative_and_on_support_only():
 
 
 def test_support_of_scaled_identity_is_empty():
-    a = CombinationMatrix(3, 0.5, 0.5 * np.eye(3))
-    assert support_offdiagonal(a, 0.0).edges == frozenset()
+    a = CombinationMatrix(0.5, 0.5 * np.eye(3))
+    assert support_offdiagonal(a).edges == frozenset()
 
 
 def test_support_of_complete_two_node():
     a = build_combination_matrix(complete_graph(2), 0.5)
-    assert support_offdiagonal(a, 0.0).edges == {(0, 1), (1, 0)}
-
-
-def test_support_tolerance_drops_tiny_entries():
-    entries = np.array([[0.5, 1e-17], [0.3, 0.2]])
-    a = CombinationMatrix(2, 0.5, entries)
-    assert support_offdiagonal(a, 1e-12).edges == {(1, 0)}
+    assert support_offdiagonal(a).edges == {(0, 1), (1, 0)}
 
 
 def test_subgraph_relabels_induced_edges():
@@ -135,6 +129,6 @@ def test_row_sum_and_support_consistency(n, p, seed, rho):
     a = build_combination_matrix(g, rho)
     assert a.row_sum_deviation() < 1e-12
     # recovered support must be exactly the generating graph
-    assert support_offdiagonal(a, 0.0).edges == g.edges
+    assert support_offdiagonal(a).edges == g.edges
     # infinity norm equals rho for nonnegative rows summing to rho
     assert abs(np.abs(a.entries).sum(axis=1).max() - rho) < 1e-12

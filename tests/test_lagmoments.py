@@ -188,7 +188,7 @@ def test_from_trajectory_prefix_matches_manual_loop():
 
 def test_empty_batch_then_one_step_matches_a_fresh_accumulator():
     triple = linear_triple(2)
-    traj = Trajectory(n_nodes=2, n_steps=1, states=[[1.0, 0.0], [0.0, 1.0]], seed=0)
+    traj = Trajectory(states=[[1.0, 0.0], [0.0, 1.0]], seed=0)
     lag = accumulate(from_trajectory(traj, triple, EXACT, n_pairs=0), triple,
                      EXACT, traj.states[0], traj.states[1])
     fresh = from_trajectory(traj, triple, EXACT)
@@ -335,7 +335,7 @@ def test_running_onelag_max_shape_and_finiteness(instance50):
     _, matrix = instance50
     triple = linear_triple(50)
     traj = simulate(matrix, triple, NoiseModel.uniform(50), 0.0, 1000, seed=4)
-    checkpoints, maxima = running_onelag_max(traj, triple, EXACT, every=100)
+    checkpoints, maxima = running_onelag_max(traj, triple, EXACT)
     assert checkpoints.tolist() == [100, 200, 300, 400, 500, 600, 700, 800, 900, 1000]
     assert np.all(np.isfinite(maxima))
     assert maxima.shape == checkpoints.shape
@@ -346,18 +346,6 @@ def test_omega_tail_index_degenerate_weights_is_infinite(instance50):
     triple = linear_triple(50)
     traj = simulate(matrix, triple, NoiseModel.uniform(50), 0.0, 2000, seed=6)
     assert omega_tail_index(traj, triple, EXACT) == np.inf
-
-
-def test_omega_tail_index_validation(instance50):
-    _, matrix = instance50
-    triple = linear_triple(50)
-    traj = simulate(matrix, triple, NoiseModel.uniform(50), 0.0, 200, seed=6)
-    with pytest.raises(ValueError):
-        omega_tail_index(traj, triple, EXACT, top_fraction=0.0)
-    with pytest.raises(ValueError):
-        omega_tail_index(traj, triple, EXACT, top_fraction=0.6)
-    with pytest.raises(ValueError):
-        omega_tail_index(traj, triple, EXACT, min_top=0)
 
 
 def test_omega_tail_index_heavy_tail_is_low(trajectory_factory):

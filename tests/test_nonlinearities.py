@@ -17,6 +17,13 @@ def test_sign_power_value():
     for y, expected in ((4.0, 2.0), (-4.0, -2.0), (np.array(4.0), 2.0)):
         got = nl.sign_power(0.5).evaluate(y)
         assert type(got) is float and got == expected
+    # and to the same bits as the array path
+    grid = np.random.default_rng(0).standard_normal(2000)
+    for fn, method in ((nl.sign_power(0.4), "evaluate"),
+                       (nl.sign_power(0.4), "evaluate_inverse"),
+                       (nl.sin_plus_sign_power(4.0, 0.6), "evaluate")):
+        apply = getattr(fn, method)
+        assert np.array_equal([apply(float(v)) for v in grid], apply(grid))
 
 
 def test_tanh_at_origin():

@@ -112,13 +112,6 @@ def test_classify_flat_matrix_is_degenerate():
         classify_edges(dusty)
 
 
-def test_classify_with_node_index_map():
-    a = np.array([[0.2, 0.3], [0.0, 0.5]])
-    g = classify_edges(a, node_index_map=[4, 7], n_nodes_full=10)
-    assert g.n_nodes == 10
-    assert g.edges == {(4, 7)}
-
-
 @settings(deadline=None, max_examples=60)
 @given(
     shift=st.floats(min_value=-5, max_value=5),
