@@ -25,6 +25,9 @@ from .nonlinearities import _KERNELS, Nonlinearity
 #: States whose magnitude exceeds this are treated as diverged.
 DIVERGENCE_LIMIT = 1e12
 
+#: Epochs of noise drawn per call of the generator in :func:`simulate`.
+_NOISE_BLOCK = 8192
+
 #: Tolerance used when checking that growth exponents sum to one.
 _PQ_TOL = 1e-9
 
@@ -67,7 +70,8 @@ class _Family:
     """Per-node scalar functions of one kind (sigma, g or h), vectorised.
 
     Equal nonlinearities are grouped so homogeneous families cost a single
-    array operation per evaluation.
+    array operation per evaluation.  Each group's kernel and params are
+    looked up once, here, not on every call.
     """
 
     def __init__(self, fns: Sequence[Nonlinearity]):
@@ -79,6 +83,8 @@ class _Family:
         self._groups = [(self.fns[0], slice(None))] if self.homogeneous else [
             (fn, np.asarray(nodes)) for fn, nodes in groups.items()
         ]
+        self._kernels = [(_KERNELS[fn.kind][0], fn.params, nodes)
+                         for fn, nodes in self._groups]
 
     def groups(self):
         """Iterate ``(fn, nodes)`` over the groups of equal functions.
@@ -89,14 +95,20 @@ class _Family:
         """
         return iter(self._groups)
 
-    def __call__(self, y: np.ndarray) -> np.ndarray:
-        """Evaluate componentwise; ``y`` is a float array, nodes on the last axis."""
+    def __call__(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Evaluate componentwise; ``y`` is a float array, nodes on the last axis.
+
+        The result is written into ``out`` (a new array when None), which
+        must have ``y``'s shape and must not overlap it.
+        """
+        if out is None:
+            out = np.empty_like(y, dtype=float)
         if self.homogeneous:
-            fn = self.fns[0]
-            return _KERNELS[fn.kind][0](y, *fn.params)
-        out = np.empty_like(y, dtype=float)
-        for fn, nodes in self._groups:
-            out[..., nodes] = _KERNELS[fn.kind][0](y[..., nodes], *fn.params)
+            kernel, params, _ = self._kernels[0]
+            return kernel(y, *params, out=out)
+        for kernel, params, nodes in self._kernels:
+            sub = y[..., nodes]
+            out[..., nodes] = kernel(sub, *params, out=np.empty_like(sub))
         return out
 
     def inverse(self, y: np.ndarray, epoch_offset: int = 0) -> np.ndarray:
@@ -237,7 +249,9 @@ class Trajectory:
     """A simulated state history.
 
     ``states`` has shape ``(n_steps + 1, n_nodes)``; row 0 is the initial
-    condition.  All entries are finite by construction.
+    condition.  All entries are finite by construction.  ``states`` is
+    read-only.  A read-only float64 array that owns its data is kept as
+    given, so the trajectory may share that buffer with its producer.
     """
 
     states: np.ndarray
@@ -252,8 +266,12 @@ class Trajectory:
             )
         if not np.all(np.isfinite(states)):
             raise ValueError("trajectory states must all be finite")
-        states = states.copy()
-        states.setflags(write=False)
+        # A read-only array that owns its data cannot change under us, so it
+        # is kept as it is; anything else (writable, or a view of a buffer
+        # that may be writable elsewhere) is copied.
+        if states.flags.writeable or not states.flags.owndata:
+            states = states.copy()
+            states.setflags(write=False)
         object.__setattr__(self, "states", states)
 
     @property
@@ -272,8 +290,9 @@ def simulate(matrix: CombinationMatrix, triple: NonlinearityTriple,
 
     Noise is drawn from a single PCG64 stream seeded with ``seed``: epoch
     ``k`` consumes the ``k``-th block of ``n_nodes`` standard normals (drawn
-    in chunks, which leaves the stream identical to a one-shot draw), then
-    scaled by the per-node standard deviations.  A state with a non-finite
+    ``_NOISE_BLOCK`` epochs at a time straight into the state buffer, which
+    leaves the stream identical to a one-shot draw), then scaled by the
+    per-node standard deviations.  A state with a non-finite
     entry or magnitude above ``DIVERGENCE_LIMIT`` aborts the run with the
     first offending epoch and node.
 
@@ -311,27 +330,39 @@ def simulate(matrix: CombinationMatrix, triple: NonlinearityTriple,
     a_entries = matrix.entries
     std = noise.per_node_std
     eval_sigma, eval_g, eval_h = triple.eval_sigma, triple.eval_g, triple.eval_h
+    g_vals, h_vals, drive = np.empty(n), np.empty(n), np.empty(n)
+    # Every entry at most LIMIT / 2 in magnitude when the sum of squares is
+    # at most this; NaN and inf fail the comparison.
+    screen = (DIVERGENCE_LIMIT / 2) ** 2
 
-    chunk = 65536
     y = states[0]
     done = 0
     while done < n_steps:
-        m = min(chunk, n_steps - done)
-        block = rng.standard_normal((m, n))
+        m = min(_NOISE_BLOCK, n_steps - done)
+        # Each of rows done + 1 .. done + m holds its epoch's noise until
+        # that epoch's state overwrites it.
+        block = states[done + 1:done + m + 1]
+        rng.standard_normal(out=block)
         block *= std
-        for t in range(m):
-            drive = eval_g(y) * (a_entries @ eval_h(y))
-            drive += block[t]
-            y = eval_sigma(drive)
-            peak = np.abs(y).max()
-            if not peak <= DIVERGENCE_LIMIT:
+        for epoch in range(done + 1, done + m + 1):
+            eval_g(y, out=g_vals)
+            eval_h(y, out=h_vals)
+            np.matmul(a_entries, h_vals, out=drive)
+            drive *= g_vals
+            y = states[epoch]
+            drive += y
+            eval_sigma(drive, out=y)
+            # np.vdot, unlike np.dot, adds no overflow warning of its own
+            # when a huge finite state squares to inf.
+            if not np.vdot(y, y) <= screen:
                 bad = ~(np.abs(y) <= DIVERGENCE_LIMIT)
-                node = int(np.argmax(bad))
-                raise SimulationDivergedError(
-                    epoch=done + t + 1, node=node, value=float(y[node])
-                )
-            states[done + t + 1] = y
+                if bad.any():
+                    node = int(np.argmax(bad))
+                    raise SimulationDivergedError(
+                        epoch=epoch, node=node, value=float(y[node])
+                    )
         done += m
+    states.setflags(write=False)
     return Trajectory(states=states, seed=seed)
 
 
@@ -350,4 +381,5 @@ def transform_to_additive(traj: Trajectory,
             f"triple {triple.n_nodes}"
         )
     z = triple.eval_sigma.inverse(traj.states, epoch_offset=0)
+    z.setflags(write=False)
     return Trajectory(states=z, seed=traj.seed)

@@ -166,7 +166,7 @@ def correlation_estimate(traj: Trajectory) -> EstimateReport:
     if traj.n_steps < 1:
         raise ValueError("correlation_estimate needs at least one step")
     n = traj.n_steps
-    r0, _ = lagmoments._moment_sums(traj.states, n)
+    r0, _ = lagmoments._moment_sums(traj.states, n, cross=False)
     return EstimateReport(
         A_hat=r0 / n, estimator_kind="correlation", n_samples=n, cond_F0=None,
     )
@@ -178,7 +178,7 @@ def precision_estimate(traj: Trajectory,
     if traj.n_steps < 1:
         raise ValueError("precision_estimate needs at least one step")
     n = traj.n_steps
-    r0, _ = lagmoments._moment_sums(traj.states, n)
+    r0, _ = lagmoments._moment_sums(traj.states, n, cross=False)
     a_hat, cond = _solve_right(np.eye(traj.n_nodes), r0 / n, cond_limit,
                                "zero-lag state moment matrix")
     return EstimateReport(
@@ -243,7 +243,11 @@ def partial_estimate(traj: Trajectory, observed: Sequence[int], kind: str,
         raise ValueError(
             f"observed nodes must lie in [0, {traj.n_nodes}), got {observed}"
         )
-    sub_traj = Trajectory(states=traj.states[:, observed], seed=traj.seed)
+    # np.take, unlike traj.states[:, observed], returns an array that owns
+    # its data, so the Trajectory keeps it without a copy.
+    columns = np.take(traj.states, observed, axis=1)
+    columns.setflags(write=False)
+    sub_traj = Trajectory(states=columns, seed=traj.seed)
     report = _TABLE[kind][1](
         traj=sub_traj, triple=None if triple is None else triple.restrict(observed),
         config=config, observed=None, cond_limit=cond_limit,

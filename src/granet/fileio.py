@@ -117,6 +117,7 @@ def load_trajectory(path: "str | Path") -> Trajectory:
                 f"payload shape {states.shape} does not match header "
                 f"(N={n}, steps={steps})"
             )
+        states.setflags(write=False)
         return Trajectory(states=states, seed=seed)
 
 

@@ -149,15 +149,17 @@ def _onelag_terms(triple: NonlinearityTriple, config: WeightingConfig,
     return targets, triple.eval_h(base)
 
 
-def _moment_sums(states: np.ndarray, n_pairs: int,
-                 terms=None) -> tuple[np.ndarray, np.ndarray]:
+def _moment_sums(states: np.ndarray, n_pairs: int, terms=None,
+                 cross: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """Chunk-reduced ``(sum base^T base, sum lead^T base)`` over pairs.
 
     ``terms(start, stop)`` returns the ``(lead, base)`` rows of the pairs
     ``start .. stop - 1``; by default they are the raw states
     ``(y[k+1], y[k])``.  Chunks of ``_BATCH_CHUNK`` pairs are reduced with
     matrix products and the per-chunk parts summed in order; that order
-    keeps stored moments byte-identical across releases.
+    keeps stored moments byte-identical across releases.  With
+    ``cross=False`` the cross sum is not formed and None is returned in its
+    place.
     """
     if terms is None:
         def terms(start, stop):
@@ -167,9 +169,11 @@ def _moment_sums(states: np.ndarray, n_pairs: int,
     for start in range(0, n_pairs, _BATCH_CHUNK):
         lead, base = terms(start, min(start + _BATCH_CHUNK, n_pairs))
         base_parts.append(base.T @ base)
-        cross_parts.append(lead.T @ base)
+        if cross:
+            cross_parts.append(lead.T @ base)
     shape = (states.shape[1],) * 2
-    return sum(base_parts, np.zeros(shape)), sum(cross_parts, np.zeros(shape))
+    return (sum(base_parts, np.zeros(shape)),
+            sum(cross_parts, np.zeros(shape)) if cross else None)
 
 
 def _pair_count(traj: Trajectory, triple: NonlinearityTriple,

@@ -17,7 +17,9 @@ function whose root set is not a finite set of isolated points.
 
 How a kind is evaluated, inverted and domain-checked lives in one table,
 ``_KERNELS``: kind -> (function, inverse or None, inverse-domain mask or
-None).  A kind is invertible exactly when the table has its inverse.
+None).  A kind is invertible exactly when the table has its inverse.  The
+function writes its result into a caller-owned ``out`` array, so the
+simulator's epoch loop reuses its buffers.
 """
 
 from __future__ import annotations
@@ -69,7 +71,8 @@ class Nonlinearity:
         bits as the array path, and is returned as a ``float``.
         """
         arr = np.asarray(y, dtype=float)
-        out = _KERNELS[self.kind][0](np.atleast_1d(arr), *self.params)
+        vec = np.atleast_1d(arr)
+        out = _KERNELS[self.kind][0](vec, *self.params, out=np.empty_like(vec))
         return out if arr.ndim else float(out[0])
 
     def evaluate_inverse(self, y):
@@ -112,24 +115,54 @@ class Nonlinearity:
         )
 
 
-def _signed_power(y, a):
-    return np.copysign(np.abs(y) ** a, y)
+def _signed_power(y, a, out=None):
+    # ``**=`` with a Python float takes the same scalar fast paths as ``**``
+    # (0.5 runs np.sqrt, 2 runs np.square); np.power(out, a) would not.
+    out = np.abs(y, out=out)
+    out **= a
+    return np.copysign(out, y, out=out)
+
+
+def _identity(y, out):
+    out[...] = y
+    return out
+
+
+def _constant_one(y, out):
+    out.fill(1.0)
+    return out
+
+
+def _tanh_shifted(y, c, out):
+    np.tanh(y, out=out)
+    out += c
+    return out
+
+
+def _sin_plus_signed_power(y, freq, a, out):
+    wave = np.multiply(freq, y)
+    np.sin(wave, out=wave)
+    _signed_power(y, a, out)
+    out += wave
+    return out
 
 
 # Per kind: (function, inverse or None, mask of inputs outside the inverse's
 # domain or None when the inverse is defined on the whole line).  Each entry
-# takes a float array followed by the kind's params.
+# takes a float array followed by the kind's params.  The function also
+# takes ``out=``, an array of the input's shape that must not overlap it,
+# and returns ``out`` holding the result; the inverse returns its result.
 _KERNELS: dict[str, tuple[Callable, Callable | None, Callable | None]] = {
-    "identity": (lambda y: y, lambda y: y, None),
-    "constant_one": (lambda y: np.ones_like(y), None, None),
+    "identity": (_identity, lambda y: y, None),
+    "constant_one": (_constant_one, None, None),
     "sign_power": (_signed_power, lambda y, a: _signed_power(y, 1.0 / a), None),
-    "tanh": (np.tanh, np.arctanh, lambda y: np.abs(y) >= 1.0),
-    "tanh_shifted": (lambda y, c: np.tanh(y) + c,
+    "tanh": (lambda y, out: np.tanh(y, out=out), np.arctanh,
+             lambda y: np.abs(y) >= 1.0),
+    "tanh_shifted": (_tanh_shifted,
                      lambda y, c: np.arctanh(y - c),
                      lambda y, c: np.abs(y - c) >= 1.0),
-    "limiter": (lambda y, lo, hi: np.clip(y, lo, hi), None, None),
-    "sin_plus_sign_power": (
-        lambda y, freq, a: np.sin(freq * y) + _signed_power(y, a), None, None),
+    "limiter": (lambda y, lo, hi, out: np.clip(y, lo, hi, out=out), None, None),
+    "sin_plus_sign_power": (_sin_plus_signed_power, None, None),
 }
 
 

@@ -44,14 +44,16 @@ def kmeans2_1d(values: Sequence[float]) -> ClusterSplit:
     After sorting, an optimal 2-means partition is contiguous, so every
     split point is evaluated and the global within-cluster SSE minimiser
     returned (lowest split index on ties).  The threshold is the midpoint
-    of the boundary pair.  All-equal input admits no two-group split and
-    raises :class:`DegenerateClusterError`; so does input whose spread is
-    at the float rounding scale, where any split would be noise-driven.
+    of the boundary pair.  Fewer than two values, or all-equal input, admit
+    no two-group split and raise :class:`DegenerateClusterError`; so does
+    input whose spread is at the float rounding scale, where any split
+    would be noise-driven.
     """
     v = np.sort(np.asarray(values, dtype=float).ravel())
     n = v.size
     if n < 2:
-        raise ValueError(f"need at least two values to split, got {n}")
+        raise DegenerateClusterError(
+            f"need at least two values to split, got {n}")
     spread = v[-1] - v[0]
     if spread <= 64.0 * np.finfo(float).eps * max(1.0, abs(v[0]), abs(v[-1])):
         raise DegenerateClusterError(

@@ -278,6 +278,24 @@ def test_experiment_numerical_failure_exit(singular_run):
     assert (run_dir / "metrics_correlation.json").exists()
 
 
+def test_experiment_one_observed_node_records_the_error(tmp_path, capsys):
+    # one observed node leaves no off-diagonal entry to cluster
+    cfg = dict(small_experiment_config(), observed_set=[2],
+               estimators=["egg", "egg_partial"])
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    rc = cli.main(["experiment", "--config", str(cfg_path),
+                   "--out", str(tmp_path / "run")])
+    assert rc == cli.EXIT_NUMERICAL
+    assert "egg_partial: need at least two values to split, got 0" in \
+        capsys.readouterr().err
+    run_dir = tmp_path / "run"
+    assert (run_dir / "estimate_egg_partial.csv").exists()
+    assert not (run_dir / "metrics_egg_partial.json").exists()
+    assert (run_dir / "metrics_egg.json").exists()
+    assert (run_dir / "assumptions.json").exists()
+
+
 def test_estimate_singular_exit(singular_run, tmp_path, capsys):
     _, run_dir = singular_run
     rc = cli.main(["estimate", "--trajectory",

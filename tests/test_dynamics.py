@@ -1,5 +1,6 @@
 """Simulator behavior: exact reductions, determinism, guards."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -50,7 +51,7 @@ def reference_states(matrix, triple, noise, n_steps, seed):
 @pytest.mark.parametrize("name, std, n_steps", [
     ("example1", 1.0, 3000), ("example1", 0.7, 3000),
     ("example2", 1.0, 3000), ("example2", 0.7, 3000),
-    # past the 65536-epoch noise chunk
+    # across eight 8192-epoch noise blocks and a partial ninth
     ("linear", 1.0, 70_000), ("linear", 0.7, 3000),
     ("heterogeneous", 1.0, 3000), ("heterogeneous", 0.7, 3000),
 ])
@@ -170,6 +171,71 @@ def test_divergence_pins_epoch_node_value_and_warnings(power, y0, std, epoch,
     assert repr(err.value.value) == repr(value)
     assert [(w.category, str(w.message)) for w in caught] == \
         [(RuntimeWarning, message) for message in messages]
+
+
+def test_divergence_screen_adds_no_warning():
+    # h = y**14 of y0 = 1e12 is finite, but its square overflows: the stop
+    # is at epoch 1, and the sum-of-squares screen adds no warning of its own
+    matrix = build_combination_matrix(generate_binomial_graph(8, 0.4, 1), 0.9)
+    triple = NonlinearityTriple.uniform(nl.identity(), nl.constant_one(),
+                                        nl.sign_power(14.0), 8)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(SimulationDivergedError) as err:
+            simulate(matrix, triple, NoiseModel.uniform(8), 1e12, 10, seed=5)
+    assert (err.value.epoch, err.value.node, err.value.value) == (1, 0, 9e167)
+    assert caught == []
+
+
+def test_simulate_peak_memory_is_one_state_buffer(instance50):
+    # the trajectory buffer is allocated once and handed to Trajectory:
+    # no defensive copy, no separate noise block
+    _, matrix = instance50
+    triple = triple_preset("example1", 50)
+    tracemalloc.start()
+    try:
+        traj = simulate(matrix, triple, NoiseModel.uniform(50), 0.0, 100_000,
+                        seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * traj.states.nbytes
+    assert not traj.states.flags.writeable
+
+
+def test_trajectory_keeps_only_owned_read_only_buffers():
+    owned = np.zeros((6, 2))
+    owned.setflags(write=False)
+    assert Trajectory(states=owned, seed=0).states is owned
+    # a writable input is copied, so later writes do not reach the trajectory
+    writable = np.arange(12.0).reshape(6, 2)
+    traj = Trajectory(states=writable, seed=0)
+    writable[0, 0] = 99.0
+    assert traj.states[0, 0] == 0.0 and not traj.states.flags.writeable
+    # a read-only view may share a writable base: copied as well
+    base = np.arange(12.0).reshape(6, 2)
+    view = base[1:]
+    view.setflags(write=False)
+    traj = Trajectory(states=view, seed=0)
+    base[1, 0] = 99.0
+    assert traj.states is not view and traj.states[0, 0] == 2.0
+    # other dtypes are converted, never kept
+    ints = np.arange(12).reshape(6, 2)
+    ints.setflags(write=False)
+    assert Trajectory(states=ints, seed=0).states.dtype == np.float64
+
+
+def test_family_out_matches_allocating_call():
+    sigma = (nl.tanh(), nl.identity(), nl.tanh_shifted(2.0), nl.sign_power(0.5))
+    family = NonlinearityTriple(sigma=sigma * 2, g=(nl.constant_one(),) * 8,
+                                h=(nl.identity(),) * 8).eval_sigma
+    y = np.random.default_rng(4).uniform(-3.0, 3.0, size=(5, 8))
+    out = np.full_like(y, np.nan)
+    assert family(y, out=out) is out
+    per_node = np.column_stack(
+        [fn.evaluate(y[:, i]) for i, fn in enumerate(sigma * 2)])
+    assert np.array_equal(out, per_node)
+    assert np.array_equal(family(y), per_node)
 
 
 def test_transform_identity_sigma_is_identity(instance50):
@@ -300,7 +366,8 @@ def test_triple_enforces_exponent_budget():
 
 
 def test_chunked_noise_equals_one_shot_draw():
-    # crossing the 65536-epoch chunk boundary must not perturb the stream
+    # crossing 8192-epoch noise block boundaries, and ending in a partial
+    # block, must not perturb the stream
     n_steps = 70_000
     traj = simulate(zero_matrix(1), triple_preset("linear", 1),
                     NoiseModel.uniform(1), 0.0, n_steps, seed=99)

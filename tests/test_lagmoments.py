@@ -24,6 +24,7 @@ from granet import (
     simulate,
     triple_preset,
 )
+from granet import lagmoments
 from granet import nonlinearities as nl
 
 EXACT = WeightingConfig()
@@ -168,6 +169,19 @@ def test_linear_f0_equals_raw_correlation(instance50):
     f0, _ = finalize(from_trajectory(traj, triple, EXACT))
     r0 = traj.states[:-1].T @ traj.states[:-1] / traj.n_steps
     assert np.abs(f0 - r0).max() <= 1e-12 * max(1.0, np.abs(r0).max())
+
+
+def test_zero_lag_sums_alone_match_the_pair_pass(instance50):
+    # correlation and precision skip the cross sum; the zero-lag sum keeps
+    # its chunk order (20k pairs span three chunks) and so its bytes
+    _, matrix = instance50
+    traj = simulate(matrix, triple_preset("example2", 50), NoiseModel.uniform(50),
+                    0.0, 20_000, seed=23)
+    r0, r1 = lagmoments._moment_sums(traj.states, traj.n_steps)
+    r0_alone, none = lagmoments._moment_sums(traj.states, traj.n_steps,
+                                             cross=False)
+    assert none is None and r1 is not None
+    assert np.array_equal(r0_alone.view(np.uint64), r0.view(np.uint64))
 
 
 def test_from_trajectory_prefix_matches_manual_loop():

@@ -26,6 +26,36 @@ def test_sign_power_value():
         assert np.array_equal([apply(float(v)) for v in grid], apply(grid))
 
 
+# Closed forms of each kind: the ``out=`` kernels must match them bit for bit.
+_REFERENCE = {
+    "identity": lambda y: y,
+    "constant_one": lambda y: np.ones_like(y),
+    "sign_power": lambda y, a: np.copysign(np.abs(y) ** a, y),
+    "tanh": np.tanh,
+    "tanh_shifted": lambda y, c: np.tanh(y) + c,
+    "limiter": lambda y, lo, hi: np.clip(y, lo, hi),
+    "sin_plus_sign_power": lambda y, freq, a:
+        np.sin(freq * y) + np.copysign(np.abs(y) ** a, y),
+}
+
+
+@pytest.mark.parametrize("fn", [
+    nl.identity(), nl.constant_one(), nl.sign_power(0.5), nl.sign_power(2.0),
+    nl.sign_power(0.3), nl.sign_power(1.0), nl.tanh(), nl.tanh_shifted(-2.0),
+    nl.limiter(-0.5, 1.5), nl.sin_plus_sign_power(4.0, 0.6),
+], ids=lambda fn: fn.describe())
+def test_kernel_out_is_bit_equal_to_closed_form(fn):
+    assert set(_REFERENCE) == set(nl._KERNELS)
+    y = np.random.default_rng(8).standard_normal((40, 7)) * 3.0
+    y[0, :3] = (0.0, -0.0, 1.0)
+    expected = _REFERENCE[fn.kind](y, *fn.params)
+    out = np.full_like(y, np.nan)
+    assert nl._KERNELS[fn.kind][0](y, *fn.params, out=out) is out
+    assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
+    assert np.array_equal(fn.evaluate(y).view(np.uint64),
+                          expected.view(np.uint64))
+
+
 def test_tanh_at_origin():
     assert nl.tanh().evaluate(0.0) == 0.0
 

@@ -59,8 +59,9 @@ def test_kmeans_six_values():
 
 
 def test_kmeans_single_value_is_an_error():
-    with pytest.raises(ValueError):
-        kmeans2_1d([5])
+    for values in ([5], []):
+        with pytest.raises(DegenerateClusterError):
+            kmeans2_1d(values)
 
 
 def test_kmeans_all_equal_is_degenerate():
