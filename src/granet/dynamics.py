@@ -28,6 +28,9 @@ DIVERGENCE_LIMIT = 1e12
 #: Epochs of noise drawn per call of the generator in :func:`simulate`.
 _NOISE_BLOCK = 8192
 
+#: Rows per block of the finiteness check in :class:`Trajectory`.
+_FINITE_CHECK_ROWS = 4096
+
 #: Tolerance used when checking that growth exponents sum to one.
 _PQ_TOL = 1e-9
 
@@ -70,8 +73,8 @@ class _Family:
     """Per-node scalar functions of one kind (sigma, g or h), vectorised.
 
     Equal nonlinearities are grouped so homogeneous families cost a single
-    array operation per evaluation.  Each group's kernel and params are
-    looked up once, here, not on every call.
+    array operation per evaluation.  Each group's kernel is bound to its
+    params once, here, not on every call.
     """
 
     def __init__(self, fns: Sequence[Nonlinearity]):
@@ -83,8 +86,12 @@ class _Family:
         self._groups = [(self.fns[0], slice(None))] if self.homogeneous else [
             (fn, np.asarray(nodes)) for fn, nodes in groups.items()
         ]
-        self._kernels = [(_KERNELS[fn.kind][0], fn.params, nodes)
+        self._kernels = [(_KERNELS[fn.kind][0](*fn.params), nodes)
                          for fn, nodes in self._groups]
+        #: ``apply(y, out)`` writes the family of ``y`` into ``out`` (of
+        #: ``y``'s shape, not overlapping it) and returns ``out``.  For a
+        #: homogeneous family it is the bound kernel itself.
+        self.apply = self._kernels[0][0] if self.homogeneous else self._scatter
 
     def groups(self):
         """Iterate ``(fn, nodes)`` over the groups of equal functions.
@@ -95,6 +102,12 @@ class _Family:
         """
         return iter(self._groups)
 
+    def _scatter(self, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        for kernel, nodes in self._kernels:
+            sub = y[..., nodes]
+            out[..., nodes] = kernel(sub, np.empty_like(sub))
+        return out
+
     def __call__(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Evaluate componentwise; ``y`` is a float array, nodes on the last axis.
 
@@ -103,13 +116,7 @@ class _Family:
         """
         if out is None:
             out = np.empty_like(y, dtype=float)
-        if self.homogeneous:
-            kernel, params, _ = self._kernels[0]
-            return kernel(y, *params, out=out)
-        for kernel, params, nodes in self._kernels:
-            sub = y[..., nodes]
-            out[..., nodes] = kernel(sub, *params, out=np.empty_like(sub))
-        return out
+        return self.apply(y, out)
 
     def inverse(self, y: np.ndarray, epoch_offset: int = 0) -> np.ndarray:
         """Componentwise inverse with (epoch, node) context in errors.
@@ -124,7 +131,9 @@ class _Family:
             _, inverse, domain = _KERNELS[fn.kind]
             if inverse is None:
                 raise ValueError(f"{fn.kind}{fn.params} has no implemented inverse")
-            sub = y[..., nodes]
+            # A homogeneous family maps ``y`` itself: a view of it would not
+            # own its data, and a Trajectory would copy it.
+            sub = y if out is None else y[..., nodes]
             bad = None if domain is None else domain(sub, *fn.params)
             if bad is not None and bad.any():
                 pos = np.unravel_index(int(np.argmax(bad)), bad.shape)
@@ -264,8 +273,11 @@ class Trajectory:
                 "states must be 2-d (n_steps + 1, n_nodes) with at least one "
                 f"row, got shape {states.shape}"
             )
-        if not np.all(np.isfinite(states)):
-            raise ValueError("trajectory states must all be finite")
+        # Checked a block of rows at a time, so the boolean temporary stays
+        # small however long the trajectory is.
+        for start in range(0, states.shape[0], _FINITE_CHECK_ROWS):
+            if not np.isfinite(states[start:start + _FINITE_CHECK_ROWS]).all():
+                raise ValueError("trajectory states must all be finite")
         # A read-only array that owns its data cannot change under us, so it
         # is kept as it is; anything else (writable, or a view of a buffer
         # that may be writable elsewhere) is copied.
@@ -329,7 +341,9 @@ def simulate(matrix: CombinationMatrix, triple: NonlinearityTriple,
     rng = np.random.default_rng(seed)
     a_entries = matrix.entries
     std = noise.per_node_std
-    eval_sigma, eval_g, eval_h = triple.eval_sigma, triple.eval_g, triple.eval_h
+    apply_sigma = triple.eval_sigma.apply
+    apply_g = triple.eval_g.apply
+    apply_h = triple.eval_h.apply
     g_vals, h_vals, drive = np.empty(n), np.empty(n), np.empty(n)
     # Every entry at most LIMIT / 2 in magnitude when the sum of squares is
     # at most this; NaN and inf fail the comparison.
@@ -345,13 +359,13 @@ def simulate(matrix: CombinationMatrix, triple: NonlinearityTriple,
         rng.standard_normal(out=block)
         block *= std
         for epoch in range(done + 1, done + m + 1):
-            eval_g(y, out=g_vals)
-            eval_h(y, out=h_vals)
+            apply_g(y, g_vals)
+            apply_h(y, h_vals)
             np.matmul(a_entries, h_vals, out=drive)
             drive *= g_vals
             y = states[epoch]
             drive += y
-            eval_sigma(drive, out=y)
+            apply_sigma(drive, y)
             # np.vdot, unlike np.dot, adds no overflow warning of its own
             # when a huge finite state squares to inf.
             if not np.vdot(y, y) <= screen:

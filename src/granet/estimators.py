@@ -54,15 +54,23 @@ def _check_kinds(kinds: Sequence, observed, key: str = "estimators") -> None:
             raise ConfigError(f"{key}: partial estimation requires observed_set")
 
 
+def _check_cond_limit(cond_limit: float) -> None:
+    """Reject a condition-number limit that is not a number above zero."""
+    if not cond_limit > 0:
+        raise ConfigError(f"cond_limit: must be > 0, got {cond_limit!r}")
+
+
 def run_estimator(kind: str, traj: Trajectory, triple: NonlinearityTriple,
                   config: WeightingConfig | None = None,
                   observed: Sequence[int] | None = None,
                   cond_limit: float = DEFAULT_COND_LIMIT) -> EstimateReport:
     """Run estimator ``kind``; partial kinds estimate on the ``observed`` nodes.
 
-    An unknown kind, or a partial kind without ``observed``, is a ConfigError.
+    An unknown kind, a partial kind without ``observed``, or a ``cond_limit``
+    that is not above zero (NaN included) is a ConfigError.
     """
     _check_kinds((kind,), observed)
+    _check_cond_limit(cond_limit)
     return _TABLE[kind][1](traj=traj, triple=triple, config=config,
                            observed=observed, cond_limit=cond_limit)
 

@@ -136,7 +136,7 @@ def expand_config(raw: dict) -> dict:
                  "observed_set: nodes must be distinct")
         base["observed_set"] = sorted(observed)
     estimators._check_kinds(base["estimators"], observed)
-    _require(base["cond_limit"] > 0, "cond_limit: must be > 0")
+    estimators._check_cond_limit(base["cond_limit"])
     _require(base["norm"] in ("infinity", "two"),
              "norm: must be 'infinity' or 'two'")
 

@@ -16,10 +16,13 @@ in closed form (used to regularise reciprocal weights); ``None`` marks a
 function whose root set is not a finite set of isolated points.
 
 How a kind is evaluated, inverted and domain-checked lives in one table,
-``_KERNELS``: kind -> (function, inverse or None, inverse-domain mask or
+``_KERNELS``: kind -> (binder, inverse or None, inverse-domain mask or
 None).  A kind is invertible exactly when the table has its inverse.  The
-function writes its result into a caller-owned ``out`` array, so the
-simulator's epoch loop reuses its buffers.
+binder takes the kind's params once and returns a kernel ``kernel(y, out)``
+that writes the function of ``y`` into the caller-owned ``out`` and returns
+it.  Vector evaluators bind each kernel when they are built, so the
+simulator's epoch loop calls the kernel directly, with its own buffers and
+no per-call params.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ class Nonlinearity:
         """
         arr = np.asarray(y, dtype=float)
         vec = np.atleast_1d(arr)
-        out = _KERNELS[self.kind][0](vec, *self.params, out=np.empty_like(vec))
+        out = _KERNELS[self.kind][0](*self.params)(vec, np.empty_like(vec))
         return out if arr.ndim else float(out[0])
 
     def evaluate_inverse(self, y):
@@ -115,12 +118,23 @@ class Nonlinearity:
         )
 
 
-def _signed_power(y, a, out=None):
-    # ``**=`` with a Python float takes the same scalar fast paths as ``**``
-    # (0.5 runs np.sqrt, 2 runs np.square); np.power(out, a) would not.
-    out = np.abs(y, out=out)
-    out **= a
-    return np.copysign(out, y, out=out)
+# Binders hold float params as 0-d float64 arrays.  A ufunc converts a
+# Python float operand anew on every call, which costs about as much as the
+# operation on a 50-node vector; on float64 input the results are the same
+# bits.
+
+
+def _bind_signed_power(a):
+    a = np.array(a, dtype=float)
+
+    def kernel(y, out):
+        # ``**=`` takes the same scalar fast paths for a 0-d exponent as for
+        # a float (0.5 runs np.sqrt, 2 runs np.square); np.power(out, a)
+        # would not.
+        np.abs(y, out)
+        out **= a
+        return np.copysign(out, y, out)
+    return kernel
 
 
 def _identity(y, out):
@@ -133,36 +147,49 @@ def _constant_one(y, out):
     return out
 
 
-def _tanh_shifted(y, c, out):
-    np.tanh(y, out=out)
-    out += c
-    return out
+def _bind_tanh_shifted(c):
+    c = np.array(c, dtype=float)
+
+    def kernel(y, out):
+        np.tanh(y, out)
+        out += c
+        return out
+    return kernel
 
 
-def _sin_plus_signed_power(y, freq, a, out):
-    wave = np.multiply(freq, y)
-    np.sin(wave, out=wave)
-    _signed_power(y, a, out)
-    out += wave
-    return out
+def _bind_sin_plus_signed_power(freq, a):
+    freq = np.array(freq, dtype=float)
+    power = _bind_signed_power(a)
+
+    def kernel(y, out):
+        wave = np.multiply(freq, y)
+        np.sin(wave, wave)
+        power(y, out)
+        out += wave
+        return out
+    return kernel
 
 
-# Per kind: (function, inverse or None, mask of inputs outside the inverse's
-# domain or None when the inverse is defined on the whole line).  Each entry
-# takes a float array followed by the kind's params.  The function also
-# takes ``out=``, an array of the input's shape that must not overlap it,
-# and returns ``out`` holding the result; the inverse returns its result.
+# Per kind: (binder, inverse or None, mask of inputs outside the inverse's
+# domain or None when the inverse is defined on the whole line).  The binder
+# takes the kind's params and returns ``kernel(y, out)``: ``y`` is a float64
+# array, ``out`` an array of its shape that must not overlap it, and the
+# kernel writes the result into ``out`` and returns ``out``.  The inverse and
+# the mask take a float array followed by the params; the inverse returns
+# its result.
 _KERNELS: dict[str, tuple[Callable, Callable | None, Callable | None]] = {
-    "identity": (_identity, lambda y: y, None),
-    "constant_one": (_constant_one, None, None),
-    "sign_power": (_signed_power, lambda y, a: _signed_power(y, 1.0 / a), None),
-    "tanh": (lambda y, out: np.tanh(y, out=out), np.arctanh,
-             lambda y: np.abs(y) >= 1.0),
-    "tanh_shifted": (_tanh_shifted,
+    "identity": (lambda: _identity, lambda y: y, None),
+    "constant_one": (lambda: _constant_one, None, None),
+    "sign_power": (_bind_signed_power,
+                   lambda y, a: _bind_signed_power(1.0 / a)(y, np.empty_like(y)),
+                   None),
+    "tanh": (lambda: np.tanh, np.arctanh, lambda y: np.abs(y) >= 1.0),
+    "tanh_shifted": (_bind_tanh_shifted,
                      lambda y, c: np.arctanh(y - c),
                      lambda y, c: np.abs(y - c) >= 1.0),
-    "limiter": (lambda y, lo, hi, out: np.clip(y, lo, hi, out=out), None, None),
-    "sin_plus_sign_power": (_sin_plus_signed_power, None, None),
+    "limiter": (lambda lo, hi: lambda y, out: np.clip(y, lo, hi, out=out),
+                None, None),
+    "sin_plus_sign_power": (_bind_sin_plus_signed_power, None, None),
 }
 
 

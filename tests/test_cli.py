@@ -129,6 +129,17 @@ def test_estimate_partial_with_observed(pipeline, tmp_path):
     assert payload["observed_set"] == [0, 2, 4]
 
 
+@pytest.mark.parametrize("limit", ["-1", "0", "nan"])
+def test_estimate_cond_limit_must_be_positive(pipeline, tmp_path, capsys, limit):
+    rc = cli.main(["estimate", "--trajectory",
+                   str(pipeline / "sim" / "trajectory.csv"),
+                   "--triple", "linear", "--estimators", "egg,granger",
+                   "--cond-limit", limit, "--out", str(tmp_path / "est")])
+    assert rc == cli.EXIT_CONFIG
+    assert "cond_limit" in capsys.readouterr().err
+    assert not list((tmp_path / "est").glob("estimate_*"))
+
+
 def test_experiment_requires_exactly_one_source(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["experiment", "--out", str(tmp_path)])

@@ -20,6 +20,7 @@ from granet import (
     triple_preset,
 )
 from granet import nonlinearities as nl
+from granet.dynamics import _Family
 
 
 def zero_matrix(n):
@@ -238,12 +239,39 @@ def test_family_out_matches_allocating_call():
     assert np.array_equal(family(y), per_node)
 
 
+def test_family_apply_is_bit_equal_to_per_node_evaluate():
+    # one group per kernel kind, nodes interleaved so every group scatters
+    kinds = (nl.identity(), nl.constant_one(), nl.sign_power(0.5),
+             nl.sign_power(2.0), nl.tanh(), nl.tanh_shifted(-2.0),
+             nl.limiter(-0.5, 1.5), nl.sin_plus_sign_power(4.0, 0.6))
+    assert {fn.kind for fn in kinds} == set(nl._KERNELS)
+    fns = kinds * 3
+    family = _Family(fns)
+    assert not family.homogeneous
+    rng = np.random.default_rng(12)
+    for y in (rng.standard_normal(len(fns)) * 3.0,
+              rng.standard_normal((6, len(fns))) * 3.0):
+        expected = np.empty_like(y)
+        for node, fn in enumerate(fns):
+            expected[..., node] = fn.evaluate(y[..., node])
+        out = np.full_like(y, np.nan)
+        assert family.apply(y, out) is out
+        assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
+        assert np.array_equal(family(y).view(np.uint64),
+                              expected.view(np.uint64))
+    # a homogeneous family's apply is the bound kernel itself
+    assert _Family((nl.tanh(),) * 4).apply is np.tanh
+
+
 def test_transform_identity_sigma_is_identity(instance50):
     _, matrix = instance50
     triple = triple_preset("linear", 50)
     traj = simulate(matrix, triple, NoiseModel.uniform(50), 0.0, 50, seed=1)
     out = transform_to_additive(traj, triple)
     assert np.array_equal(out.states, traj.states)
+    # a homogeneous identity sigma maps the read-only states themselves,
+    # which the new Trajectory keeps without a copy
+    assert np.shares_memory(out.states, traj.states)
 
 
 def test_transform_tanh_sigma_is_arctanh():
@@ -345,6 +373,25 @@ def test_trajectory_rejects_nonfinite_states():
     bad = np.zeros((3, 2))
     bad[1, 0] = np.inf
     with pytest.raises(ValueError):
+        Trajectory(states=bad, seed=0)
+
+
+def test_trajectory_finiteness_check_adds_no_full_temporary():
+    states = np.random.default_rng(2).standard_normal((50_000, 50))
+    states.setflags(write=False)
+    tracemalloc.start()
+    try:
+        traj = Trajectory(states=states, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert traj.states is states
+    # a full boolean temporary would be states.nbytes / 8
+    assert peak < 0.05 * states.nbytes
+    # a bad entry in the last row block is still found
+    bad = states.copy()
+    bad[-1, -1] = np.nan
+    with pytest.raises(ValueError, match="must all be finite"):
         Trajectory(states=bad, seed=0)
 
 
