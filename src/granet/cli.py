@@ -16,7 +16,6 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -146,11 +145,9 @@ def _cmd_sweep(args) -> int:
     config = _load_config(args.config)
     if args.seed is not None:
         config["master_seed"] = args.seed
-    summary = experiments.run_sweep(config, args.out, workers=args.workers)
-    print(f"wrote sweep summary to {summary}")
-    with open(summary, newline="") as fh:
-        failed = sum(1 for row in csv.DictReader(fh) if row["error"])
-    return EXIT_NUMERICAL if failed else EXIT_OK
+    rows = experiments.run_sweep(config, args.out, workers=args.workers)
+    print(f"wrote sweep summary to {Path(args.out) / 'summary.csv'}")
+    return EXIT_NUMERICAL if any(row["error"] for row in rows) else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -206,12 +206,7 @@ def least_squares_estimate(traj: Trajectory, triple: NonlinearityTriple,
     near-singular error.
     """
     config = config or WeightingConfig()
-    if triple.n_nodes != traj.n_nodes:
-        raise ValueError(
-            f"dimension mismatch: trajectory {traj.n_nodes}, "
-            f"triple {triple.n_nodes}"
-        )
-    n = traj.n_steps
+    n = lagmoments._pair_count(traj, triple, None)
     if n < 1:
         raise ValueError("least_squares_estimate needs at least one step")
     targets, design = lagmoments._onelag_terms(triple, config, traj.states, 0, n)

@@ -123,6 +123,9 @@ def expand_config(raw: dict) -> dict:
         WeightingConfig(**weighting)
     except ValueError as exc:
         raise ConfigError(f"weighting: {exc}") from exc
+    _require(base["save_trajectory"] is None
+             or isinstance(base["save_trajectory"], bool),
+             "save_trajectory: must be null, true or false")
     _require(isinstance(base["estimators"], list) and base["estimators"],
              "estimators: must be a non-empty list")
     observed = base["observed_set"]
@@ -271,12 +274,11 @@ def _point_seed(master_seed: int, index: int) -> int:
 
 def _point_config(base: dict, axis: str, value, master_seed: int,
                   index: int) -> dict:
+    """Expanded config of one sweep point: ``base`` with the axis set."""
     config = copy.deepcopy(base)
     seed = _point_seed(master_seed, index)
     config["sim"]["seed"] = seed
     if axis == "n_steps":
-        _require(_number(value, int) and value >= 2,
-                 f"sweep values for n_steps must be integers >= 2, got {value!r}")
         config["sim"]["n_steps"] = value
     elif axis == "delta":
         _require(_finite(value) and value >= 0,
@@ -287,7 +289,7 @@ def _point_config(base: dict, axis: str, value, master_seed: int,
         else:
             config["weighting"] = {"mode": "regularized", "delta": float(value),
                                    "singular_tol": 0.0}
-    elif axis == "observed_set_size":
+    else:
         n_nodes = config["graph"]["n_nodes"]
         _require(_number(value, int) and 1 <= value <= n_nodes,
                  f"observed_set_size values must lie in [1, {n_nodes}], got {value!r}")
@@ -297,16 +299,18 @@ def _point_config(base: dict, axis: str, value, master_seed: int,
         )
         if not set(estimators._PARTIAL_KINDS) & set(config["estimators"]):
             config["estimators"] = ["egg_partial"]
-    else:
-        raise ConfigError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
-    return config
+    return expand_config(config)
+
+
+#: One ``summary.csv`` row before its point runs; its keys are the header.
+_SUMMARY_ROW = {"index": None, "value": None, "estimator": None,
+                "edge_error_rate": "", "matrix_rel_error": "",
+                "identifiability_gap": "", "error": ""}
 
 
 def _run_sweep_point(args: tuple) -> dict:
     index, value, config, point_dir, summary_kind = args
-    row = {"index": index, "value": value, "estimator": summary_kind,
-           "edge_error_rate": "", "matrix_rel_error": "",
-           "identifiability_gap": "", "error": ""}
+    row = dict(_SUMMARY_ROW, index=index, value=value, estimator=summary_kind)
     try:
         result = run_experiment(config, point_dir)
         if summary_kind in result.metrics:
@@ -325,18 +329,21 @@ def _run_sweep_point(args: tuple) -> dict:
     return row
 
 
-def run_sweep(config: dict, out_dir: "str | Path", workers: int = 1) -> Path:
+def run_sweep(config: dict, out_dir: "str | Path",
+              workers: int = 1) -> list[dict]:
     """Run an experiment per axis value and summarise into one CSV.
 
     ``config`` holds a ``base`` experiment config, the ``axis`` name
     (``n_steps``, ``delta`` or ``observed_set_size``), the list of
     ``values`` and a ``master_seed`` from which each point derives an
-    independent simulation seed.  A failing point is recorded in its
-    summary row and does not stop the sweep.  Points run concurrently on
-    up to ``workers`` processes (never more than there are points);
-    ``workers`` must be at least 1.  Returns the summary CSV path.
+    independent simulation seed.  The ``summary_estimator`` (default: each
+    point's first estimator) must run at every point.  A failing point is
+    recorded in its summary row and does not stop the sweep.  Points run
+    concurrently on up to ``workers`` processes (never more than there are
+    points); ``workers`` must be at least 1.  Writes ``summary.csv`` into
+    ``out_dir`` and returns its rows.
     """
-    _require(isinstance(workers, int) and workers >= 1,
+    _require(_number(workers, int) and workers >= 1,
              f"workers must be an integer >= 1, got {workers!r}")
     _require(isinstance(config, dict), "sweep config must be a mapping")
     unknown = set(config) - {"base", "axis", "values", "master_seed",
@@ -351,7 +358,7 @@ def run_sweep(config: dict, out_dir: "str | Path", workers: int = 1) -> Path:
     _require(isinstance(values, list) and values,
              "sweep values must be a non-empty list")
     master_seed = config.get("master_seed", 0)
-    _require(isinstance(master_seed, int) and master_seed >= 0,
+    _require(_number(master_seed, int) and master_seed >= 0,
              "master_seed must be a non-negative integer")
     base = expand_config(config["base"])
     summary_kind = config.get("summary_estimator")
@@ -362,7 +369,9 @@ def run_sweep(config: dict, out_dir: "str | Path", workers: int = 1) -> Path:
     for index, value in enumerate(values):
         point = _point_config(base, axis, value, master_seed, index)
         kind = point["estimators"][0] if summary_kind is None else summary_kind
-        estimators._check_kinds((kind,), point["observed_set"], "summary_estimator")
+        _require(kind in point["estimators"],
+                 f"summary_estimator: {kind!r} is not run at point {index}, "
+                 f"whose estimators are {point['estimators']}")
         jobs.append((index, value, point, str(out_dir / f"point_{index:03d}"), kind))
 
     workers = min(workers, len(jobs))
@@ -372,11 +381,8 @@ def run_sweep(config: dict, out_dir: "str | Path", workers: int = 1) -> Path:
     else:
         rows = [_run_sweep_point(job) for job in jobs]
 
-    summary_path = out_dir / "summary.csv"
-    fields = ["index", "value", "estimator", "edge_error_rate",
-              "matrix_rel_error", "identifiability_gap", "error"]
-    with open(summary_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
+    with open(out_dir / "summary.csv", "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(_SUMMARY_ROW))
         writer.writeheader()
         writer.writerows(rows)
-    return summary_path
+    return rows

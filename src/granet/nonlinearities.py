@@ -98,6 +98,8 @@ class Nonlinearity:
                     float(vec[np.unravel_index(int(np.argmax(bad)), vec.shape)]),
                 )
         out = inverse(vec, *self.params)
+        if out is vec:  # the identity's inverse returns its input
+            out = out.copy()
         return out if arr.ndim else float(out[0])
 
     def describe(self) -> str:

@@ -10,7 +10,7 @@ which the weighted regression estimator is consistent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -209,7 +209,8 @@ class AssumptionReport:
     stability condition.  The empirical side reports the conditioning of
     the zero-lag moment matrix and whether the running second moment of the
     reciprocal weights stayed bounded.  Fields not computed by a given
-    checker are ``None``.
+    checker are ``None``.  ``sigma_invertible`` and ``pq_sum_ok`` are always
+    True: :class:`NonlinearityTriple` rejects any triple that fails either.
     """
 
     kappa_s: float | None = None
@@ -227,18 +228,9 @@ class AssumptionReport:
         return self.kappa_s < 1.0
 
     def merged_with(self, other: "AssumptionReport") -> "AssumptionReport":
-        """Combine a static and an empirical report (non-None fields win)."""
-        def pick(a, b):
-            return b if b is not None else a
-        return AssumptionReport(
-            kappa_s=pick(self.kappa_s, other.kappa_s),
-            kappa_branch=pick(self.kappa_branch, other.kappa_branch),
-            sigma_invertible=self.sigma_invertible and other.sigma_invertible,
-            pq_sum_ok=self.pq_sum_ok and other.pq_sum_ok,
-            f0_condition=pick(self.f0_condition, other.f0_condition),
-            omega_moment_flag=pick(self.omega_moment_flag, other.omega_moment_flag),
-            omega_tail_index=pick(self.omega_tail_index, other.omega_tail_index),
-        )
+        """Combine two reports: every non-None field of ``other`` wins."""
+        updates = {k: v for k, v in vars(other).items() if v is not None}
+        return replace(self, **updates)
 
 
 def _family_envelope(fns: Sequence[Nonlinearity], name: str) -> tuple[float, float]:
@@ -291,12 +283,7 @@ def stability_constant(triple: NonlinearityTriple,
         beta_s = beta_s + alpha_s
     alpha_g, beta_g = _family_envelope(triple.g, "g")
     alpha_h, beta_h = _family_envelope(triple.h, "h")
-    p, q, pq_ok = resolve_exponents(triple.g, triple.h)
-    if not pq_ok:
-        raise ConfigError(
-            f"growth exponents (p={p}, q={q}) match none of the stability "
-            "branches; they must sum to 1"
-        )
+    p, q, _ = resolve_exponents(triple.g, triple.h)
     if p > 0 and q > 0:
         kappa = alpha_s * alpha_g * alpha_h * norm_a
         branch = "p>0,q>0"
@@ -306,12 +293,7 @@ def stability_constant(triple: NonlinearityTriple,
     else:
         kappa = alpha_s * alpha_h * beta_g * norm_a
         branch = "p=0,q=1"
-    return AssumptionReport(
-        kappa_s=float(kappa),
-        kappa_branch=branch,
-        sigma_invertible=all(fn.invertible for fn in triple.sigma),
-        pq_sum_ok=pq_ok,
-    )
+    return AssumptionReport(kappa_s=float(kappa), kappa_branch=branch)
 
 
 def assumption_report(traj: Trajectory, triple: NonlinearityTriple,
@@ -331,10 +313,7 @@ def assumption_report(traj: Trajectory, triple: NonlinearityTriple,
     if traj.n_steps < 2:
         raise ValueError("assumption_report needs at least two steps")
     tail = omega_tail_index(traj, triple, config)
-    _, _, pq_ok = resolve_exponents(triple.g, triple.h)
     return AssumptionReport(
-        sigma_invertible=all(fn.invertible for fn in triple.sigma),
-        pq_sum_ok=pq_ok,
         f0_condition=float(np.linalg.cond(f0_hat)) if f0_hat is not None else None,
         omega_moment_flag=not tail <= OMEGA_TAIL_CRITICAL,
         omega_tail_index=tail,

@@ -196,6 +196,8 @@ def test_experiment_config_error_exit(tmp_path, capsys):
     ({"sim": {"y0": float("nan")}}, "y0"),
     ({"sim": {"y0": [0, 1]}}, "y0"),
     ({"noise_std": float("inf")}, "noise_std"),
+    ({"save_trajectory": "no"}, "save_trajectory"),
+    ({"save_trajectory": 1}, "save_trajectory"),
 ])
 def test_experiment_mistyped_value_exit_config(tmp_path, capsys, overrides, key):
     cfg = dict(small_experiment_config(), **overrides)

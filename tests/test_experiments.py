@@ -1,7 +1,6 @@
 """Config expansion, experiment runs, and sweeps."""
 
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -221,8 +220,9 @@ def test_sweep_over_n_steps(tmp_path):
     sweep = {"base": small_config(), "axis": "n_steps",
              "values": [100, 200, 300], "master_seed": 7,
              "summary_estimator": "egg"}
-    summary = xp.run_sweep(sweep, tmp_path)
-    lines = Path(summary).read_text().splitlines()
+    rows = xp.run_sweep(sweep, tmp_path)
+    assert [row["index"] for row in rows] == [0, 1, 2]
+    lines = (tmp_path / "summary.csv").read_text().splitlines()
     assert lines[0] == ("index,value,estimator,edge_error_rate,"
                         "matrix_rel_error,identifiability_gap,error")
     assert len(lines) == 4
@@ -242,8 +242,8 @@ def test_sweep_failed_point_records_error_and_continues(tmp_path):
     base["estimators"] = ["egg"]
     sweep = {"base": base, "axis": "n_steps", "values": [200, 300],
              "master_seed": 1, "summary_estimator": "egg"}
-    summary = xp.run_sweep(sweep, tmp_path)
-    rows = Path(summary).read_text().splitlines()[1:]
+    xp.run_sweep(sweep, tmp_path)
+    rows = (tmp_path / "summary.csv").read_text().splitlines()[1:]
     assert len(rows) == 2
     for row in rows:
         assert "ill-conditioned" in row
@@ -261,6 +261,10 @@ def test_sweep_validation(tmp_path):
         xp.run_sweep({"base": base, "axis": "n_steps", "values": [100],
                       "master_seed": 1, "summary_estimator": "egg",
                       "stray": True}, tmp_path)
+    with pytest.raises(ConfigError, match="master_seed"):
+        xp.run_sweep({"base": base, "axis": "n_steps", "values": [100],
+                      "master_seed": True, "summary_estimator": "egg"}, tmp_path)
+    assert not list(tmp_path.glob("point_*"))
 
 
 def test_sweep_rejects_a_single_step_before_any_point_runs(tmp_path):
@@ -287,7 +291,8 @@ def test_sweep_delta_axis_switches_to_regularized(tmp_path):
 
 def test_sweep_observed_set_size_axis(tmp_path):
     sweep = {"base": small_config(), "axis": "observed_set_size",
-             "values": [2, 4], "master_seed": 11, "summary_estimator": "egg"}
+             "values": [2, 4], "master_seed": 11,
+             "summary_estimator": "egg_partial"}
     xp.run_sweep(sweep, tmp_path)
     for k, size in enumerate([2, 4]):
         cfg = json.loads(
@@ -299,12 +304,27 @@ def test_sweep_observed_set_size_axis(tmp_path):
 def test_sweep_workers_agree_with_serial(tmp_path):
     sweep = {"base": small_config(), "axis": "n_steps", "values": [100, 150],
              "master_seed": 5, "summary_estimator": "egg"}
-    serial = xp.run_sweep(sweep, tmp_path / "serial", workers=1)
-    parallel = xp.run_sweep(sweep, tmp_path / "parallel", workers=2)
-    assert Path(serial).read_text() == Path(parallel).read_text()
+    xp.run_sweep(sweep, tmp_path / "serial", workers=1)
+    xp.run_sweep(sweep, tmp_path / "parallel", workers=2)
+    assert (tmp_path / "serial" / "summary.csv").read_text() == \
+        (tmp_path / "parallel" / "summary.csv").read_text()
 
 
-@pytest.mark.parametrize("workers", [0, -1])
+@pytest.mark.parametrize("axis, values, summary_kind", [
+    ("observed_set_size", [2, 4], "egg"),
+    ("n_steps", [100, 200], "granger_partial"),
+    ("n_steps", [100, 200], "least_squares"),
+])
+def test_sweep_rejects_a_summary_kind_no_point_runs(tmp_path, axis, values,
+                                                    summary_kind):
+    sweep = {"base": small_config(), "axis": axis, "values": values,
+             "master_seed": 5, "summary_estimator": summary_kind}
+    with pytest.raises(ConfigError, match="summary_estimator"):
+        xp.run_sweep(sweep, tmp_path)
+    assert not list(tmp_path.glob("point_*"))
+
+
+@pytest.mark.parametrize("workers", [0, -1, True])
 def test_sweep_rejects_workers_below_one(tmp_path, workers):
     sweep = {"base": small_config(), "axis": "n_steps", "values": [100],
              "master_seed": 5, "summary_estimator": "egg"}

@@ -115,6 +115,14 @@ def test_inverse_roundtrip_grid(fn, lo, hi):
     assert np.abs(back - grid).max() <= 1e-10
 
 
+def test_identity_returns_a_new_array():
+    # writing to a result must never write into the caller's input
+    y = np.linspace(-2.0, 2.0, 9)
+    for out in (nl.identity().evaluate(y), nl.identity().evaluate_inverse(y)):
+        assert np.array_equal(out, y)
+        assert not np.shares_memory(out, y)
+
+
 def test_limiter_clamps():
     f = nl.limiter(-1.0, 1.0)
     assert f.evaluate(0.3) == 0.3
