@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import FunctionDomainError, SimulationDivergedError
 from .graphs import CombinationMatrix
-from .nonlinearities import _KERNELS, Nonlinearity
+from .nonlinearities import _KERNELS, Nonlinearity, _first_outside
 
 #: States whose magnitude exceeds this are treated as diverged.
 DIVERGENCE_LIMIT = 1e12
@@ -118,34 +118,54 @@ class _Family:
             out = np.empty_like(y, dtype=float)
         return self.apply(y, out)
 
-    def inverse(self, y: np.ndarray, epoch_offset: int = 0) -> np.ndarray:
+    @cached_property
+    def _inverses(self):
+        """Per group: ``(fn, nodes, inverse kernel, domain kernel)``.
+
+        Bound on first use, since only sigma families are ever inverted; a
+        kernel is None where the table has none.
+        """
+        def bind(binder, params):
+            return None if binder is None else binder(*params)
+        return [(fn, nodes, bind(_KERNELS[fn.kind][1], fn.params),
+                 bind(_KERNELS[fn.kind][2], fn.params))
+                for fn, nodes in self._groups]
+
+    def inverse(self, y: np.ndarray, epoch_offset: int = 0,
+                out: np.ndarray | None = None) -> np.ndarray:
         """Componentwise inverse with (epoch, node) context in errors.
 
         ``y`` is a float array with nodes on the last axis; for 2-d input
-        the first axis is epochs starting at ``epoch_offset``.  Groups are
-        checked in order, each once, and the first failing group reports
-        its first offending entry.
+        the first axis is epochs starting at ``epoch_offset``.  The result
+        is written into ``out`` (of ``y``'s shape, not overlapping it),
+        which a homogeneous family also uses as scratch for its domain
+        check, and returned.  Without ``out`` a new array is returned,
+        except that a homogeneous identity family returns ``y`` itself: a
+        Trajectory keeps a read-only buffer that owns its data, so
+        :func:`transform_to_additive` then shares it instead of copying.
+        Groups are checked in order, each once, and the first failing group
+        reports its first offending entry.
         """
-        out = None if self.homogeneous else np.empty_like(y, dtype=float)
-        for fn, nodes in self._groups:
-            _, inverse, domain = _KERNELS[fn.kind]
+        if out is None:
+            if self.homogeneous and self.fns[0].kind == "identity":
+                return y
+            out = np.empty_like(y, dtype=float)
+        for fn, nodes, inverse, radius in self._inverses:
             if inverse is None:
                 raise ValueError(f"{fn.kind}{fn.params} has no implemented inverse")
-            # A homogeneous family maps ``y`` itself: a view of it would not
-            # own its data, and a Trajectory would copy it.
-            sub = y if out is None else y[..., nodes]
-            bad = None if domain is None else domain(sub, *fn.params)
-            if bad is not None and bad.any():
-                pos = np.unravel_index(int(np.argmax(bad)), bad.shape)
+            sub = y if self.homogeneous else y[..., nodes]
+            res = out if self.homogeneous else np.empty_like(sub, dtype=float)
+            pos = None if radius is None else _first_outside(radius(sub, res))
+            if pos is not None:
                 raise FunctionDomainError(
                     f"input outside the domain of {fn.describe()} inverse",
                     float(sub[pos]),
                     node=int(np.arange(len(self.fns))[nodes][pos[-1]]),
                     epoch=epoch_offset + int(pos[0]) if sub.ndim == 2 else None,
                 )
-            if out is None:
-                return inverse(sub, *fn.params)
-            out[..., nodes] = inverse(sub, *fn.params)
+            inverse(sub, res)
+            if not self.homogeneous:
+                out[..., nodes] = res
         return out
 
 

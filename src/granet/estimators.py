@@ -209,7 +209,9 @@ def least_squares_estimate(traj: Trajectory, triple: NonlinearityTriple,
     n = lagmoments._pair_count(traj, triple, None)
     if n < 1:
         raise ValueError("least_squares_estimate needs at least one step")
-    targets, design = lagmoments._onelag_terms(triple, config, traj.states, 0, n)
+    targets, design = lagmoments._onelag_terms(
+        triple, config, traj.states, 0, n,
+        lagmoments._chunk_buffers(n, traj.n_nodes))
     coeffs, _, rank, singular_values = np.linalg.lstsq(design, targets, rcond=None)
     if rank < traj.n_nodes:
         cond = float(singular_values[0] / singular_values[-1]) \

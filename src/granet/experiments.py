@@ -364,7 +364,6 @@ def run_sweep(config: dict, out_dir: "str | Path",
     summary_kind = config.get("summary_estimator")
 
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     jobs = []
     for index, value in enumerate(values):
         point = _point_config(base, axis, value, master_seed, index)
@@ -373,6 +372,8 @@ def run_sweep(config: dict, out_dir: "str | Path",
                  f"summary_estimator: {kind!r} is not run at point {index}, "
                  f"whose estimators are {point['estimators']}")
         jobs.append((index, value, point, str(out_dir / f"point_{index:03d}"), kind))
+    # Only a sweep whose every point is valid makes its output directory.
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     workers = min(workers, len(jobs))
     if workers > 1:

@@ -14,11 +14,14 @@ ever dropped.
 
 Over a range of pairs, the weighted one-lag target ``omega * sigma^{-1}``
 is formed by one kernel, :func:`_onelag_terms`, which also zeroes the rows
-of singular base states.  Batch moments come from one chunk reducer,
-:func:`_moment_sums`, fed either by that kernel or, for the linear
-baselines, by raw state slices.  :func:`accumulate` is the per-step
-reference path.  All sums are plain (uncompensated): over 2e4 steps their
-relative error stays near 1e-14, far inside every tolerance checked here.
+of singular base states.  A chunked pass allocates two chunk buffers once
+(:func:`_chunk_buffers`) and writes every chunk into them in place; beyond
+those it holds only what a nonlinearity's own kernel allocates.  Batch
+moments come from one chunk reducer, :func:`_moment_sums`, fed either by
+that kernel or, for the linear baselines, by raw state slices.
+:func:`accumulate` is the per-step reference path.  All sums are plain
+(uncompensated): over 2e4 steps their relative error stays near 1e-14, far
+inside every tolerance checked here.
 """
 
 from __future__ import annotations
@@ -75,9 +78,16 @@ class WeightingConfig:
 
 
 def _regularized_weights(triple: NonlinearityTriple, delta: float,
-                         y: np.ndarray) -> np.ndarray:
-    """Clamped reciprocal weights; ``y`` has nodes on the last axis."""
-    clamped = np.array(y, dtype=float)
+                         y: np.ndarray, weights: np.ndarray,
+                         scratch: np.ndarray) -> None:
+    """Write the clamped reciprocal weights of ``y`` into ``weights``.
+
+    ``y`` has nodes on the last axis.  ``weights`` and ``scratch`` have its
+    shape and overlap neither it nor each other; ``weights`` first holds
+    the clamped states.
+    """
+    clamped = weights
+    clamped[...] = y
     for fn, nodes in triple.eval_g.groups():
         if fn.zeros is None:
             raise ValueError(
@@ -87,15 +97,24 @@ def _regularized_weights(triple: NonlinearityTriple, delta: float,
         if not fn.zeros:
             continue
         sub = y[..., nodes]
-        offsets = sub[..., None] - np.asarray(fn.zeros)
-        nearest = np.take_along_axis(
-            offsets, np.argmin(np.abs(offsets), axis=-1)[..., None], axis=-1
-        )[..., 0]
+        # Offset to the nearest root, the first one on ties.  For a
+        # homogeneous family ``scratch[..., nodes]`` is a view, so the
+        # offsets take no memory of their own; otherwise it is a new array.
+        nearest = np.subtract(sub, fn.zeros[0], out=scratch[..., nodes])
+        for root in fn.zeros[1:]:
+            offset = sub - root
+            np.copyto(nearest, offset, where=np.abs(offset) < np.abs(nearest))
         # Within delta of the nearest root, move the state to the boundary
-        # on its own side (ties at the root go to the upper boundary).
-        boundary = sub - nearest + delta * np.where(nearest >= 0, 1.0, -1.0)
-        clamped[..., nodes] = np.where(np.abs(nearest) < delta, boundary, sub)
-    return 1.0 / triple.eval_g(clamped)
+        # on its own side (ties at the root go to the upper boundary).  Two
+        # comparisons give |nearest| < delta without a float temporary.
+        near = nearest > -delta
+        near &= nearest < delta
+        offset = nearest[near]
+        group = clamped[..., nodes]
+        group[near] = sub[near] - offset + delta * np.where(offset >= 0, 1.0, -1.0)
+        clamped[..., nodes] = group
+    triple.eval_g(clamped, scratch)
+    np.divide(1.0, scratch, out=weights)
 
 
 def omega_eval(triple: NonlinearityTriple, config: WeightingConfig,
@@ -111,42 +130,67 @@ def omega_eval(triple: NonlinearityTriple, config: WeightingConfig,
         raise ValueError(
             f"state shape {y.shape} does not match n_nodes={triple.n_nodes}"
         )
-    weights, in_z = _omega_block(triple, config, y[None, :])
+    weights = np.empty((1, y.size))
+    in_z = _omega_block(triple, config, y[None, :], weights, np.empty_like(weights))
     return weights[0], bool(in_z[0])
 
 
 def _omega_block(triple: NonlinearityTriple, config: WeightingConfig,
-                 block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Weights and singular flags for a block of states (epochs x nodes)."""
+                 block: np.ndarray, weights: np.ndarray,
+                 scratch: np.ndarray) -> np.ndarray:
+    """Weights of a block of states (epochs x nodes), and its singular flags.
+
+    Writes the weights into ``weights`` and returns the per-epoch flags.
+    ``weights`` and ``scratch`` have ``block``'s shape and overlap neither
+    it nor each other; ``scratch`` is left undefined.
+    """
     if config.mode == "regularized":
-        weights = _regularized_weights(triple, config.delta, block)
-        return weights, np.zeros(block.shape[0], dtype=bool)
-    g_vals = triple.eval_g(block)
-    in_z = np.any(np.abs(g_vals) <= config.singular_tol, axis=1)
+        _regularized_weights(triple, config.delta, block, weights, scratch)
+        return np.zeros(block.shape[0], dtype=bool)
+    triple.eval_g(block, weights)
+    # Some |g_i| <= singular_tol exactly when the row's smallest |g_i| is;
+    # fmin skips NaN as the comparison would.
+    in_z = np.fmin.reduce(np.abs(weights, scratch), axis=1) <= config.singular_tol
     with np.errstate(divide="ignore"):
-        weights = 1.0 / g_vals
-    return weights, in_z
+        np.divide(1.0, weights, out=weights)
+    return in_z
+
+
+def _chunk_buffers(rows: int, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two ``(rows, n_nodes)`` buffers that one chunked pass reuses."""
+    return np.empty((rows, n_nodes)), np.empty((rows, n_nodes))
 
 
 def _onelag_terms(triple: NonlinearityTriple, config: WeightingConfig,
-                  states: np.ndarray, start: int,
-                  stop: int) -> tuple[np.ndarray, np.ndarray]:
+                  states: np.ndarray, start: int, stop: int,
+                  out: tuple[np.ndarray, np.ndarray],
+                  ) -> tuple[np.ndarray, np.ndarray]:
     """One-lag targets and regressors of the pairs ``k = start .. stop - 1``.
 
-    Returns ``(targets, h)`` with rows ``omega(y[k]) * sigma^{-1}(y[k+1])``
-    and ``h(y[k])``.  Target rows of singular base states (exact mode) are
-    zero, so those pairs only feed the zero-lag moment.  Domain errors of
-    ``sigma^{-1}`` name the epoch of ``y[k+1]``.
+    Writes rows ``omega(y[k]) * sigma^{-1}(y[k+1])`` and ``h(y[k])`` into
+    the first ``m = stop - start`` rows of the caller-owned buffers
+    ``out = (targets, h)`` and returns those two ``[:m]`` views.  Both
+    buffers have ``states``' width and at least ``m`` rows, so one pair
+    (see :func:`_chunk_buffers`) serves every chunk of a pass.  Each step
+    works in place: ``g`` then ``1/g`` in ``targets`` (``h`` is scratch
+    for the singular check), ``sigma^{-1}(y[k+1])`` in ``h`` and multiplied
+    into ``targets``, then ``h(y[k])`` in ``h``.  Target rows of singular
+    base states (exact mode) are zero, so those pairs only feed the
+    zero-lag moment.  Domain errors of ``sigma^{-1}`` name the epoch of
+    ``y[k+1]``.
     """
+    m = stop - start
+    targets, h = out[0][:m], out[1][:m]
     base = states[start:stop]
-    weights, in_z = _omega_block(triple, config, base)
+    in_z = _omega_block(triple, config, base, targets, h)
+    triple.eval_sigma.inverse(states[start + 1:stop + 1], epoch_offset=start + 1,
+                              out=h)
     with np.errstate(invalid="ignore"):
-        targets = weights * triple.eval_sigma.inverse(
-            states[start + 1:stop + 1], epoch_offset=start + 1
-        )
+        targets *= h
     if in_z.any():
         targets[in_z] = 0.0
-    return targets, triple.eval_h(base)
+    triple.eval_h(base, h)
+    return targets, h
 
 
 def _moment_sums(states: np.ndarray, n_pairs: int, terms=None,
@@ -261,9 +305,11 @@ def from_trajectory(traj: Trajectory, triple: NonlinearityTriple,
     but reduced chunkwise with matrix products for speed.
     """
     n = _pair_count(traj, triple, n_pairs)
+    buffers = _chunk_buffers(min(n, _BATCH_CHUNK), traj.n_nodes)
     f0_sum, f1_sum = _moment_sums(
         traj.states, n,
-        lambda start, stop: _onelag_terms(triple, config, traj.states, start, stop),
+        lambda start, stop: _onelag_terms(triple, config, traj.states, start,
+                                          stop, buffers),
     )
     return LagMatrices(n_nodes=traj.n_nodes, count=n, f0_sum=f0_sum, f1_sum=f1_sum)
 
@@ -297,14 +343,16 @@ def _weight_norms(traj: Trajectory, triple: NonlinearityTriple,
     n = _pair_count(traj, triple, n_pairs)
     norms = np.empty(n)
     valid = np.empty(n, dtype=bool)
+    buffers = _chunk_buffers(min(n, _BATCH_CHUNK), traj.n_nodes)
     for start in range(0, n, _BATCH_CHUNK):
         stop = min(start + _BATCH_CHUNK, n)
-        weights, in_z = _omega_block(triple, config, traj.states[start:stop])
-        valid[start:stop] = ~in_z
+        weights, scratch = (buf[:stop - start] for buf in buffers)
+        in_z = _omega_block(triple, config, traj.states[start:stop], weights,
+                            scratch)
+        np.logical_not(in_z, out=valid[start:stop])
         if in_z.any():
-            weights = weights.copy()
             weights[in_z] = 0.0
-        norms[start:stop] = np.einsum("ij,ij->i", weights, weights)
+        np.einsum("ij,ij->i", weights, weights, out=norms[start:stop])
     return norms, valid
 
 
@@ -324,15 +372,15 @@ def omega_tail_index(traj: Trajectory, triple: NonlinearityTriple,
     both unremarkable tails.
     """
     norms, valid = _weight_norms(traj, triple, config, n_pairs)
-    values = norms[valid]
-    k = max(_TAIL_MIN_TOP, int(values.size * _TAIL_TOP_FRACTION))
-    if k + 1 > values.size:
+    ordered = norms[valid]
+    k = max(_TAIL_MIN_TOP, int(ordered.size * _TAIL_TOP_FRACTION))
+    if k + 1 > ordered.size:
         return float("inf")
-    ordered = np.partition(values, values.size - k - 1)
-    pivot = ordered[values.size - k - 1]
+    ordered.partition(ordered.size - k - 1)
+    pivot = ordered[ordered.size - k - 1]
     if pivot <= 0:
         return float("inf")
-    log_excess = np.log(ordered[values.size - k:]) - np.log(pivot)
+    log_excess = np.log(ordered[ordered.size - k:]) - np.log(pivot)
     total = float(log_excess.sum())
     if total <= 0.0:
         return float("inf")
@@ -351,9 +399,11 @@ def running_onelag_max(traj: Trajectory, triple: NonlinearityTriple,
     f1_sum = np.zeros((traj.n_nodes, traj.n_nodes))
     epochs: list[int] = []
     peaks: list[float] = []
+    buffers = _chunk_buffers(min(n, _ONELAG_MAX_EVERY), traj.n_nodes)
     for start in range(0, n, _ONELAG_MAX_EVERY):
         stop = min(start + _ONELAG_MAX_EVERY, n)
-        targets, h_block = _onelag_terms(triple, config, traj.states, start, stop)
+        targets, h_block = _onelag_terms(triple, config, traj.states, start,
+                                         stop, buffers)
         f1_sum += targets.T @ h_block
         epochs.append(stop)
         peaks.append(float(np.max(np.abs(f1_sum))) / stop)

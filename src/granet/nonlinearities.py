@@ -16,10 +16,10 @@ in closed form (used to regularise reciprocal weights); ``None`` marks a
 function whose root set is not a finite set of isolated points.
 
 How a kind is evaluated, inverted and domain-checked lives in one table,
-``_KERNELS``: kind -> (binder, inverse or None, inverse-domain mask or
-None).  A kind is invertible exactly when the table has its inverse.  The
+``_KERNELS``: kind -> (binder, inverse binder or None, domain binder or
+None).  A kind is invertible exactly when the table has its inverse.  Each
 binder takes the kind's params once and returns a kernel ``kernel(y, out)``
-that writes the function of ``y`` into the caller-owned ``out`` and returns
+that writes its function of ``y`` into the caller-owned ``out`` and returns
 it.  Vector evaluators bind each kernel when they are built, so the
 simulator's epoch loop calls the kernel directly, with its own buffers and
 no per-call params.
@@ -85,21 +85,20 @@ class Nonlinearity:
         :class:`FunctionDomainError` naming the first offending value.  A
         scalar is handled as in :meth:`evaluate`.
         """
-        _, inverse, domain = _KERNELS[self.kind]
-        if inverse is None:
+        _, bind_inverse, bind_radius = _KERNELS[self.kind]
+        if bind_inverse is None:
             raise ValueError(f"{self.kind}{self.params} has no implemented inverse")
         arr = np.asarray(y, dtype=float)
         vec = np.atleast_1d(arr)
-        if domain is not None:
-            bad = domain(vec, *self.params)
-            if bad.any():
+        out = np.empty_like(vec)
+        if bind_radius is not None:
+            pos = _first_outside(bind_radius(*self.params)(vec, out))
+            if pos is not None:
                 raise FunctionDomainError(
                     f"input outside the domain of {self.describe()} inverse",
-                    float(vec[np.unravel_index(int(np.argmax(bad)), vec.shape)]),
+                    float(vec[pos]),
                 )
-        out = inverse(vec, *self.params)
-        if out is vec:  # the identity's inverse returns its input
-            out = out.copy()
+        out = bind_inverse(*self.params)(vec, out)
         return out if arr.ndim else float(out[0])
 
     def describe(self) -> str:
@@ -172,23 +171,56 @@ def _bind_sin_plus_signed_power(freq, a):
     return kernel
 
 
-# Per kind: (binder, inverse or None, mask of inputs outside the inverse's
-# domain or None when the inverse is defined on the whole line).  The binder
-# takes the kind's params and returns ``kernel(y, out)``: ``y`` is a float64
-# array, ``out`` an array of its shape that must not overlap it, and the
-# kernel writes the result into ``out`` and returns ``out``.  The inverse and
-# the mask take a float array followed by the params; the inverse returns
-# its result.
+def _bind_arctanh_shifted(c):
+    c = np.array(c, dtype=float)
+
+    def kernel(y, out):
+        np.subtract(y, c, out)
+        return np.arctanh(out, out)
+    return kernel
+
+
+def _bind_distance(c):
+    c = np.array(c, dtype=float)
+
+    def kernel(y, out):
+        np.subtract(y, c, out)
+        return np.abs(out, out)
+    return kernel
+
+
+def _first_outside(radius: np.ndarray) -> tuple[int, ...] | None:
+    """Index of the first entry of ``radius`` at or above 1, or None.
+
+    ``radius`` comes from a domain kernel, so such an entry lies outside
+    the inverse's domain; a NaN entry never does.  When every entry is
+    inside, the check costs one ``max`` and no temporary; the boolean mask
+    is formed only when the max is not below 1 (NaN included).
+    """
+    if radius.size == 0 or radius.max() < 1.0:
+        return None
+    bad = radius >= 1.0
+    if not bad.any():
+        return None
+    return np.unravel_index(int(np.argmax(bad)), bad.shape)
+
+
+# Per kind: (binder, inverse binder or None, domain binder or None when the
+# inverse is defined on the whole line).  Every binder takes the kind's
+# params and returns ``kernel(y, out)``: ``y`` is a float64 array, ``out``
+# an array of its shape that must not overlap it, and the kernel writes its
+# result into ``out`` and returns ``out``.  The forward kernel writes the
+# function, the inverse kernel its inverse, and the domain kernel a radius
+# that is below 1 exactly where ``y`` lies in the inverse's domain (see
+# :func:`_first_outside`).
 _KERNELS: dict[str, tuple[Callable, Callable | None, Callable | None]] = {
-    "identity": (lambda: _identity, lambda y: y, None),
+    "identity": (lambda: _identity, lambda: _identity, None),
     "constant_one": (lambda: _constant_one, None, None),
     "sign_power": (_bind_signed_power,
-                   lambda y, a: _bind_signed_power(1.0 / a)(y, np.empty_like(y)),
-                   None),
-    "tanh": (lambda: np.tanh, np.arctanh, lambda y: np.abs(y) >= 1.0),
-    "tanh_shifted": (_bind_tanh_shifted,
-                     lambda y, c: np.arctanh(y - c),
-                     lambda y, c: np.abs(y - c) >= 1.0),
+                   lambda a: _bind_signed_power(1.0 / a), None),
+    "tanh": (lambda: np.tanh, lambda: np.arctanh, lambda: np.abs),
+    "tanh_shifted": (_bind_tanh_shifted, _bind_arctanh_shifted,
+                     _bind_distance),
     "limiter": (lambda lo, hi: lambda y, out: np.clip(y, lo, hi, out=out),
                 None, None),
     "sin_plus_sign_power": (_bind_sin_plus_signed_power, None, None),

@@ -7,6 +7,7 @@ n_steps) and fully deterministic.
 """
 
 import functools
+import tracemalloc
 
 import pytest
 
@@ -47,3 +48,21 @@ def instance50():
 @pytest.fixture(scope="session")
 def trajectory_factory():
     return standard_trajectory
+
+
+@pytest.fixture
+def peak_traced_bytes():
+    """``measure(fn)`` calls ``fn()`` under tracemalloc.
+
+    Returns ``(result, peak)``: what ``fn`` returned and the peak of the
+    memory NumPy and Python allocated while it ran, in bytes.
+    """
+    def measure(fn):
+        tracemalloc.start()
+        try:
+            result = fn()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, peak
+    return measure

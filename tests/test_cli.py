@@ -223,6 +223,26 @@ def test_sweep_mistyped_delta_exit_config(tmp_path, capsys):
         assert not (tmp_path / "out" / "point_000").exists()
 
 
+@pytest.mark.parametrize("axis, values, summary", [
+    ("n_steps", [200, 1], None),
+    ("delta", [0.1, -0.5], None),
+    ("observed_set_size", [2, 7], None),
+    ("n_steps", [200], "nope"),
+], ids=["n_steps_1", "negative_delta", "observed_above_n_nodes",
+        "unknown_summary_kind"])
+def test_rejected_sweep_makes_no_out_directory(tmp_path, axis, values, summary):
+    sweep = {"base": small_experiment_config(), "axis": axis,
+             "values": values, "master_seed": 7}
+    if summary is not None:
+        sweep["summary_estimator"] = summary
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(sweep))
+    rc = cli.main(["sweep", "--config", str(cfg_path),
+                   "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+
+
 def test_invalid_json_config(tmp_path):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text("not json at all {")

@@ -1,6 +1,5 @@
 """Simulator behavior: exact reductions, determinism, guards."""
 
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -188,18 +187,14 @@ def test_divergence_screen_adds_no_warning():
     assert caught == []
 
 
-def test_simulate_peak_memory_is_one_state_buffer(instance50):
+def test_simulate_peak_memory_is_one_state_buffer(instance50, peak_traced_bytes):
     # the trajectory buffer is allocated once and handed to Trajectory:
     # no defensive copy, no separate noise block
     _, matrix = instance50
     triple = triple_preset("example1", 50)
-    tracemalloc.start()
-    try:
-        traj = simulate(matrix, triple, NoiseModel.uniform(50), 0.0, 100_000,
-                        seed=3)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    traj, peak = peak_traced_bytes(
+        lambda: simulate(matrix, triple, NoiseModel.uniform(50), 0.0, 100_000,
+                         seed=3))
     assert peak < 1.5 * traj.states.nbytes
     assert not traj.states.flags.writeable
 
@@ -283,6 +278,26 @@ def test_transform_tanh_sigma_is_arctanh():
     out = transform_to_additive(traj, triple)
     assert np.allclose(out.states, np.arctanh(traj.states), rtol=0, atol=0)
     assert out.n_steps == traj.n_steps
+
+
+def test_transform_domain_check_adds_no_full_temporary(instance50,
+                                                      peak_traced_bytes):
+    # the tanh domain check runs in the result buffer: no float or boolean
+    # mask of the trajectory's size
+    _, matrix = instance50
+    example2 = triple_preset("example2", 50)
+    shifted = NonlinearityTriple.uniform(nl.tanh_shifted(2.0), nl.constant_one(),
+                                         nl.identity(), 50)
+    states = 2.0 + np.tanh(np.random.default_rng(5).standard_normal((50_001, 50)))
+    cases = (
+        (simulate(matrix, example2, NoiseModel.uniform(50), 0.0, 50_000, seed=5),
+         example2, 0.0),
+        (Trajectory(states=states, seed=0), shifted, 2.0),
+    )
+    for traj, triple, shift in cases:
+        z, peak = peak_traced_bytes(lambda: transform_to_additive(traj, triple))
+        assert peak < 1.05 * traj.states.nbytes
+        assert np.array_equal(z.states, np.arctanh(traj.states - shift))
 
 
 def test_transform_domain_error_names_epoch_and_node():
@@ -376,15 +391,10 @@ def test_trajectory_rejects_nonfinite_states():
         Trajectory(states=bad, seed=0)
 
 
-def test_trajectory_finiteness_check_adds_no_full_temporary():
+def test_trajectory_finiteness_check_adds_no_full_temporary(peak_traced_bytes):
     states = np.random.default_rng(2).standard_normal((50_000, 50))
     states.setflags(write=False)
-    tracemalloc.start()
-    try:
-        traj = Trajectory(states=states, seed=0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    traj, peak = peak_traced_bytes(lambda: Trajectory(states=states, seed=0))
     assert traj.states is states
     # a full boolean temporary would be states.nbytes / 8
     assert peak < 0.05 * states.nbytes

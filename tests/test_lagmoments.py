@@ -370,3 +370,111 @@ def test_omega_tail_index_heavy_tail_is_low(trajectory_factory):
     tail = omega_tail_index(traj, triple, EXACT)
     assert np.isfinite(tail)
     assert tail < 2.0
+
+
+# --- reused chunk buffers --------------------------------------------------
+
+def _fresh_weights(triple, config, base):
+    """Weights and singular flags of ``base``, built from fresh arrays."""
+    if config.mode == "regularized":
+        clamped = base.copy()
+        for fn, nodes in triple.eval_g.groups():
+            if not fn.zeros:
+                continue
+            sub = base[..., nodes]
+            offsets = sub[..., None] - np.asarray(fn.zeros)
+            nearest = np.take_along_axis(
+                offsets, np.argmin(np.abs(offsets), axis=-1)[..., None], axis=-1
+            )[..., 0]
+            side = np.where(nearest >= 0, 1.0, -1.0)
+            boundary = sub - nearest + config.delta * side
+            clamped[..., nodes] = np.where(np.abs(nearest) < config.delta,
+                                           boundary, sub)
+        return 1.0 / triple.eval_g(clamped), np.zeros(len(base), dtype=bool)
+    g_vals = triple.eval_g(base)
+    with np.errstate(divide="ignore"):
+        return 1.0 / g_vals, np.any(np.abs(g_vals) <= config.singular_tol, axis=1)
+
+
+@pytest.mark.parametrize("preset, config", [
+    ("example1", EXACT),
+    ("example2", EXACT),
+    ("singular-h", EXACT),
+    ("singular-g", EXACT),
+    ("singular-g", WeightingConfig(mode="regularized", delta=0.1)),
+], ids=["example1", "example2", "singular-h", "singular-g-exact",
+        "singular-g-delta0.1"])
+def test_reused_buffers_match_fresh_chunks_bitwise(instance50, preset, config):
+    # two full chunks and a partial one; a stale row left in a reused
+    # buffer, or a changed order of sums, would change some bits
+    _, matrix = instance50
+    triple = triple_preset(preset, 50)
+    chunk = lagmoments._BATCH_CHUNK
+    n = 2 * chunk + 37
+    states = np.array(simulate(matrix, triple, NoiseModel.uniform(50), 0.0, n,
+                               seed=11).states)
+    states[n - 20, 3] = 0.0  # a root of every g here but singular-h's
+    traj = Trajectory(states=states, seed=11)
+
+    base_parts, cross_parts, norm_parts, valid_parts = [], [], [], []
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
+        base = states[start:stop]
+        weights, in_z = _fresh_weights(triple, config, base)
+        lead = triple.eval_sigma.inverse(states[start + 1:stop + 1])
+        with np.errstate(invalid="ignore"):
+            targets = weights * lead
+        targets[in_z] = 0.0
+        h = triple.eval_h(base)
+        base_parts.append(h.T @ h)
+        cross_parts.append(targets.T @ h)
+        weights[in_z] = 0.0
+        norm_parts.append(np.einsum("ij,ij->i", weights, weights))
+        valid_parts.append(~in_z)
+    singular = config.mode == "exact" and preset != "singular-h"
+    assert valid_parts[-1].tolist().count(False) == singular
+
+    lag = from_trajectory(traj, triple, config)
+    assert np.array_equal(lag.f0_sum, sum(base_parts, np.zeros((50, 50))))
+    assert np.array_equal(lag.f1_sum, sum(cross_parts, np.zeros((50, 50))))
+
+    norms, valid = np.concatenate(norm_parts), np.concatenate(valid_parts)
+    got_norms, got_valid = lagmoments._weight_norms(traj, triple, config, None)
+    assert np.array_equal(got_norms, norms) and np.array_equal(got_valid, valid)
+    values = norms[valid]
+    top = max(lagmoments._TAIL_MIN_TOP,
+              int(values.size * lagmoments._TAIL_TOP_FRACTION))
+    ordered = np.partition(values, values.size - top - 1)
+    pivot = ordered[values.size - top - 1]
+    total = float((np.log(ordered[values.size - top:]) - np.log(pivot)).sum())
+    expected = top / total if total > 0.0 else float("inf")
+    assert omega_tail_index(traj, triple, config) == expected
+
+
+_FOOTPRINT_PAIRS = 3 * lagmoments._BATCH_CHUNK
+#: Two reused chunk buffers of 50 nodes, and half of one to spare.
+_FOOTPRINT_BOUND = 2.5 * lagmoments._BATCH_CHUNK * 50 * 8
+
+
+@pytest.mark.parametrize("config", [
+    EXACT, WeightingConfig(mode="regularized", delta=0.1),
+], ids=["exact", "delta0.1"])
+def test_from_trajectory_holds_two_chunk_buffers(trajectory_factory,
+                                                 peak_traced_bytes, config):
+    traj = trajectory_factory("example1", 12, _FOOTPRINT_PAIRS)
+    triple = triple_preset("example1", 50)
+    _, peak = peak_traced_bytes(lambda: from_trajectory(traj, triple, config))
+    assert peak < _FOOTPRINT_BOUND
+
+
+@pytest.mark.parametrize("config", [
+    EXACT, WeightingConfig(mode="regularized", delta=0.1),
+], ids=["exact", "delta0.1"])
+def test_omega_tail_index_holds_two_chunk_buffers(trajectory_factory,
+                                                  peak_traced_bytes, config):
+    traj = trajectory_factory("example1", 12, _FOOTPRINT_PAIRS)
+    triple = triple_preset("example1", 50)
+    _, peak = peak_traced_bytes(lambda: omega_tail_index(traj, triple, config))
+    # plus the per-epoch norms, the regular-state mask and the copy of the
+    # regular norms that the Hill fit partitions in place
+    assert peak < _FOOTPRINT_BOUND + _FOOTPRINT_PAIRS * (8 + 1 + 8)

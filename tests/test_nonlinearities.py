@@ -56,6 +56,34 @@ def test_kernel_out_is_bit_equal_to_closed_form(fn):
                           expected.view(np.uint64))
 
 
+_INVERSE_REFERENCE = {
+    "identity": lambda y: y,
+    "sign_power": lambda y, a: np.copysign(np.abs(y) ** (1.0 / a), y),
+    "tanh": np.arctanh,
+    "tanh_shifted": lambda y, c: np.arctanh(y - c),
+}
+
+
+@pytest.mark.parametrize("fn", [
+    nl.identity(), nl.sign_power(0.5), nl.sign_power(2.0), nl.sign_power(0.3),
+    nl.tanh(), nl.tanh_shifted(-2.0),
+], ids=lambda fn: fn.describe())
+def test_inverse_kernel_out_is_bit_equal_to_closed_form(fn):
+    # the inverse column binds like the forward one: kernel(y, out)
+    assert {k for k, (_, inverse, _) in nl._KERNELS.items()
+            if inverse is not None} == set(_INVERSE_REFERENCE)
+    y = np.random.default_rng(9).uniform(-0.99, 0.99, (40, 7))
+    y[0, :2] = (0.0, -0.0)
+    if fn.kind == "tanh_shifted":
+        y += fn.params[0]
+    expected = _INVERSE_REFERENCE[fn.kind](y, *fn.params)
+    out = np.full_like(y, np.nan)
+    assert nl._KERNELS[fn.kind][1](*fn.params)(y, out) is out
+    assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
+    assert np.array_equal(fn.evaluate_inverse(y).view(np.uint64),
+                          expected.view(np.uint64))
+
+
 def test_tanh_at_origin():
     assert nl.tanh().evaluate(0.0) == 0.0
 
