@@ -9,8 +9,7 @@ trajectories via a weighted one-lag regression, with raw-moment linear
 estimators as baselines.
 """
 
-from .dynamics import (NoiseModel, NonlinearityTriple, Trajectory, simulate,
-                       transform_to_additive)
+from .dynamics import NoiseModel, NonlinearityTriple, Trajectory, simulate
 from .errors import (ConfigError, DegenerateClusterError, FunctionDomainError,
                      InvalidStateError, NearSingularError, NumericalError,
                      SimulationDivergedError, SingularMatrixError)
@@ -22,8 +21,8 @@ from .graphs import (CombinationMatrix, DirectedGraph,
                      build_combination_matrix, generate_binomial_graph,
                      subgraph, support_offdiagonal)
 from .lagmoments import (LagMatrices, WeightingConfig, accumulate, finalize,
-                         from_trajectory, omega_eval, omega_tail_index,
-                         running_onelag_max, running_weight_moment)
+                         from_trajectory, omega_tail_index, running_onelag_max,
+                         running_weight_moment)
 from .presets import triple_preset
 from .recovery import (AssumptionReport, ClusterSplit, RecoveryMetrics,
                        SortedProfile, assumption_report, classify_edges,
@@ -42,9 +41,8 @@ __all__ = [
     "assumption_report", "build_combination_matrix", "classify_edges",
     "correlation_estimate", "egg_estimate", "egg_from_trajectory", "finalize",
     "from_trajectory", "generate_binomial_graph", "granger_estimate",
-    "kmeans2_1d", "least_squares_estimate", "omega_eval", "omega_tail_index",
+    "kmeans2_1d", "least_squares_estimate", "omega_tail_index",
     "partial_estimate", "precision_estimate", "running_onelag_max",
     "running_weight_moment", "score", "simulate", "sorted_entry_profile",
-    "stability_constant", "subgraph", "support_offdiagonal",
-    "transform_to_additive", "triple_preset",
+    "stability_constant", "subgraph", "support_offdiagonal", "triple_preset",
 ]

@@ -93,7 +93,9 @@ def _cmd_estimate(args) -> int:
         mode="regularized" if args.delta > 0 else "exact",
         delta=args.delta,
     )
-    observed = [int(v) for v in args.observed.split(",")] if args.observed else None
+    observed = estimators._check_observed(
+        [int(v) for v in args.observed.split(",")] if args.observed else None,
+        traj.n_nodes)
     out = _out_dir(args)
     status = EXIT_OK
     for kind in (k.strip() for k in args.estimators.split(",")):

@@ -131,24 +131,19 @@ class _Family:
                  bind(_KERNELS[fn.kind][2], fn.params))
                 for fn, nodes in self._groups]
 
-    def inverse(self, y: np.ndarray, epoch_offset: int = 0,
+    def inverse(self, y: np.ndarray, epoch_offset: int | None = 0,
                 out: np.ndarray | None = None) -> np.ndarray:
         """Componentwise inverse with (epoch, node) context in errors.
 
         ``y`` is a float array with nodes on the last axis; for 2-d input
-        the first axis is epochs starting at ``epoch_offset``.  The result
-        is written into ``out`` (of ``y``'s shape, not overlapping it),
+        the first axis is epochs starting at ``epoch_offset``, and errors
+        name no epoch when it is None.  The result is written into ``out``
+        (of ``y``'s shape, not overlapping it; a new array when None),
         which a homogeneous family also uses as scratch for its domain
-        check, and returned.  Without ``out`` a new array is returned,
-        except that a homogeneous identity family returns ``y`` itself: a
-        Trajectory keeps a read-only buffer that owns its data, so
-        :func:`transform_to_additive` then shares it instead of copying.
-        Groups are checked in order, each once, and the first failing group
-        reports its first offending entry.
+        check, and returned.  Groups are checked in order, each once, and
+        the first failing group reports its first offending entry.
         """
         if out is None:
-            if self.homogeneous and self.fns[0].kind == "identity":
-                return y
             out = np.empty_like(y, dtype=float)
         for fn, nodes, inverse, radius in self._inverses:
             if inverse is None:
@@ -161,7 +156,8 @@ class _Family:
                     f"input outside the domain of {fn.describe()} inverse",
                     float(sub[pos]),
                     node=int(np.arange(len(self.fns))[nodes][pos[-1]]),
-                    epoch=epoch_offset + int(pos[0]) if sub.ndim == 2 else None,
+                    epoch=None if epoch_offset is None or sub.ndim < 2
+                    else epoch_offset + int(pos[0]),
                 )
             inverse(sub, res)
             if not self.homogeneous:
@@ -398,22 +394,3 @@ def simulate(matrix: CombinationMatrix, triple: NonlinearityTriple,
         done += m
     states.setflags(write=False)
     return Trajectory(states=states, seed=seed)
-
-
-def transform_to_additive(traj: Trajectory,
-                          triple: NonlinearityTriple) -> Trajectory:
-    """Map a trajectory through ``sigma^{-1}`` componentwise.
-
-    The result follows the additive recursion
-    ``z[n+1] = g(sigma(z[n])) * (A @ h(sigma(z[n]))) + x[n+1]``.  States
-    outside the domain of some ``sigma_i^{-1}`` raise a domain error naming
-    epoch and node.
-    """
-    if triple.n_nodes != traj.n_nodes:
-        raise ValueError(
-            f"dimension mismatch: trajectory {traj.n_nodes}, "
-            f"triple {triple.n_nodes}"
-        )
-    z = triple.eval_sigma.inverse(traj.states, epoch_offset=0)
-    z.setflags(write=False)
-    return Trajectory(states=z, seed=traj.seed)

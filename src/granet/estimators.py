@@ -54,6 +54,28 @@ def _check_kinds(kinds: Sequence, observed, key: str = "estimators") -> None:
             raise ConfigError(f"{key}: partial estimation requires observed_set")
 
 
+def _check_observed(observed, n_nodes: int) -> list[int] | None:
+    """The observed set sorted, or None when there is none.
+
+    A set that is not a non-empty sequence of distinct integer nodes in
+    ``[0, n_nodes)`` is a ConfigError, whatever estimator runs.
+    """
+    if observed is None:
+        return None
+    if isinstance(observed, str) or not (isinstance(observed, Sequence)
+                                         and observed):
+        raise ConfigError("observed_set: must be a non-empty list or null")
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+               and 0 <= v < n_nodes for v in observed):
+        raise ConfigError(
+            f"observed_set: nodes must be integers in range [0, {n_nodes}), "
+            f"got {list(observed)}"
+        )
+    if len(set(observed)) != len(observed):
+        raise ConfigError("observed_set: nodes must be distinct")
+    return sorted(int(v) for v in observed)
+
+
 def _check_cond_limit(cond_limit: float) -> None:
     """Reject a condition-number limit that is not a number above zero."""
     if not cond_limit > 0:
@@ -66,10 +88,12 @@ def run_estimator(kind: str, traj: Trajectory, triple: NonlinearityTriple,
                   cond_limit: float = DEFAULT_COND_LIMIT) -> EstimateReport:
     """Run estimator ``kind``; partial kinds estimate on the ``observed`` nodes.
 
-    An unknown kind, a partial kind without ``observed``, or a ``cond_limit``
-    that is not above zero (NaN included) is a ConfigError.
+    An unknown kind, a partial kind without ``observed``, an ``observed``
+    set that :func:`_check_observed` rejects (for any kind), or a
+    ``cond_limit`` that is not above zero (NaN included) is a ConfigError.
     """
     _check_kinds((kind,), observed)
+    _check_observed(observed, traj.n_nodes)
     _check_cond_limit(cond_limit)
     return _TABLE[kind][1](traj=traj, triple=triple, config=config,
                            observed=observed, cond_limit=cond_limit)
@@ -239,15 +263,7 @@ def partial_estimate(traj: Trajectory, observed: Sequence[int], kind: str,
         raise ValueError(f"kind {kind!r} has no partial form in {_PARTIAL_KINDS}")
     if observed is None:
         raise ValueError("observed node set is required for partial estimation")
-    observed = sorted(int(v) for v in observed)
-    if not observed:
-        raise ValueError("observed set must be non-empty")
-    if len(set(observed)) != len(observed):
-        raise ValueError("observed set must contain distinct nodes")
-    if observed[0] < 0 or observed[-1] >= traj.n_nodes:
-        raise ValueError(
-            f"observed nodes must lie in [0, {traj.n_nodes}), got {observed}"
-        )
+    observed = _check_observed(observed, traj.n_nodes)
     # np.take, unlike traj.states[:, observed], returns an array that owns
     # its data, so the Trajectory keeps it without a copy.
     columns = np.take(traj.states, observed, axis=1)

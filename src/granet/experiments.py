@@ -128,16 +128,8 @@ def expand_config(raw: dict) -> dict:
              "save_trajectory: must be null, true or false")
     _require(isinstance(base["estimators"], list) and base["estimators"],
              "estimators: must be a non-empty list")
-    observed = base["observed_set"]
-    if observed is not None:
-        _require(isinstance(observed, list) and observed,
-                 "observed_set: must be a non-empty list or null")
-        _require(all(_number(v, int) and 0 <= v < graph["n_nodes"]
-                     for v in observed),
-                 "observed_set: nodes must be integers in range")
-        _require(len(set(observed)) == len(observed),
-                 "observed_set: nodes must be distinct")
-        base["observed_set"] = sorted(observed)
+    observed = estimators._check_observed(base["observed_set"], graph["n_nodes"])
+    base["observed_set"] = observed
     estimators._check_kinds(base["estimators"], observed)
     estimators._check_cond_limit(base["cond_limit"])
     _require(base["norm"] in ("infinity", "two"),

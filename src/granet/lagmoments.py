@@ -12,14 +12,15 @@ mode the reciprocal weight is clamped near each root of ``g_i`` (constant
 on a ``delta``-neighbourhood, equal to its boundary value) so no step is
 ever dropped.
 
-Over a range of pairs, the weighted one-lag target ``omega * sigma^{-1}``
-is formed by one kernel, :func:`_onelag_terms`, which also zeroes the rows
-of singular base states.  A chunked pass allocates two chunk buffers once
+The weighted one-lag target ``omega * sigma^{-1}`` is formed by one
+kernel, :func:`_onelag_terms`, which also zeroes the rows of singular base
+states.  A chunked pass allocates two chunk buffers once
 (:func:`_chunk_buffers`) and writes every chunk into them in place; beyond
 those it holds only what a nonlinearity's own kernel allocates.  Batch
 moments come from one chunk reducer, :func:`_moment_sums`, fed either by
 that kernel or, for the linear baselines, by raw state slices.
-:func:`accumulate` is the per-step reference path.  All sums are plain
+:func:`accumulate` adds one step through the same kernel, as a chunk of
+one pair, so it has no weighting code of its own.  All sums are plain
 (uncompensated): over 2e4 steps their relative error stays near 1e-14, far
 inside every tolerance checked here.
 """
@@ -117,24 +118,6 @@ def _regularized_weights(triple: NonlinearityTriple, delta: float,
     np.divide(1.0, scratch, out=weights)
 
 
-def omega_eval(triple: NonlinearityTriple, config: WeightingConfig,
-               y: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Reciprocal weight vector at one state.
-
-    Returns ``(weights, in_singular_set)``.  In exact mode a singular state
-    is flagged rather than raising, and the affected weights are infinite;
-    in regularised mode the flag is always False.
-    """
-    y = np.asarray(y, dtype=float)
-    if y.shape != (triple.n_nodes,):
-        raise ValueError(
-            f"state shape {y.shape} does not match n_nodes={triple.n_nodes}"
-        )
-    weights = np.empty((1, y.size))
-    in_z = _omega_block(triple, config, y[None, :], weights, np.empty_like(weights))
-    return weights[0], bool(in_z[0])
-
-
 def _omega_block(triple: NonlinearityTriple, config: WeightingConfig,
                  block: np.ndarray, weights: np.ndarray,
                  scratch: np.ndarray) -> np.ndarray:
@@ -163,7 +146,7 @@ def _chunk_buffers(rows: int, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _onelag_terms(triple: NonlinearityTriple, config: WeightingConfig,
                   states: np.ndarray, start: int, stop: int,
-                  out: tuple[np.ndarray, np.ndarray],
+                  out: tuple[np.ndarray, np.ndarray], epochs: bool = True,
                   ) -> tuple[np.ndarray, np.ndarray]:
     """One-lag targets and regressors of the pairs ``k = start .. stop - 1``.
 
@@ -176,15 +159,16 @@ def _onelag_terms(triple: NonlinearityTriple, config: WeightingConfig,
     for the singular check), ``sigma^{-1}(y[k+1])`` in ``h`` and multiplied
     into ``targets``, then ``h(y[k])`` in ``h``.  Target rows of singular
     base states (exact mode) are zero, so those pairs only feed the
-    zero-lag moment.  Domain errors of ``sigma^{-1}`` name the epoch of
-    ``y[k+1]``.
+    zero-lag moment.  Domain errors of ``sigma^{-1}`` name the node and,
+    when ``epochs`` is true (the rows of ``states`` are a trajectory's
+    epochs), the epoch of ``y[k+1]``.
     """
     m = stop - start
     targets, h = out[0][:m], out[1][:m]
     base = states[start:stop]
     in_z = _omega_block(triple, config, base, targets, h)
-    triple.eval_sigma.inverse(states[start + 1:stop + 1], epoch_offset=start + 1,
-                              out=h)
+    triple.eval_sigma.inverse(states[start + 1:stop + 1],
+                              epoch_offset=start + 1 if epochs else None, out=h)
     with np.errstate(invalid="ignore"):
         targets *= h
     if in_z.any():
@@ -282,15 +266,27 @@ def accumulate(lag: LagMatrices, triple: NonlinearityTriple,
                y_k1: np.ndarray) -> LagMatrices:
     """Add one step ``(y[k], y[k+1])`` to the running sums, in place.
 
-    The zero-lag term is always added; the one-lag term is dropped when the
-    base state is singular in exact mode.  Returns ``lag`` for chaining.
+    The step is the one-pair case of :func:`_onelag_terms`: the zero-lag
+    term is always added, and the one-lag term is zero when the base state
+    is singular in exact mode.  ``y_k`` and ``y_k1`` must both have shape
+    ``(n_nodes,)`` and ``lag`` must cover the triple's nodes; otherwise a
+    ValueError names the shapes and the sums are left as they were.  The
+    pair is not an epoch of a trajectory, so a domain error names only the
+    node.  Returns ``lag`` for chaining.
     """
-    h_vals = triple.eval_h(np.asarray(y_k, dtype=float))
-    weights, in_z = omega_eval(triple, config, np.asarray(y_k, dtype=float))
-    lag.f0_sum += np.outer(h_vals, h_vals)
-    if not in_z:
-        target = weights * triple.eval_sigma.inverse(np.asarray(y_k1, dtype=float))
-        lag.f1_sum += np.outer(target, h_vals)
+    n = triple.n_nodes
+    shapes = np.shape(y_k), np.shape(y_k1)
+    if shapes != ((n,), (n,)) or lag.n_nodes != n:
+        raise ValueError(
+            f"step shapes {shapes[0]} and {shapes[1]} and an accumulator over "
+            f"{lag.n_nodes} nodes do not match a triple over {n} nodes"
+        )
+    pair = np.empty((2, n))
+    pair[0], pair[1] = y_k, y_k1
+    targets, h = _onelag_terms(triple, config, pair, 0, 1, _chunk_buffers(1, n),
+                               epochs=False)
+    lag.f0_sum += h.T @ h
+    lag.f1_sum += targets.T @ h
     lag.count += 1
     return lag
 
@@ -300,9 +296,11 @@ def from_trajectory(traj: Trajectory, triple: NonlinearityTriple,
                     n_pairs: int | None = None) -> LagMatrices:
     """Accumulate a whole trajectory in vectorised chunks.
 
-    Equivalent to calling :func:`accumulate` over consecutive pairs
+    Gives the sums of calling :func:`accumulate` on consecutive pairs
     ``(y[k], y[k+1])`` for ``k = 0 .. n_pairs - 1`` (default: all steps),
-    but reduced chunkwise with matrix products for speed.
+    with the same errors except that a domain error also names the epoch;
+    both run :func:`_onelag_terms`, here over chunks of pairs reduced with
+    matrix products.
     """
     n = _pair_count(traj, triple, n_pairs)
     buffers = _chunk_buffers(min(n, _BATCH_CHUNK), traj.n_nodes)

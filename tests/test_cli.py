@@ -129,6 +129,22 @@ def test_estimate_partial_with_observed(pipeline, tmp_path):
     assert payload["observed_set"] == [0, 2, 4]
 
 
+@pytest.mark.parametrize("observed, reason", [
+    ("0,9", "integers in range"), ("-1", "integers in range"),
+    ("0,0", "distinct"),
+], ids=["node_above_n_nodes", "negative_node", "repeated_node"])
+def test_estimate_checks_observed_for_every_kind(pipeline, tmp_path, capsys,
+                                                 observed, reason):
+    # egg reads no observed set, yet a bad one is still rejected up front
+    rc = cli.main(["estimate", "--trajectory",
+                   str(pipeline / "sim" / "trajectory.csv"),
+                   "--triple", "linear", "--estimators", "egg",
+                   "--observed", observed, "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_CONFIG
+    assert f"observed_set: nodes must be {reason}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("limit", ["-1", "0", "nan"])
 def test_estimate_cond_limit_must_be_positive(pipeline, tmp_path, capsys, limit):
     rc = cli.main(["estimate", "--trajectory",

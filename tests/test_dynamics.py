@@ -15,7 +15,6 @@ from granet import (
     build_combination_matrix,
     generate_binomial_graph,
     simulate,
-    transform_to_additive,
     triple_preset,
 )
 from granet import nonlinearities as nl
@@ -258,26 +257,15 @@ def test_family_apply_is_bit_equal_to_per_node_evaluate():
     assert _Family((nl.tanh(),) * 4).apply is np.tanh
 
 
-def test_transform_identity_sigma_is_identity(instance50):
-    _, matrix = instance50
-    triple = triple_preset("linear", 50)
-    traj = simulate(matrix, triple, NoiseModel.uniform(50), 0.0, 50, seed=1)
-    out = transform_to_additive(traj, triple)
-    assert np.array_equal(out.states, traj.states)
-    # a homogeneous identity sigma maps the read-only states themselves,
-    # which the new Trajectory keeps without a copy
-    assert np.shares_memory(out.states, traj.states)
-
-
 def test_transform_tanh_sigma_is_arctanh():
     n = 4
     triple = NonlinearityTriple(sigma=(nl.tanh(),) * n, g=(nl.constant_one(),) * n,
                                 h=(nl.tanh(),) * n)
     matrix = build_combination_matrix(generate_binomial_graph(n, 0.5, 9), 0.5)
     traj = simulate(matrix, triple, NoiseModel.uniform(n), 0.0, 200, seed=8)
-    out = transform_to_additive(traj, triple)
-    assert np.allclose(out.states, np.arctanh(traj.states), rtol=0, atol=0)
-    assert out.n_steps == traj.n_steps
+    out = triple.eval_sigma.inverse(traj.states)
+    assert np.allclose(out, np.arctanh(traj.states), rtol=0, atol=0)
+    assert out.shape == traj.states.shape
 
 
 def test_transform_domain_check_adds_no_full_temporary(instance50,
@@ -295,9 +283,9 @@ def test_transform_domain_check_adds_no_full_temporary(instance50,
         (Trajectory(states=states, seed=0), shifted, 2.0),
     )
     for traj, triple, shift in cases:
-        z, peak = peak_traced_bytes(lambda: transform_to_additive(traj, triple))
+        z, peak = peak_traced_bytes(lambda: triple.eval_sigma.inverse(traj.states))
         assert peak < 1.05 * traj.states.nbytes
-        assert np.array_equal(z.states, np.arctanh(traj.states - shift))
+        assert np.array_equal(z, np.arctanh(traj.states - shift))
 
 
 def test_transform_domain_error_names_epoch_and_node():
@@ -308,7 +296,7 @@ def test_transform_domain_error_names_epoch_and_node():
     states[2, 1] = 1.0  # outside the open range of tanh
     traj = Trajectory(states=states, seed=0)
     with pytest.raises(FunctionDomainError) as err:
-        transform_to_additive(traj, triple)
+        triple.eval_sigma.inverse(traj.states)
     msg = str(err.value)
     assert "epoch 2" in msg and "node 1" in msg
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from granet import (
+    FunctionDomainError,
     InvalidStateError,
     LagMatrices,
     NoiseModel,
@@ -17,7 +18,6 @@ from granet import (
     finalize,
     from_trajectory,
     generate_binomial_graph,
-    omega_eval,
     omega_tail_index,
     running_onelag_max,
     running_weight_moment,
@@ -34,10 +34,19 @@ def linear_triple(n):
     return triple_preset("linear", n)
 
 
+def omega_at(triple, config, y):
+    """Weights and singular flag of one state, through the block kernel."""
+    block = np.asarray(y, dtype=float)[None, :]
+    weights = np.empty_like(block)
+    in_z = lagmoments._omega_block(triple, config, block, weights,
+                                   np.empty_like(block))
+    return weights[0], bool(in_z[0])
+
+
 # --- omega -----------------------------------------------------------------
 
 def test_omega_constant_one_gives_unit_weights():
-    w, in_z = omega_eval(linear_triple(3), EXACT, np.array([0.3, -5.0, 0.0]))
+    w, in_z = omega_at(linear_triple(3), EXACT, np.array([0.3, -5.0, 0.0]))
     assert np.array_equal(w, np.ones(3))
     assert in_z is False
 
@@ -46,20 +55,20 @@ def test_omega_sign_power_flags_origin():
     triple = NonlinearityTriple(sigma=(nl.identity(),),
                                 g=(nl.sign_power(0.3),),
                                 h=(nl.sign_power(0.7),))
-    _, in_z = omega_eval(triple, EXACT, np.array([0.0]))
+    _, in_z = omega_at(triple, EXACT, np.array([0.0]))
     assert in_z is True
-    _, in_z = omega_eval(triple, EXACT, np.array([0.5]))
+    _, in_z = omega_at(triple, EXACT, np.array([0.5]))
     assert in_z is False
 
 
 def test_omega_regularized_boundary_fill():
     triple = triple_preset("singular-g", 1)  # g is the identity
     cfg = WeightingConfig(mode="regularized", delta=0.1)
-    w, in_z = omega_eval(triple, cfg, np.array([0.05]))
+    w, in_z = omega_at(triple, cfg, np.array([0.05]))
     assert w[0] == pytest.approx(10.0, abs=1e-12)
     assert in_z is False
     # outside the neighborhood, the raw reciprocal
-    w, _ = omega_eval(triple, cfg, np.array([0.5]))
+    w, _ = omega_at(triple, cfg, np.array([0.5]))
     assert w[0] == pytest.approx(2.0, abs=1e-12)
 
 
@@ -71,7 +80,7 @@ def test_omega_regularized_heterogeneous_matches_per_node_clamp():
     cfg = WeightingConfig(mode="regularized", delta=delta)
     y = np.random.default_rng(4).normal(scale=0.1, size=(40, 6))
     y[:4] = [[0.0] * 6, [delta] * 6, [-delta] * 6, [0.7] * 6]
-    got = np.array([omega_eval(triple, cfg, row)[0] for row in y])
+    got = np.array([omega_at(triple, cfg, row)[0] for row in y])
     for node, fn in enumerate(g):
         # the clamp formula, one node (column) at a time
         sub = y[:, node]
@@ -200,14 +209,90 @@ def test_from_trajectory_prefix_matches_manual_loop():
         1.0, np.abs(lag.f1_sum).max())
 
 
-def test_empty_batch_then_one_step_matches_a_fresh_accumulator():
-    triple = linear_triple(2)
-    traj = Trajectory(states=[[1.0, 0.0], [0.0, 1.0]], seed=0)
-    lag = accumulate(from_trajectory(traj, triple, EXACT, n_pairs=0), triple,
-                     EXACT, traj.states[0], traj.states[1])
-    fresh = from_trajectory(traj, triple, EXACT)
-    assert np.array_equal(lag.f0_sum, fresh.f0_sum)
-    assert np.array_equal(lag.f1_sum, fresh.f1_sum)
+@pytest.mark.parametrize("preset, config", [
+    ("example1", EXACT),
+    ("example2", EXACT),
+    ("singular-g", EXACT),
+    ("singular-g", WeightingConfig(mode="regularized", delta=0.1)),
+    ("singular-h", EXACT),
+], ids=["example1", "example2", "singular-g-exact", "singular-g-delta0.1",
+        "singular-h"])
+def test_empty_batch_then_one_step_matches_a_fresh_accumulator(preset, config):
+    # node 1 of the base state sits at the root 0 of every g here but
+    # singular-h's, which is constant
+    triple = triple_preset(preset, 3)
+    lead = [2.5, -2.5, 0.4] if preset == "singular-h" else [0.4, -0.5, 0.6]
+    traj = Trajectory(states=[[0.3, 0.0, -0.2], lead], seed=0)
+    at_root = (triple.eval_g(traj.states[0]) == 0.0).tolist()
+    assert at_root == [False, preset != "singular-h", False]
+    lag = accumulate(from_trajectory(traj, triple, config, n_pairs=0), triple,
+                     config, traj.states[0], traj.states[1])
+    fresh = from_trajectory(traj, triple, config)
+    assert np.array_equal(lag.f0_sum.view(np.uint64), fresh.f0_sum.view(np.uint64))
+    assert np.array_equal(lag.f1_sum.view(np.uint64), fresh.f1_sum.view(np.uint64))
+    # exact mode drops the whole one-lag row of a singular base state
+    dropped = config.mode == "exact" and any(at_root)
+    assert lag.f1_sum.any() != dropped
+
+
+@pytest.mark.parametrize("preset, config", [
+    ("example1", EXACT),
+    ("example2", EXACT),
+    ("linear", EXACT),
+    ("singular-h", EXACT),
+    ("singular-g", EXACT),
+    ("singular-g", WeightingConfig(mode="regularized", delta=0.1)),
+], ids=["example1", "example2", "linear", "singular-h", "singular-g-exact",
+        "singular-g-delta0.1"])
+def test_accumulate_matches_the_per_step_formula_bitwise(trajectory_factory,
+                                                         preset, config):
+    # the one-pair kernel adds the outer products of h(y[k]) and of the
+    # weighted target, and nothing for the one-lag term of a singular base
+    triple = triple_preset(preset, 50)
+    states = np.array(trajectory_factory(preset, 3001, 2000).states)
+    states[100, 7] = 0.0  # a root of every g here but the constant ones
+    lag = LagMatrices(n_nodes=50)
+    f0_ref, f1_ref = np.zeros((50, 50)), np.zeros((50, 50))
+    for k in range(2000):
+        accumulate(lag, triple, config, states[k], states[k + 1])
+        h = triple.eval_h(states[k])
+        w, in_z = omega_at(triple, config, states[k])
+        f0_ref += np.outer(h, h)
+        if not in_z:
+            f1_ref += np.outer(w * triple.eval_sigma.inverse(states[k + 1]), h)
+    assert np.array_equal(lag.f0_sum.view(np.uint64), f0_ref.view(np.uint64))
+    assert np.array_equal(lag.f1_sum.view(np.uint64), f1_ref.view(np.uint64))
+
+
+@pytest.mark.parametrize("y_k1, n_nodes, shapes", [
+    (np.zeros(1), 3, r"\(3,\) and \(1,\) and an accumulator over 3 nodes"),
+    (0.5, 3, r"\(3,\) and \(\) and an accumulator over 3 nodes"),
+    (np.zeros(3), 4, r"\(3,\) and \(3,\) and an accumulator over 4 nodes"),
+], ids=["one-node-lead", "scalar-lead", "four-node-accumulator"])
+def test_accumulate_rejects_mismatched_shapes(y_k1, n_nodes, shapes):
+    lag = LagMatrices(n_nodes=n_nodes)
+    with pytest.raises(ValueError, match=f"step shapes {shapes} .* 3 nodes"):
+        accumulate(lag, linear_triple(3), EXACT, np.zeros(3), y_k1)
+    assert lag.count == 0
+    assert not lag.f0_sum.any() and not lag.f1_sum.any()
+
+
+def test_singular_base_still_checks_the_next_state():
+    # the one-lag term of a singular base state is zeroed, not skipped, so
+    # sigma^{-1} checks y[k+1] in both paths
+    triple = triple_preset("example2", 3)  # g(0) = 0, sigma = tanh
+    states = [[0.3, 0.0, -0.2], [0.4, 1.0, 0.6]]
+    lag = LagMatrices(n_nodes=3)
+    with pytest.raises(FunctionDomainError) as err:
+        accumulate(lag, triple, EXACT, states[0], states[1])
+    # a lone pair is no epoch of a trajectory, so only the node is named
+    assert (err.value.epoch, err.value.node) == (None, 1)
+    assert str(err.value) == ("input outside the domain of tanh inverse "
+                              "at node 1: value 1.0")
+    assert lag.count == 0 and not lag.f0_sum.any()
+    with pytest.raises(FunctionDomainError) as err:
+        from_trajectory(Trajectory(states=states, seed=0), triple, EXACT)
+    assert (err.value.epoch, err.value.node) == (1, 1)
 
 
 def test_moment_identity_per_sample():
@@ -224,7 +309,7 @@ def test_moment_identity_per_sample():
     rhs = np.zeros((n, n))
     singular_epochs = []
     for k in range(steps):
-        w, in_z = omega_eval(triple, EXACT, traj.states[k])
+        w, in_z = omega_at(triple, EXACT, traj.states[k])
         h_k = triple.eval_h(traj.states[k])
         if in_z:
             singular_epochs.append(k)
@@ -270,7 +355,7 @@ def test_plain_summation_tracks_extended_precision(trajectory_factory):
     h_rows, target_rows = [], []
     for k in range(n_pairs):
         accumulate(lag, triple, EXACT, traj.states[k], traj.states[k + 1])
-        w, in_z = omega_eval(triple, EXACT, traj.states[k])
+        w, in_z = omega_at(triple, EXACT, traj.states[k])
         h_rows.append(triple.eval_h(traj.states[k]))
         target_rows.append(np.zeros(50) if in_z
                            else w * triple.eval_sigma.inverse(traj.states[k + 1]))
