@@ -20,7 +20,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import estimators, experiments, fileio, presets, recovery
+from . import estimators, experiments, fileio, lagmoments, presets, recovery
 from .dynamics import NoiseModel, NonlinearityTriple, simulate
 from .errors import ConfigError, NumericalError
 from .graphs import (CombinationMatrix, build_combination_matrix,
@@ -93,12 +93,16 @@ def _cmd_estimate(args) -> int:
         mode="regularized" if args.delta > 0 else "exact",
         delta=args.delta,
     )
+    lagmoments._check_regularizable(triple, weighting)
     observed = estimators._check_observed(
         [int(v) for v in args.observed.split(",")] if args.observed else None,
         traj.n_nodes)
+    kinds = [k.strip() for k in args.estimators.split(",")]
+    estimators._check_kinds(kinds, observed)
+    estimators._check_cond_limit(args.cond_limit)
     out = _out_dir(args)
     status = EXIT_OK
-    for kind in (k.strip() for k in args.estimators.split(",")):
+    for kind in kinds:
         try:
             report = estimators.run_estimator(kind, traj, triple, weighting,
                                               observed, args.cond_limit)

@@ -12,6 +12,7 @@ mapped to the additive representation ``z[n] = sigma^{-1}(y[n])``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -72,40 +73,34 @@ def resolve_exponents(g_fns: Sequence[Nonlinearity],
 class _Family:
     """Per-node scalar functions of one kind (sigma, g or h), vectorised.
 
-    Equal nonlinearities are grouped so homogeneous families cost a single
-    array operation per evaluation.  Each group's kernel is bound to its
-    params once, here, not on every call.
+    The nodes split into maximal runs of equal adjacent functions, listed
+    in ``runs`` as ``(fn, nodes, kernel, inverse, radius)``: ``nodes`` is
+    the run's slice of the node (last) axis, and the kernels of ``fn`` are
+    bound to its params once, here (None where ``_KERNELS`` has none).  So
+    each run maps a view of the input into a view of the output in place,
+    with no gather, scatter or array of its own; a homogeneous family is
+    the one-run case.  A per-node spec that alternates kinds gives one run
+    per node, and so one kernel call per node.
     """
 
     def __init__(self, fns: Sequence[Nonlinearity]):
         self.fns = tuple(fns)
-        groups: dict[Nonlinearity, list[int]] = {}
-        for node, fn in enumerate(self.fns):
-            groups.setdefault(fn, []).append(node)
-        self.homogeneous = len(groups) == 1
-        self._groups = [(self.fns[0], slice(None))] if self.homogeneous else [
-            (fn, np.asarray(nodes)) for fn, nodes in groups.items()
-        ]
-        self._kernels = [(_KERNELS[fn.kind][0](*fn.params), nodes)
-                         for fn, nodes in self._groups]
+        self.runs = []
+        start = 0
+        for fn, members in itertools.groupby(self.fns):
+            stop = start + len(list(members))
+            self.runs.append((fn, slice(start, stop), *(
+                None if binder is None else binder(*fn.params)
+                for binder in _KERNELS[fn.kind])))
+            start = stop
         #: ``apply(y, out)`` writes the family of ``y`` into ``out`` (of
         #: ``y``'s shape, not overlapping it) and returns ``out``.  For a
-        #: homogeneous family it is the bound kernel itself.
-        self.apply = self._kernels[0][0] if self.homogeneous else self._scatter
+        #: one-run family it is the bound kernel itself.
+        self.apply = self.runs[0][2] if len(self.runs) == 1 else self._map_runs
 
-    def groups(self):
-        """Iterate ``(fn, nodes)`` over the groups of equal functions.
-
-        ``nodes`` indexes the last (node) axis: ``slice(None)`` for a
-        homogeneous family, so the whole array is mapped without a gather
-        or scatter, and an index array otherwise.
-        """
-        return iter(self._groups)
-
-    def _scatter(self, y: np.ndarray, out: np.ndarray) -> np.ndarray:
-        for kernel, nodes in self._kernels:
-            sub = y[..., nodes]
-            out[..., nodes] = kernel(sub, np.empty_like(sub))
+    def _map_runs(self, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        for _, nodes, kernel, _, _ in self.runs:
+            kernel(y[..., nodes], out[..., nodes])
         return out
 
     def __call__(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -118,19 +113,6 @@ class _Family:
             out = np.empty_like(y, dtype=float)
         return self.apply(y, out)
 
-    @cached_property
-    def _inverses(self):
-        """Per group: ``(fn, nodes, inverse kernel, domain kernel)``.
-
-        Bound on first use, since only sigma families are ever inverted; a
-        kernel is None where the table has none.
-        """
-        def bind(binder, params):
-            return None if binder is None else binder(*params)
-        return [(fn, nodes, bind(_KERNELS[fn.kind][1], fn.params),
-                 bind(_KERNELS[fn.kind][2], fn.params))
-                for fn, nodes in self._groups]
-
     def inverse(self, y: np.ndarray, epoch_offset: int | None = 0,
                 out: np.ndarray | None = None) -> np.ndarray:
         """Componentwise inverse with (epoch, node) context in errors.
@@ -139,29 +121,26 @@ class _Family:
         the first axis is epochs starting at ``epoch_offset``, and errors
         name no epoch when it is None.  The result is written into ``out``
         (of ``y``'s shape, not overlapping it; a new array when None),
-        which a homogeneous family also uses as scratch for its domain
-        check, and returned.  Groups are checked in order, each once, and
-        the first failing group reports its first offending entry.
+        which also holds each run's domain check, and returned.  Runs are
+        checked in node order, each once, and the first failing run reports
+        its first offending entry.
         """
         if out is None:
             out = np.empty_like(y, dtype=float)
-        for fn, nodes, inverse, radius in self._inverses:
+        for fn, nodes, _, inverse, radius in self.runs:
             if inverse is None:
                 raise ValueError(f"{fn.kind}{fn.params} has no implemented inverse")
-            sub = y if self.homogeneous else y[..., nodes]
-            res = out if self.homogeneous else np.empty_like(sub, dtype=float)
+            sub, res = y[..., nodes], out[..., nodes]
             pos = None if radius is None else _first_outside(radius(sub, res))
             if pos is not None:
                 raise FunctionDomainError(
                     f"input outside the domain of {fn.describe()} inverse",
                     float(sub[pos]),
-                    node=int(np.arange(len(self.fns))[nodes][pos[-1]]),
+                    node=nodes.start + int(pos[-1]),
                     epoch=None if epoch_offset is None or sub.ndim < 2
                     else epoch_offset + int(pos[0]),
                 )
             inverse(sub, res)
-            if not self.homogeneous:
-                out[..., nodes] = res
         return out
 
 

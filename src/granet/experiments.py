@@ -118,11 +118,6 @@ def expand_config(raw: dict) -> dict:
     _require(_finite(y0) or (isinstance(y0, list) and len(y0) == graph["n_nodes"]
                              and all(map(_finite, y0))),
              "sim.y0: must be a finite number or a list of n_nodes finite numbers")
-    weighting = base["weighting"]
-    try:
-        WeightingConfig(**weighting)
-    except ValueError as exc:
-        raise ConfigError(f"weighting: {exc}") from exc
     _require(base["save_trajectory"] is None
              or isinstance(base["save_trajectory"], bool),
              "save_trajectory: must be null, true or false")
@@ -140,6 +135,11 @@ def expand_config(raw: dict) -> dict:
         triple = presets.triple_from_spec(base["triple"], n_nodes)
     except ValueError as exc:
         raise ConfigError(f"triple: {exc}") from exc
+    try:
+        lagmoments._check_regularizable(triple,
+                                        WeightingConfig(**base["weighting"]))
+    except ValueError as exc:
+        raise ConfigError(f"weighting: {exc}") from exc
     base["triple"] = presets.triple_to_spec(triple)
     return base
 

@@ -78,7 +78,22 @@ class WeightingConfig:
             raise ValueError("regularized mode requires delta > 0")
 
 
-def _regularized_weights(triple: NonlinearityTriple, delta: float,
+def _check_regularizable(triple: NonlinearityTriple,
+                         config: WeightingConfig) -> None:
+    """Reject regularised weights for a g whose roots are not isolated.
+
+    The clamp needs each root of each ``g_i`` as a point; exact mode needs
+    none.
+    """
+    if config.mode != "regularized":
+        return
+    for fn, *_ in triple.eval_g.runs:
+        if fn.zeros is None:
+            raise ValueError(f"{fn.describe()} has a non-isolated root set "
+                             "and cannot be regularised")
+
+
+def _regularized_weights(triple: NonlinearityTriple, config: WeightingConfig,
                          y: np.ndarray, weights: np.ndarray,
                          scratch: np.ndarray) -> None:
     """Write the clamped reciprocal weights of ``y`` into ``weights``.
@@ -87,20 +102,17 @@ def _regularized_weights(triple: NonlinearityTriple, delta: float,
     shape and overlap neither it nor each other; ``weights`` first holds
     the clamped states.
     """
+    _check_regularizable(triple, config)
+    delta = config.delta
     clamped = weights
     clamped[...] = y
-    for fn, nodes in triple.eval_g.groups():
-        if fn.zeros is None:
-            raise ValueError(
-                f"{fn.describe()} has a non-isolated root set and cannot "
-                "be regularised"
-            )
+    for fn, nodes, *_ in triple.eval_g.runs:
         if not fn.zeros:
             continue
+        # Each run is a slice of the node axis, so ``sub``, ``nearest`` and
+        # the run's clamped states are views that take no memory of their own.
         sub = y[..., nodes]
-        # Offset to the nearest root, the first one on ties.  For a
-        # homogeneous family ``scratch[..., nodes]`` is a view, so the
-        # offsets take no memory of their own; otherwise it is a new array.
+        # Offset to the nearest root, the first one on ties.
         nearest = np.subtract(sub, fn.zeros[0], out=scratch[..., nodes])
         for root in fn.zeros[1:]:
             offset = sub - root
@@ -111,9 +123,8 @@ def _regularized_weights(triple: NonlinearityTriple, delta: float,
         near = nearest > -delta
         near &= nearest < delta
         offset = nearest[near]
-        group = clamped[..., nodes]
-        group[near] = sub[near] - offset + delta * np.where(offset >= 0, 1.0, -1.0)
-        clamped[..., nodes] = group
+        clamped[..., nodes][near] = (sub[near] - offset
+                                     + delta * np.where(offset >= 0, 1.0, -1.0))
     triple.eval_g(clamped, scratch)
     np.divide(1.0, scratch, out=weights)
 
@@ -128,7 +139,7 @@ def _omega_block(triple: NonlinearityTriple, config: WeightingConfig,
     it nor each other; ``scratch`` is left undefined.
     """
     if config.mode == "regularized":
-        _regularized_weights(triple, config.delta, block, weights, scratch)
+        _regularized_weights(triple, config, block, weights, scratch)
         return np.zeros(block.shape[0], dtype=bool)
     triple.eval_g(block, weights)
     # Some |g_i| <= singular_tol exactly when the row's smallest |g_i| is;

@@ -41,7 +41,7 @@ class Nonlinearity:
     """A componentwise scalar function plus envelope metadata.
 
     Instances compare equal when kind and parameters match, which lets
-    vector evaluators group identical nodes and evaluate them in one shot.
+    vector evaluators map each run of equal adjacent nodes in one shot.
     """
 
     kind: str

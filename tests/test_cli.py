@@ -104,11 +104,15 @@ def test_estimate_and_score_chain(pipeline, tmp_path, capsys):
 
 
 def test_estimate_unknown_kind(pipeline, tmp_path, capsys):
-    rc = cli.main(["estimate", "--trajectory",
-                   str(pipeline / "sim" / "trajectory.csv"),
-                   "--estimators", "mystery", "--out", str(tmp_path)])
-    assert rc == cli.EXIT_CONFIG
-    assert "configuration error" in capsys.readouterr().err
+    # a known kind listed first writes nothing either
+    for kinds in ("mystery", "egg,mystery"):
+        out = tmp_path / kinds
+        rc = cli.main(["estimate", "--trajectory",
+                       str(pipeline / "sim" / "trajectory.csv"),
+                       "--estimators", kinds, "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        assert "unknown kind 'mystery'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_estimate_partial_needs_observed(pipeline, tmp_path):
@@ -153,7 +157,31 @@ def test_estimate_cond_limit_must_be_positive(pipeline, tmp_path, capsys, limit)
                    "--cond-limit", limit, "--out", str(tmp_path / "est")])
     assert rc == cli.EXIT_CONFIG
     assert "cond_limit" in capsys.readouterr().err
-    assert not list((tmp_path / "est").glob("estimate_*"))
+    assert not (tmp_path / "est").exists()
+
+
+def test_unregularizable_g_is_rejected_before_any_file(pipeline, tmp_path,
+                                                       capsys):
+    # limiter(0, 1) vanishes on a half-line, so no clamp can regularise 1/g
+    triple = {"sigma": "identity", "h": "identity",
+              "g": {"kind": "limiter", "params": [0.0, 1.0]}}
+    cfg = dict(small_experiment_config(), triple=triple,
+               weighting={"mode": "regularized", "delta": 0.1})
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    rc = cli.main(["experiment", "--config", str(cfg_path),
+                   "--out", str(tmp_path / "run")])
+    assert rc == cli.EXIT_CONFIG
+    assert "weighting: limiter(0, 1) has a non-isolated root set" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+    rc = cli.main(["estimate", "--trajectory",
+                   str(pipeline / "sim" / "trajectory.csv"),
+                   "--triple", str(cfg_path), "--delta", "0.1",
+                   "--out", str(tmp_path / "est")])
+    assert rc == cli.EXIT_CONFIG
+    assert "non-isolated root set" in capsys.readouterr().err
+    assert not (tmp_path / "est").exists()
 
 
 def test_experiment_requires_exactly_one_source(tmp_path):

@@ -234,17 +234,20 @@ def test_family_out_matches_allocating_call():
 
 
 def test_family_apply_is_bit_equal_to_per_node_evaluate():
-    # one group per kernel kind, nodes interleaved so every group scatters
+    # every kernel kind as a two-node run and again as a one-node run, so
+    # each run is a strided column view on 2-d input
     kinds = (nl.identity(), nl.constant_one(), nl.sign_power(0.5),
              nl.sign_power(2.0), nl.tanh(), nl.tanh_shifted(-2.0),
              nl.limiter(-0.5, 1.5), nl.sin_plus_sign_power(4.0, 0.6))
     assert {fn.kind for fn in kinds} == set(nl._KERNELS)
-    fns = kinds * 3
+    fns = tuple(fn for fn in kinds for _ in range(2)) + kinds
     family = _Family(fns)
-    assert not family.homogeneous
+    assert len(family.runs) == 2 * len(kinds)
+    invertible = tuple(fn for fn in fns if fn.invertible)
+    inverse_family = _Family(invertible)
     rng = np.random.default_rng(12)
-    for y in (rng.standard_normal(len(fns)) * 3.0,
-              rng.standard_normal((6, len(fns))) * 3.0):
+    for shape in ((), (6,)):
+        y = rng.standard_normal(shape + (len(fns),)) * 3.0
         expected = np.empty_like(y)
         for node, fn in enumerate(fns):
             expected[..., node] = fn.evaluate(y[..., node])
@@ -253,7 +256,17 @@ def test_family_apply_is_bit_equal_to_per_node_evaluate():
         assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
         assert np.array_equal(family(y).view(np.uint64),
                               expected.view(np.uint64))
-    # a homogeneous family's apply is the bound kernel itself
+        # the forward image lies in each inverse's domain
+        y = inverse_family(rng.standard_normal(shape + (len(invertible),)) * 3.0)
+        expected = np.empty_like(y)
+        for node, fn in enumerate(invertible):
+            expected[..., node] = fn.evaluate_inverse(y[..., node])
+        out = np.full_like(y, np.nan)
+        assert inverse_family.inverse(y, out=out) is out
+        assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
+        assert np.array_equal(inverse_family.inverse(y).view(np.uint64),
+                              expected.view(np.uint64))
+    # a one-run family's apply is the bound kernel itself
     assert _Family((nl.tanh(),) * 4).apply is np.tanh
 
 
@@ -305,10 +318,12 @@ def test_family_groups_map_heterogeneous_nodes():
     sigma = (nl.tanh(), nl.identity(), nl.tanh(), nl.identity())
     triple = NonlinearityTriple(sigma=sigma, g=(nl.constant_one(),) * 4,
                                 h=(nl.identity(),) * 4)
-    assert list(triple.eval_g.groups()) == [(nl.constant_one(), slice(None))]
+    assert [run[:2] for run in triple.eval_g.runs] == [
+        (nl.constant_one(), slice(0, 4))]
     family = triple.eval_sigma
-    assert [(fn, nodes.tolist()) for fn, nodes in family.groups()] == [
-        (nl.tanh(), [0, 2]), (nl.identity(), [1, 3])]
+    assert [run[:2] for run in family.runs] == [
+        (nl.tanh(), slice(0, 1)), (nl.identity(), slice(1, 2)),
+        (nl.tanh(), slice(2, 3)), (nl.identity(), slice(3, 4))]
     y = np.random.default_rng(3).uniform(-0.9, 0.9, size=(3, 4))
     per_node = np.column_stack([fn.evaluate(y[:, i]) for i, fn in enumerate(sigma)])
     assert np.array_equal(family(y), per_node)

@@ -463,7 +463,7 @@ def _fresh_weights(triple, config, base):
     """Weights and singular flags of ``base``, built from fresh arrays."""
     if config.mode == "regularized":
         clamped = base.copy()
-        for fn, nodes in triple.eval_g.groups():
+        for fn, nodes, *_ in triple.eval_g.runs:
             if not fn.zeros:
                 continue
             sub = base[..., nodes]
@@ -541,24 +541,30 @@ _FOOTPRINT_PAIRS = 3 * lagmoments._BATCH_CHUNK
 _FOOTPRINT_BOUND = 2.5 * lagmoments._BATCH_CHUNK * 50 * 8
 
 
-@pytest.mark.parametrize("config", [
-    EXACT, WeightingConfig(mode="regularized", delta=0.1),
-], ids=["exact", "delta0.1"])
+#: example1 in both modes, and singular-h, whose sigma family has three runs.
+_FOOTPRINT_CASES = pytest.mark.parametrize("preset, config", [
+    ("example1", EXACT),
+    ("example1", WeightingConfig(mode="regularized", delta=0.1)),
+    ("singular-h", EXACT),
+], ids=["exact", "delta0.1", "singular-h-exact"])
+
+
+@_FOOTPRINT_CASES
 def test_from_trajectory_holds_two_chunk_buffers(trajectory_factory,
-                                                 peak_traced_bytes, config):
-    traj = trajectory_factory("example1", 12, _FOOTPRINT_PAIRS)
-    triple = triple_preset("example1", 50)
+                                                 peak_traced_bytes, preset,
+                                                 config):
+    traj = trajectory_factory(preset, 12, _FOOTPRINT_PAIRS)
+    triple = triple_preset(preset, 50)
     _, peak = peak_traced_bytes(lambda: from_trajectory(traj, triple, config))
     assert peak < _FOOTPRINT_BOUND
 
 
-@pytest.mark.parametrize("config", [
-    EXACT, WeightingConfig(mode="regularized", delta=0.1),
-], ids=["exact", "delta0.1"])
+@_FOOTPRINT_CASES
 def test_omega_tail_index_holds_two_chunk_buffers(trajectory_factory,
-                                                  peak_traced_bytes, config):
-    traj = trajectory_factory("example1", 12, _FOOTPRINT_PAIRS)
-    triple = triple_preset("example1", 50)
+                                                  peak_traced_bytes, preset,
+                                                  config):
+    traj = trajectory_factory(preset, 12, _FOOTPRINT_PAIRS)
+    triple = triple_preset(preset, 50)
     _, peak = peak_traced_bytes(lambda: omega_tail_index(traj, triple, config))
     # plus the per-epoch norms, the regular-state mask and the copy of the
     # regular norms that the Hill fit partitions in place
