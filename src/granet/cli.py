@@ -100,6 +100,7 @@ def _cmd_estimate(args) -> int:
     kinds = [k.strip() for k in args.estimators.split(",")]
     estimators._check_kinds(kinds, observed)
     estimators._check_cond_limit(args.cond_limit)
+    estimators._check_steps(traj)
     out = _out_dir(args)
     status = EXIT_OK
     for kind in kinds:

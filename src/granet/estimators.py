@@ -76,6 +76,13 @@ def _check_observed(observed, n_nodes: int) -> list[int] | None:
     return sorted(int(v) for v in observed)
 
 
+def _check_steps(traj: Trajectory) -> None:
+    """Reject a trajectory with no ``(y[k], y[k+1])`` pair to estimate from."""
+    if traj.n_steps < 1:
+        raise ValueError("estimation needs at least one step, "
+                         "got a trajectory of 0 steps")
+
+
 def _check_cond_limit(cond_limit: float) -> None:
     """Reject a condition-number limit that is not a number above zero."""
     if not cond_limit > 0:
@@ -90,11 +97,13 @@ def run_estimator(kind: str, traj: Trajectory, triple: NonlinearityTriple,
 
     An unknown kind, a partial kind without ``observed``, an ``observed``
     set that :func:`_check_observed` rejects (for any kind), or a
-    ``cond_limit`` that is not above zero (NaN included) is a ConfigError.
+    ``cond_limit`` that is not above zero (NaN included) is a ConfigError;
+    a trajectory of no steps is a ValueError (:func:`_check_steps`).
     """
     _check_kinds((kind,), observed)
     _check_observed(observed, traj.n_nodes)
     _check_cond_limit(cond_limit)
+    _check_steps(traj)
     return _TABLE[kind][1](traj=traj, triple=triple, config=config,
                            observed=observed, cond_limit=cond_limit)
 
@@ -172,6 +181,7 @@ def egg_from_trajectory(traj: Trajectory, triple: NonlinearityTriple,
     """Accumulate lag moments over a trajectory and run :func:`egg_estimate`."""
     if triple is None:
         raise ValueError("egg estimation requires the nonlinearity triple")
+    _check_steps(traj)
     config = config or WeightingConfig()
     lag = lagmoments.from_trajectory(traj, triple, config)
     f0_hat, f1_hat = lagmoments.finalize(lag)
@@ -182,8 +192,7 @@ def egg_from_trajectory(traj: Trajectory, triple: NonlinearityTriple,
 def granger_estimate(traj: Trajectory,
                      cond_limit: float = DEFAULT_COND_LIMIT) -> EstimateReport:
     """Linear one-lag regression on raw (non-centred) state moments."""
-    if traj.n_steps < 1:
-        raise ValueError("granger_estimate needs at least one step")
+    _check_steps(traj)
     n = traj.n_steps
     r0, r1 = lagmoments._moment_sums(traj.states, n)
     a_hat, cond = _solve_right(r1 / n, r0 / n, cond_limit,
@@ -195,8 +204,7 @@ def granger_estimate(traj: Trajectory,
 
 def correlation_estimate(traj: Trajectory) -> EstimateReport:
     """Raw zero-lag moment matrix used directly as the estimate."""
-    if traj.n_steps < 1:
-        raise ValueError("correlation_estimate needs at least one step")
+    _check_steps(traj)
     n = traj.n_steps
     r0, _ = lagmoments._moment_sums(traj.states, n, cross=False)
     return EstimateReport(
@@ -207,8 +215,7 @@ def correlation_estimate(traj: Trajectory) -> EstimateReport:
 def precision_estimate(traj: Trajectory,
                        cond_limit: float = DEFAULT_COND_LIMIT) -> EstimateReport:
     """Inverse of the raw zero-lag moment matrix."""
-    if traj.n_steps < 1:
-        raise ValueError("precision_estimate needs at least one step")
+    _check_steps(traj)
     n = traj.n_steps
     r0, _ = lagmoments._moment_sums(traj.states, n, cross=False)
     a_hat, cond = _solve_right(np.eye(traj.n_nodes), r0 / n, cond_limit,
@@ -222,22 +229,42 @@ def least_squares_estimate(traj: Trajectory, triple: NonlinearityTriple,
                            config: WeightingConfig | None = None) -> EstimateReport:
     """Direct least-squares fit of the weighted one-step regression.
 
-    Stacks the per-step problem ``omega(y[k]) * sigma^{-1}(y[k+1]) ~=
-    B h(y[k])`` and solves it with an SVD-based least-squares routine,
-    bypassing the lag-moment accumulator entirely.  Singular base states in
-    exact mode contribute a zero target row, matching the accumulator's
-    drop-the-step convention.  A rank-deficient design aborts with a
-    near-singular error.
+    Fits ``omega(y[k]) * sigma^{-1}(y[k+1]) ~= B h(y[k])`` without the
+    lag-moment accumulator or normal equations, so it checks the moment
+    solve independently.  Each chunk of ``[h | target]`` rows comes from
+    :func:`lagmoments._onelag_terms` (zero targets at singular base states,
+    epochs named in domain errors) and is QR-factored together with the
+    triangular factor of the rows before it, so memory does not grow with
+    the trajectory.  ``lstsq`` then solves ``R11 B^T = R12`` with the rank
+    rule it would apply to the whole design; ``R11`` has the design's
+    singular values, whose squared ratio is ``cond_F0``.  The fit agrees
+    with ``lstsq`` on the whole design to 1e-12 relative, not bitwise.  A
+    rank-deficient design, fewer pairs than nodes included (condition
+    number ``inf``), aborts with a near-singular error.
     """
+    _check_steps(traj)
     config = config or WeightingConfig()
     n = lagmoments._pair_count(traj, triple, None)
-    if n < 1:
-        raise ValueError("least_squares_estimate needs at least one step")
-    targets, design = lagmoments._onelag_terms(
-        triple, config, traj.states, 0, n,
-        lagmoments._chunk_buffers(n, traj.n_nodes))
-    coeffs, _, rank, singular_values = np.linalg.lstsq(design, targets, rcond=None)
-    if rank < traj.n_nodes:
+    width = traj.n_nodes
+    chunk = lagmoments._BATCH_CHUNK
+    # Rows [0, filled) hold the factor of the rows seen so far and the next
+    # chunk is written below them.  No row at or beyond the pair count is
+    # ever written, so with fewer pairs than nodes R11 ends in zero rows.
+    stacked = np.zeros((2 * width + min(n, chunk), 2 * width))
+    filled = 0
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
+        end = filled + stop - start
+        lagmoments._onelag_terms(triple, config, traj.states, start, stop,
+                                 (stacked[filled:end, width:],
+                                  stacked[filled:end, :width]))
+        factor = np.linalg.qr(stacked[:end], mode="r")
+        filled = len(factor)
+        stacked[:filled] = factor
+    coeffs, _, rank, singular_values = np.linalg.lstsq(
+        stacked[:width, :width], stacked[:width, width:],
+        rcond=np.finfo(float).eps * max(n, width))
+    if rank < width:
         cond = float(singular_values[0] / singular_values[-1]) \
             if singular_values[-1] > 0 else float("inf")
         raise NearSingularError("least-squares design is rank deficient", cond)

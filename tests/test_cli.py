@@ -160,6 +160,24 @@ def test_estimate_cond_limit_must_be_positive(pipeline, tmp_path, capsys, limit)
     assert not (tmp_path / "est").exists()
 
 
+@pytest.mark.parametrize("kind", [kind for kind in estimators.ESTIMATOR_KINDS
+                                  if kind not in estimators._PARTIAL_KINDS])
+def test_estimate_rejects_a_zero_step_trajectory(pipeline, tmp_path, capsys,
+                                                 kind):
+    assert cli.main(["simulate", "--matrix", str(pipeline / "gen" / "matrix.csv"),
+                     "--triple", "linear", "--steps", "0",
+                     "--out", str(tmp_path / "sim")]) == 0
+    capsys.readouterr()
+    rc = cli.main(["estimate", "--trajectory",
+                   str(tmp_path / "sim" / "trajectory.csv"),
+                   "--triple", "linear", "--estimators", kind,
+                   "--out", str(tmp_path / "est")])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "at least one step" in err and "Traceback" not in err
+    assert not (tmp_path / "est").exists()
+
+
 def test_unregularizable_g_is_rejected_before_any_file(pipeline, tmp_path,
                                                        capsys):
     # limiter(0, 1) vanishes on a half-line, so no clamp can regularise 1/g

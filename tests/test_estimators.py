@@ -1,5 +1,7 @@
 """Estimator algebra, baselines, and partial observation."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from granet import (
     CombinationMatrix,
+    FunctionDomainError,
     NearSingularError,
     NoiseModel,
     SingularMatrixError,
@@ -17,6 +20,7 @@ from granet import (
     correlation_estimate,
     egg_estimate,
     egg_from_trajectory,
+    from_trajectory,
     generate_binomial_graph,
     granger_estimate,
     least_squares_estimate,
@@ -27,6 +31,7 @@ from granet import (
     support_offdiagonal,
     triple_preset,
 )
+from granet import lagmoments
 
 
 def noiseless_scalar_ar():
@@ -63,7 +68,8 @@ def test_noiseless_scalar_recovers_coefficient_exactly():
     traj = noiseless_scalar_ar()
     assert granger_estimate(traj).A_hat[0, 0] == 0.5
     assert egg_from_trajectory(traj, triple_preset("linear", 1)).A_hat[0, 0] == 0.5
-    # the SVD route of lstsq rounds the last bit
+    # least squares factors the design instead of dividing its moments, so
+    # it is held to a tolerance, not to the bit
     ls = least_squares_estimate(traj, triple_preset("linear", 1)).A_hat[0, 0]
     assert ls == pytest.approx(0.5, abs=1e-12)
 
@@ -133,6 +139,91 @@ def test_least_squares_rank_deficient():
     traj = Trajectory(states=np.array([[1.0, 2.0], [0.5, 0.5]]), seed=0)
     with pytest.raises(NearSingularError):
         least_squares_estimate(traj, triple_preset("linear", 2))
+
+
+def test_least_squares_fewer_pairs_than_nodes_is_infinitely_conditioned():
+    # one pair on three nodes: the design has rank 1, so its third
+    # singular value is zero, not the ratio of the one lstsq would return
+    traj = Trajectory(states=np.array([[1.0, 2.0, 3.0], [0.5, 0.5, 0.1]]),
+                      seed=0)
+    with pytest.raises(NearSingularError) as err:
+        least_squares_estimate(traj, triple_preset("linear", 3))
+    assert err.value.cond == float("inf")
+
+
+_ORACLE_NODES = 6
+_CHUNK = lagmoments._BATCH_CHUNK
+_ORACLE_CASES = pytest.mark.parametrize("preset, config", [
+    ("example1", WeightingConfig()),
+    ("example2", WeightingConfig()),
+    ("linear", WeightingConfig()),
+    ("singular-g", WeightingConfig(mode="regularized", delta=0.1)),
+], ids=["example1", "example2", "linear", "singular-g-delta0.1"])
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_trajectory(preset):
+    n = _ORACLE_NODES
+    matrix = build_combination_matrix(generate_binomial_graph(n, 0.5, 31), 0.5)
+    return simulate(matrix, triple_preset(preset, n), NoiseModel.uniform(n),
+                    0.0, 2 * _CHUNK + 17, seed=37)
+
+
+@_ORACLE_CASES
+@pytest.mark.parametrize("n_pairs", [1, _ORACLE_NODES - 1, _CHUNK - 1, _CHUNK,
+                                     _CHUNK + 1, 2 * _CHUNK + 17])
+def test_streamed_least_squares_matches_lstsq_on_the_whole_design(
+        preset, config, n_pairs):
+    # the reference is lstsq (SVD) on the full-range design; the streamed
+    # QR sums in another order, so the two agree to rounding, not bitwise
+    full = _oracle_trajectory(preset)
+    traj = Trajectory(states=full.states[:n_pairs + 1], seed=full.seed)
+    triple = triple_preset(preset, _ORACLE_NODES)
+    targets, design = lagmoments._onelag_terms(
+        triple, config, traj.states, 0, n_pairs,
+        lagmoments._chunk_buffers(n_pairs, _ORACLE_NODES))
+    coeffs, _, rank, singular_values = np.linalg.lstsq(design, targets,
+                                                       rcond=None)
+    if rank < _ORACLE_NODES:
+        with pytest.raises(NearSingularError):
+            least_squares_estimate(traj, triple, config)
+        return
+    report = least_squares_estimate(traj, triple, config)
+    expected = coeffs.T
+    assert np.linalg.norm(report.A_hat - expected) \
+        <= 1e-12 * np.linalg.norm(expected)
+    assert report.cond_F0 == pytest.approx(
+        (singular_values[0] / singular_values[-1]) ** 2, rel=1e-10)
+    assert report.n_samples == n_pairs
+
+
+def test_streamed_least_squares_names_the_epoch_of_a_domain_error():
+    # sigma = tanh; a state at 1 in the second chunk is outside arctanh's
+    # domain, and both passes name its epoch and node
+    states = np.array(_oracle_trajectory("example2").states)
+    states[_CHUNK + 100, 4] = 1.0
+    traj = Trajectory(states=states, seed=0)
+    triple = triple_preset("example2", _ORACLE_NODES)
+    with pytest.raises(FunctionDomainError) as oracle:
+        least_squares_estimate(traj, triple)
+    with pytest.raises(FunctionDomainError) as moments:
+        from_trajectory(traj, triple, WeightingConfig())
+    assert (oracle.value.epoch, oracle.value.node) \
+        == (moments.value.epoch, moments.value.node) == (_CHUNK + 100, 4)
+
+
+@pytest.mark.parametrize("preset", ["example1", "example2"])
+def test_least_squares_memory_does_not_grow_with_the_trajectory(
+        trajectory_factory, peak_traced_bytes, preset):
+    chunk_buffer = _CHUNK * 50 * 8
+    long = trajectory_factory(preset, 13, 12 * _CHUNK)
+    short = Trajectory(states=long.states[:3 * _CHUNK + 1], seed=long.seed)
+    triple = triple_preset(preset, 50)
+    _, long_peak = peak_traced_bytes(lambda: least_squares_estimate(long, triple))
+    _, short_peak = peak_traced_bytes(
+        lambda: least_squares_estimate(short, triple))
+    assert long_peak < 8 * chunk_buffer
+    assert abs(long_peak - short_peak) < 0.5 * chunk_buffer
 
 
 def test_least_squares_agrees_with_egg():
