@@ -30,7 +30,7 @@ def main() -> None:
 
     print(f"{'delta':>6} {'offset':>10} {'oscillation':>12} {'edge err':>9}")
     for delta in (0.05, 0.1, 0.2, 0.4):
-        config = WeightingConfig(mode="regularized", delta=delta)
+        config = WeightingConfig(delta=delta)
         a_hat = egg_from_trajectory(traj, triple, config).A_hat
         profile = sorted_entry_profile(matrix.entries, a_hat)
         diff = profile.estimated_values - profile.true_values

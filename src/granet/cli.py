@@ -89,10 +89,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_estimate(args) -> int:
     traj = fileio.load_trajectory(args.trajectory)
     triple = _load_triple(args.triple, traj.n_nodes)
-    weighting = WeightingConfig(
-        mode="regularized" if args.delta > 0 else "exact",
-        delta=args.delta,
-    )
+    weighting = WeightingConfig(delta=args.delta)
     lagmoments._check_regularizable(triple, weighting)
     observed = estimators._check_observed(
         [int(v) for v in args.observed.split(",")] if args.observed else None,
@@ -133,12 +130,11 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    if args.config:
-        config = _load_config(args.config)
-    else:
-        config = {"preset": args.preset}
+    config = _load_config(args.config) if args.config else {"preset": args.preset}
     if args.seed is not None:
-        config.setdefault("sim", {})["seed"] = args.seed
+        # Validate first, so a config that is not a mapping is a config error.
+        config = experiments.expand_config(config)
+        config["sim"]["seed"] = args.seed
     result = experiments.run_experiment(config, args.out)
     for kind, metric in sorted(result.metrics.items()):
         print(f"{kind}: edge error rate {metric.edge_error_rate:.4f}, "
@@ -150,7 +146,8 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _load_config(args.config)
-    if args.seed is not None:
+    # run_sweep rejects a config that is not a mapping.
+    if args.seed is not None and isinstance(config, dict):
         config["master_seed"] = args.seed
     rows = experiments.run_sweep(config, args.out, workers=args.workers)
     print(f"wrote sweep summary to {Path(args.out) / 'summary.csv'}")

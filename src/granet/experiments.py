@@ -39,11 +39,10 @@ _DEFAULTS: dict[str, Any] = {
     "triple": "example1",
     "noise_std": 1.0,
     "sim": {"n_steps": 200_000, "seed": 202, "y0": 0.0},
-    "weighting": {"mode": "exact", "delta": 0.0, "singular_tol": 0.0},
+    "weighting": {"delta": 0.0},
     "estimators": ["egg", "granger", "correlation", "precision"],
     "observed_set": None,
     "cond_limit": DEFAULT_COND_LIMIT,
-    "norm": "infinity",
     "save_trajectory": None,
 }
 
@@ -101,19 +100,21 @@ def expand_config(raw: dict) -> dict:
     _require(_number(graph["n_nodes"], int) and graph["n_nodes"] >= 1,
              "graph.n_nodes: must be a positive integer")
     for path in ("graph.p", "rho", "noise_std", "weighting.delta",
-                 "weighting.singular_tol", "cond_limit"):
+                 "cond_limit"):
         section, _, name = path.rpartition(".")
         value = base[section][name] if section else base[name]
         _require(_number(value), f"{path}: must be a number, got {value!r}")
     _require(0.0 <= graph["p"] <= 1.0, "graph.p: must lie in [0, 1]")
-    _require(_number(graph["seed"], int), "graph.seed: must be an integer")
+    _require(_number(graph["seed"], int) and graph["seed"] >= 0,
+             "graph.seed: must be a non-negative integer")
     _require(0.0 < base["rho"] < 1.0, "rho: must lie in (0, 1)")
     _require(math.isfinite(base["noise_std"]) and base["noise_std"] > 0,
              "noise_std: must be finite and > 0")
     sim = base["sim"]
     _require(_number(sim["n_steps"], int) and sim["n_steps"] >= 2,
              "sim.n_steps: must be an integer >= 2")
-    _require(_number(sim["seed"], int), "sim.seed: must be an integer")
+    _require(_number(sim["seed"], int) and sim["seed"] >= 0,
+             "sim.seed: must be a non-negative integer")
     y0 = sim["y0"]
     _require(_finite(y0) or (isinstance(y0, list) and len(y0) == graph["n_nodes"]
                              and all(map(_finite, y0))),
@@ -127,8 +128,6 @@ def expand_config(raw: dict) -> dict:
     base["observed_set"] = observed
     estimators._check_kinds(base["estimators"], observed)
     estimators._check_cond_limit(base["cond_limit"])
-    _require(base["norm"] in ("infinity", "two"),
-             "norm: must be 'infinity' or 'two'")
 
     n_nodes = graph["n_nodes"]
     try:
@@ -242,7 +241,7 @@ def run_experiment(config: dict, out_dir: "str | Path") -> ExperimentResult:
 
     empirical = recovery.assumption_report(traj, triple, weighting, f0_hat)
     try:
-        static = recovery.stability_constant(triple, matrix, config["norm"])
+        static = recovery.stability_constant(triple, matrix)
         assumptions = static.merged_with(empirical)
     except ConfigError:
         assumptions = empirical
@@ -273,14 +272,7 @@ def _point_config(base: dict, axis: str, value, master_seed: int,
     if axis == "n_steps":
         config["sim"]["n_steps"] = value
     elif axis == "delta":
-        _require(_finite(value) and value >= 0,
-                 f"sweep values for delta must be finite numbers >= 0, got {value!r}")
-        if value == 0:
-            config["weighting"] = {"mode": "exact", "delta": 0.0,
-                                   "singular_tol": config["weighting"].get("singular_tol", 0.0)}
-        else:
-            config["weighting"] = {"mode": "regularized", "delta": float(value),
-                                   "singular_tol": 0.0}
+        config["weighting"] = {"delta": value}
     else:
         n_nodes = config["graph"]["n_nodes"]
         _require(_number(value, int) and 1 <= value <= n_nodes,

@@ -6,11 +6,11 @@ For a trajectory ``y[0..n]`` the two empirical moments are
     F1(n) = (1/n) sum_k  [ omega(y[k]) * sigma^{-1}(y[k+1]) ] h(y[k])^T * 1{y[k] not in Z}
 
 with ``omega(y) = 1 / g(y)`` componentwise and ``Z`` the set of states at
-which some ``g_i`` vanishes.  In exact mode a step whose base state lies in
-``Z`` contributes to ``F0`` but its one-lag term is dropped; in regularised
-mode the reciprocal weight is clamped near each root of ``g_i`` (constant
-on a ``delta``-neighbourhood, equal to its boundary value) so no step is
-ever dropped.
+which some ``g_i`` vanishes.  With exact weights (``delta = 0``) a step
+whose base state lies in ``Z`` contributes to ``F0`` but its one-lag term is
+dropped; with ``delta > 0`` the reciprocal weight is clamped near each root
+of ``g_i`` (constant on a ``delta``-neighbourhood, equal to its boundary
+value) so no step is ever dropped.
 
 The weighted one-lag target ``omega * sigma^{-1}`` is formed by one
 kernel, :func:`_onelag_terms`, which also zeroes the rows of singular base
@@ -49,43 +49,29 @@ _ONELAG_MAX_EVERY = 100
 class WeightingConfig:
     """How reciprocal weights ``1/g_i`` are evaluated.
 
-    mode : "exact" or "regularized"
-        Exact mode returns the raw reciprocal and flags singular states;
-        regularised mode clamps the weight within ``delta`` of each root
-        of ``g_i`` and never flags.
     delta : float
-        Half-width of the clamped neighbourhood (regularised mode only).
-    singular_tol : float
-        Exact mode flags a state when some ``|g_i(y_i)| <= singular_tol``.
+        Half-width of the clamped neighbourhood around each root of
+        ``g_i``.  ``0`` gives exact weights: the raw reciprocal, with a
+        state flagged singular when some ``g_i`` is exactly zero.  A
+        positive ``delta`` clamps the weight near each root and never
+        flags.
     """
 
-    mode: str = "exact"
     delta: float = 0.0
-    singular_tol: float = 0.0
 
     def __post_init__(self):
-        if self.mode not in ("exact", "regularized"):
-            raise ValueError(
-                f"mode must be 'exact' or 'regularized', got {self.mode!r}"
-            )
-        if not (math.isfinite(self.delta) and math.isfinite(self.singular_tol)):
-            raise ValueError("delta and singular_tol must be finite")
-        if self.delta < 0 or self.singular_tol < 0:
-            raise ValueError("delta and singular_tol must be >= 0")
-        if self.mode == "exact" and self.delta != 0.0:
-            raise ValueError("exact mode requires delta = 0")
-        if self.mode == "regularized" and self.delta == 0.0:
-            raise ValueError("regularized mode requires delta > 0")
+        if not (math.isfinite(self.delta) and self.delta >= 0):
+            raise ValueError(f"delta must be finite and >= 0, got {self.delta!r}")
 
 
 def _check_regularizable(triple: NonlinearityTriple,
                          config: WeightingConfig) -> None:
     """Reject regularised weights for a g whose roots are not isolated.
 
-    The clamp needs each root of each ``g_i`` as a point; exact mode needs
-    none.
+    The clamp needs each root of each ``g_i`` as a point; exact weights
+    need none.
     """
-    if config.mode != "regularized":
+    if config.delta == 0.0:
         return
     for fn, *_ in triple.eval_g.runs:
         if fn.zeros is None:
@@ -138,13 +124,13 @@ def _omega_block(triple: NonlinearityTriple, config: WeightingConfig,
     ``weights`` and ``scratch`` have ``block``'s shape and overlap neither
     it nor each other; ``scratch`` is left undefined.
     """
-    if config.mode == "regularized":
+    if config.delta > 0.0:
         _regularized_weights(triple, config, block, weights, scratch)
         return np.zeros(block.shape[0], dtype=bool)
     triple.eval_g(block, weights)
-    # Some |g_i| <= singular_tol exactly when the row's smallest |g_i| is;
-    # fmin skips NaN as the comparison would.
-    in_z = np.fmin.reduce(np.abs(weights, scratch), axis=1) <= config.singular_tol
+    # Some g_i is zero exactly when the row's smallest |g_i| is; fmin skips
+    # NaN as the comparison would.
+    in_z = np.fmin.reduce(np.abs(weights, scratch), axis=1) <= 0.0
     with np.errstate(divide="ignore"):
         np.divide(1.0, weights, out=weights)
     return in_z
@@ -169,7 +155,7 @@ def _onelag_terms(triple: NonlinearityTriple, config: WeightingConfig,
     works in place: ``g`` then ``1/g`` in ``targets`` (``h`` is scratch
     for the singular check), ``sigma^{-1}(y[k+1])`` in ``h`` and multiplied
     into ``targets``, then ``h(y[k])`` in ``h``.  Target rows of singular
-    base states (exact mode) are zero, so those pairs only feed the
+    base states (exact weights) are zero, so those pairs only feed the
     zero-lag moment.  Domain errors of ``sigma^{-1}`` name the node and,
     when ``epochs`` is true (the rows of ``states`` are a trajectory's
     epochs), the epoch of ``y[k+1]``.
@@ -279,11 +265,11 @@ def accumulate(lag: LagMatrices, triple: NonlinearityTriple,
 
     The step is the one-pair case of :func:`_onelag_terms`: the zero-lag
     term is always added, and the one-lag term is zero when the base state
-    is singular in exact mode.  ``y_k`` and ``y_k1`` must both have shape
-    ``(n_nodes,)`` and ``lag`` must cover the triple's nodes; otherwise a
-    ValueError names the shapes and the sums are left as they were.  The
-    pair is not an epoch of a trajectory, so a domain error names only the
-    node.  Returns ``lag`` for chaining.
+    is singular under exact weights.  ``y_k`` and ``y_k1`` must both have
+    shape ``(n_nodes,)`` and ``lag`` must cover the triple's nodes;
+    otherwise a ValueError names the shapes and the sums are left as they
+    were.  The pair is not an epoch of a trajectory, so a domain error names
+    only the node.  Returns ``lag`` for chaining.
     """
     n = triple.n_nodes
     shapes = np.shape(y_k), np.shape(y_k1)

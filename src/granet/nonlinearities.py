@@ -51,6 +51,9 @@ class Nonlinearity:
     zeros: tuple[float, ...] | None = ()
 
     def __post_init__(self):
+        if not all(map(math.isfinite, self.params + (self.envelope or ()))):
+            raise ValueError(f"{self.kind} params {self.params} and envelope "
+                             f"{self.envelope} must be finite")
         if self.envelope is not None:
             alpha, beta = self.envelope
             if alpha < 0 or beta < 0:

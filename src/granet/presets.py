@@ -90,6 +90,9 @@ def triple_from_spec(spec: "str | dict", n_nodes: int) -> NonlinearityTriple:
         if isinstance(entry, dict) and "uniform" in entry:
             return (nl.from_spec(entry["uniform"]),) * n_nodes
         if isinstance(entry, dict) and "per_node" in entry:
+            if not isinstance(entry["per_node"], list):
+                raise ValueError(f"{name} per_node must be a list, "
+                                 f"got {entry['per_node']!r}")
             fns = tuple(nl.from_spec(s) for s in entry["per_node"])
             if len(fns) != n_nodes:
                 raise ValueError(

@@ -209,14 +209,11 @@ class AssumptionReport:
     stability condition.  The empirical side reports the conditioning of
     the zero-lag moment matrix and whether the running second moment of the
     reciprocal weights stayed bounded.  Fields not computed by a given
-    checker are ``None``.  ``sigma_invertible`` and ``pq_sum_ok`` are always
-    True: :class:`NonlinearityTriple` rejects any triple that fails either.
+    checker are ``None``.
     """
 
     kappa_s: float | None = None
     kappa_branch: str | None = None
-    sigma_invertible: bool = True
-    pq_sum_ok: bool = True
     f0_condition: float | None = None
     omega_moment_flag: bool | None = None
     omega_tail_index: float | None = None
@@ -247,8 +244,7 @@ def _family_envelope(fns: Sequence[Nonlinearity], name: str) -> tuple[float, flo
 
 
 def stability_constant(triple: NonlinearityTriple,
-                       matrix: "CombinationMatrix | np.ndarray",
-                       norm: str = "infinity") -> AssumptionReport:
+                       matrix: "CombinationMatrix | np.ndarray") -> AssumptionReport:
     """Stability constant ``kappa_s`` of a configured system.
 
     With family envelopes ``|sigma(y)| <= alpha_s |y| + beta_s``,
@@ -259,23 +255,19 @@ def stability_constant(triple: NonlinearityTriple,
     - ``alpha_s * alpha_g * beta_h  * ||A||``  when ``p = 1`` and ``q = 0``,
     - ``alpha_s * alpha_h * beta_g  * ||A||``  when ``p = 0`` and ``q = 1``.
 
+    ``||A||`` is the infinity norm, the largest absolute row sum.
     ``kappa_s < 1`` is sufficient for the state recursion to forget its
     initial condition.  A sigma envelope declared with exponent ``e < 1``
     is first relaxed to exponent one via ``|y|^e <= |y| + 1``.
     """
     entries = matrix.entries if isinstance(matrix, CombinationMatrix) else \
         np.asarray(matrix, dtype=float)
-    if norm == "infinity":
-        if isinstance(matrix, CombinationMatrix) and np.all(entries >= 0):
-            # Non-negative rows sum to rho by construction, so the max
-            # absolute row sum is rho without summation rounding.
-            norm_a = float(matrix.rho)
-        else:
-            norm_a = float(np.max(np.abs(entries).sum(axis=1)))
-    elif norm == "two":
-        norm_a = float(np.linalg.norm(entries, 2))
+    if isinstance(matrix, CombinationMatrix) and np.all(entries >= 0):
+        # Non-negative rows sum to rho by construction, so the max
+        # absolute row sum is rho without summation rounding.
+        norm_a = float(matrix.rho)
     else:
-        raise ConfigError(f"norm must be 'infinity' or 'two', got {norm!r}")
+        norm_a = float(np.max(np.abs(entries).sum(axis=1)))
     alpha_s, beta_s = _family_envelope(triple.sigma, "sigma")
     sigma_roles = {fn.exponent_role for fn in triple.sigma
                    if fn.exponent_role is not None}

@@ -170,7 +170,7 @@ def test_criterion_06_regularization_trade_off(instance50,
     traj = trajectory_factory("singular-g", 3002, LONG_RUN)
     osc, offset, err = {}, {}, {}
     for delta in (0.1, 0.2):
-        config = WeightingConfig(mode="regularized", delta=delta)
+        config = WeightingConfig(delta=delta)
         a_hat = egg_from_trajectory(traj, triple, config).A_hat
         profile = sorted_entry_profile(matrix.entries, a_hat)
         diff = profile.estimated_values - profile.true_values

@@ -184,7 +184,7 @@ def test_unregularizable_g_is_rejected_before_any_file(pipeline, tmp_path,
     triple = {"sigma": "identity", "h": "identity",
               "g": {"kind": "limiter", "params": [0.0, 1.0]}}
     cfg = dict(small_experiment_config(), triple=triple,
-               weighting={"mode": "regularized", "delta": 0.1})
+               weighting={"delta": 0.1})
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(cfg))
     rc = cli.main(["experiment", "--config", str(cfg_path),
@@ -251,8 +251,8 @@ def test_experiment_config_error_exit(tmp_path, capsys):
     ({"cond_limit": "x"}, "cond_limit"),
     ({"weighting": {"delta": "x"}}, "delta"),
     ({"sim": {"y0": {}}}, "y0"),
-    ({"weighting": {"mode": "regularized", "delta": float("nan")}}, "weighting"),
-    ({"weighting": {"mode": "regularized", "delta": float("inf")}}, "weighting"),
+    ({"weighting": {"delta": float("nan")}}, "weighting"),
+    ({"weighting": {"delta": float("inf")}}, "weighting"),
     ({"triple": "singular-g", "weighting": {"singular_tol": float("nan")}},
      "weighting"),
     ({"sim": {"y0": float("nan")}}, "y0"),
@@ -260,6 +260,14 @@ def test_experiment_config_error_exit(tmp_path, capsys):
     ({"noise_std": float("inf")}, "noise_std"),
     ({"save_trajectory": "no"}, "save_trajectory"),
     ({"save_trajectory": 1}, "save_trajectory"),
+    ({"graph": {"n_nodes": 6, "p": 0.4, "seed": -1}}, "graph.seed"),
+    ({"sim": {"n_steps": 300, "seed": -5, "y0": 0.0}}, "sim.seed"),
+    ({"triple": {"sigma": {"kind": "sign_power", "params": [float("nan")]},
+                 "g": "constant_one", "h": "identity"}}, "finite"),
+    ({"triple": {"sigma": {"per_node": 5}, "g": "constant_one",
+                 "h": "identity"}}, "per_node"),
+    ({"norm": "infinity"}, "norm"),
+    ({"weighting": {"mode": "exact", "delta": 0.0}}, "mode"),
 ])
 def test_experiment_mistyped_value_exit_config(tmp_path, capsys, overrides, key):
     cfg = dict(small_experiment_config(), **overrides)
@@ -283,6 +291,23 @@ def test_sweep_mistyped_delta_exit_config(tmp_path, capsys):
         assert rc == cli.EXIT_CONFIG
         assert "delta" in capsys.readouterr().err
         assert not (tmp_path / "out" / "point_000").exists()
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("experiment", [1, 2]),
+    ("experiment", {"sim": 5}),
+    ("sweep", [1, 2]),
+], ids=["experiment_list", "experiment_sim_int", "sweep_list"])
+def test_malformed_config_with_seed_exit_config(tmp_path, capsys, command,
+                                                payload):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(payload))
+    rc = cli.main([command, "--config", str(cfg_path), "--seed", "3",
+                   "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("axis, values, summary", [

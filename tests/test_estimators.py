@@ -157,7 +157,7 @@ _ORACLE_CASES = pytest.mark.parametrize("preset, config", [
     ("example1", WeightingConfig()),
     ("example2", WeightingConfig()),
     ("linear", WeightingConfig()),
-    ("singular-g", WeightingConfig(mode="regularized", delta=0.1)),
+    ("singular-g", WeightingConfig(delta=0.1)),
 ], ids=["example1", "example2", "linear", "singular-g-delta0.1"])
 
 

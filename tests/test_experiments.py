@@ -29,8 +29,7 @@ def small_config(**overrides):
 def test_expand_fills_defaults_and_is_idempotent():
     expanded = xp.expand_config(small_config())
     assert expanded["noise_std"] == 1.0
-    assert expanded["weighting"] == {"mode": "exact", "delta": 0.0,
-                                     "singular_tol": 0.0}
+    assert expanded["weighting"] == {"delta": 0.0}
     assert expanded["cond_limit"] == 1e12
     # the preset name is replaced by a fully explicit spec
     assert isinstance(expanded["triple"], dict)
@@ -97,12 +96,8 @@ def valid_configs(draw):
                                "params": [draw(st.floats(0.1, 1.0))]}}
     else:
         cfg[source] = draw(st.sampled_from(presets.TRIPLE_PRESETS))
-    if draw(st.booleans()):
-        cfg["weighting"] = {"mode": "regularized",
-                            "delta": draw(st.floats(1e-3, 1.0))}
-    else:
-        cfg["weighting"] = {"mode": "exact",
-                            "singular_tol": draw(st.floats(0.0, 1e-3))}
+    cfg["weighting"] = {"delta": draw(st.one_of(st.just(0.0),
+                                                st.floats(1e-3, 1.0)))}
     kinds = [k for k in ESTIMATOR_KINDS if not k.endswith("_partial")]
     if draw(st.booleans()):
         cfg["observed_set"] = draw(st.lists(st.integers(0, n - 1),
@@ -285,7 +280,6 @@ def test_sweep_delta_axis_switches_to_regularized(tmp_path):
     for k, delta in enumerate([0.1, 0.2]):
         cfg = json.loads(
             (tmp_path / f"point_{k:03d}" / "config.expanded.json").read_text())
-        assert cfg["weighting"]["mode"] == "regularized"
         assert cfg["weighting"]["delta"] == delta
 
 

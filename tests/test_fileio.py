@@ -139,8 +139,6 @@ def test_assumption_report_json(tmp_path, small_run):
     assert payload["kappa_s"] == 0.5
     assert payload["kappa_branch"] == "p=0,q=1"
     assert payload["kappa_stable"] is True
-    assert payload["sigma_invertible"] is True
-    assert payload["pq_sum_ok"] is True
     assert payload["omega_moment_flag"] is True
     # constant unit weights have no tail; non-finite floats are stored as
     # strings to stay inside strict JSON

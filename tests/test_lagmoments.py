@@ -63,7 +63,7 @@ def test_omega_sign_power_flags_origin():
 
 def test_omega_regularized_boundary_fill():
     triple = triple_preset("singular-g", 1)  # g is the identity
-    cfg = WeightingConfig(mode="regularized", delta=0.1)
+    cfg = WeightingConfig(delta=0.1)
     w, in_z = omega_at(triple, cfg, np.array([0.05]))
     assert w[0] == pytest.approx(10.0, abs=1e-12)
     assert in_z is False
@@ -77,7 +77,7 @@ def test_omega_regularized_heterogeneous_matches_per_node_clamp():
     triple = NonlinearityTriple(sigma=(nl.identity(),) * 6, g=g,
                                 h=(nl.sign_power(0.6),) * 6)
     delta = 0.05
-    cfg = WeightingConfig(mode="regularized", delta=delta)
+    cfg = WeightingConfig(delta=delta)
     y = np.random.default_rng(4).normal(scale=0.1, size=(40, 6))
     y[:4] = [[0.0] * 6, [delta] * 6, [-delta] * 6, [0.7] * 6]
     got = np.array([omega_at(triple, cfg, row)[0] for row in y])
@@ -94,17 +94,9 @@ def test_omega_regularized_heterogeneous_matches_per_node_clamp():
 
 
 def test_weighting_config_validation():
-    with pytest.raises(ValueError):
-        WeightingConfig(mode="fuzzy")
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite"):
-            WeightingConfig(mode="regularized", delta=bad)
-        with pytest.raises(ValueError, match="finite"):
-            WeightingConfig(singular_tol=bad)
-    with pytest.raises(ValueError):
-        WeightingConfig(mode="exact", delta=0.1)
-    with pytest.raises(ValueError):
-        WeightingConfig(mode="regularized", delta=0.0)
+            WeightingConfig(delta=bad)
     with pytest.raises(ValueError):
         WeightingConfig(delta=-1.0)
 
@@ -213,7 +205,7 @@ def test_from_trajectory_prefix_matches_manual_loop():
     ("example1", EXACT),
     ("example2", EXACT),
     ("singular-g", EXACT),
-    ("singular-g", WeightingConfig(mode="regularized", delta=0.1)),
+    ("singular-g", WeightingConfig(delta=0.1)),
     ("singular-h", EXACT),
 ], ids=["example1", "example2", "singular-g-exact", "singular-g-delta0.1",
         "singular-h"])
@@ -230,8 +222,8 @@ def test_empty_batch_then_one_step_matches_a_fresh_accumulator(preset, config):
     fresh = from_trajectory(traj, triple, config)
     assert np.array_equal(lag.f0_sum.view(np.uint64), fresh.f0_sum.view(np.uint64))
     assert np.array_equal(lag.f1_sum.view(np.uint64), fresh.f1_sum.view(np.uint64))
-    # exact mode drops the whole one-lag row of a singular base state
-    dropped = config.mode == "exact" and any(at_root)
+    # exact weights drop the whole one-lag row of a singular base state
+    dropped = config.delta == 0 and any(at_root)
     assert lag.f1_sum.any() != dropped
 
 
@@ -241,7 +233,7 @@ def test_empty_batch_then_one_step_matches_a_fresh_accumulator(preset, config):
     ("linear", EXACT),
     ("singular-h", EXACT),
     ("singular-g", EXACT),
-    ("singular-g", WeightingConfig(mode="regularized", delta=0.1)),
+    ("singular-g", WeightingConfig(delta=0.1)),
 ], ids=["example1", "example2", "linear", "singular-h", "singular-g-exact",
         "singular-g-delta0.1"])
 def test_accumulate_matches_the_per_step_formula_bitwise(trajectory_factory,
@@ -461,7 +453,7 @@ def test_omega_tail_index_heavy_tail_is_low(trajectory_factory):
 
 def _fresh_weights(triple, config, base):
     """Weights and singular flags of ``base``, built from fresh arrays."""
-    if config.mode == "regularized":
+    if config.delta > 0:
         clamped = base.copy()
         for fn, nodes, *_ in triple.eval_g.runs:
             if not fn.zeros:
@@ -478,7 +470,7 @@ def _fresh_weights(triple, config, base):
         return 1.0 / triple.eval_g(clamped), np.zeros(len(base), dtype=bool)
     g_vals = triple.eval_g(base)
     with np.errstate(divide="ignore"):
-        return 1.0 / g_vals, np.any(np.abs(g_vals) <= config.singular_tol, axis=1)
+        return 1.0 / g_vals, np.any(g_vals == 0.0, axis=1)
 
 
 @pytest.mark.parametrize("preset, config", [
@@ -486,7 +478,7 @@ def _fresh_weights(triple, config, base):
     ("example2", EXACT),
     ("singular-h", EXACT),
     ("singular-g", EXACT),
-    ("singular-g", WeightingConfig(mode="regularized", delta=0.1)),
+    ("singular-g", WeightingConfig(delta=0.1)),
 ], ids=["example1", "example2", "singular-h", "singular-g-exact",
         "singular-g-delta0.1"])
 def test_reused_buffers_match_fresh_chunks_bitwise(instance50, preset, config):
@@ -516,7 +508,7 @@ def test_reused_buffers_match_fresh_chunks_bitwise(instance50, preset, config):
         weights[in_z] = 0.0
         norm_parts.append(np.einsum("ij,ij->i", weights, weights))
         valid_parts.append(~in_z)
-    singular = config.mode == "exact" and preset != "singular-h"
+    singular = config.delta == 0 and preset != "singular-h"
     assert valid_parts[-1].tolist().count(False) == singular
 
     lag = from_trajectory(traj, triple, config)
@@ -544,7 +536,7 @@ _FOOTPRINT_BOUND = 2.5 * lagmoments._BATCH_CHUNK * 50 * 8
 #: example1 in both modes, and singular-h, whose sigma family has three runs.
 _FOOTPRINT_CASES = pytest.mark.parametrize("preset, config", [
     ("example1", EXACT),
-    ("example1", WeightingConfig(mode="regularized", delta=0.1)),
+    ("example1", WeightingConfig(delta=0.1)),
     ("singular-h", EXACT),
 ], ids=["exact", "delta0.1", "singular-h-exact"])
 

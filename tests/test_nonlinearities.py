@@ -173,6 +173,15 @@ def test_parameter_validation():
         nl.limiter(1.0, 1.0)
     with pytest.raises(ValueError):
         nl.limiter(2.0, -2.0)
+    nan, inf = float("nan"), float("inf")
+    for factory, params in ((nl.sign_power, (nan,)), (nl.sign_power, (inf,)),
+                            (nl.tanh_shifted, (nan,)),
+                            (nl.sin_plus_sign_power, (nan, 0.5)),
+                            (nl.limiter, (-inf, 1.0))):
+        with pytest.raises(ValueError, match="finite"):
+            factory(*params)
+    with pytest.raises(ValueError, match="finite"):
+        nl.identity().with_envelope(1.0, inf)
 
 
 def test_envelope_metadata():

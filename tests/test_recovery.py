@@ -271,8 +271,6 @@ def test_assumption_report_healthy_preset(trajectory_factory):
     traj = trajectory_factory("example2", 3001, 200_000)
     f0, _ = finalize(from_trajectory(traj, triple, cfg))
     rep = assumption_report(traj, triple, cfg, f0_hat=f0)
-    assert rep.sigma_invertible
-    assert rep.pq_sum_ok
     assert rep.omega_moment_flag
     assert np.isfinite(rep.f0_condition)
     assert rep.omega_tail_index > 1.1
