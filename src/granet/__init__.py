@@ -12,7 +12,7 @@ estimators as baselines.
 from .dynamics import NoiseModel, NonlinearityTriple, Trajectory, simulate
 from .errors import (ConfigError, DegenerateClusterError, FunctionDomainError,
                      InvalidStateError, NearSingularError, NumericalError,
-                     SimulationDivergedError, SingularMatrixError)
+                     SimulationDivergedError)
 from .estimators import (EstimateReport, correlation_estimate, egg_estimate,
                          egg_from_trajectory, granger_estimate,
                          least_squares_estimate, partial_estimate,
@@ -36,13 +36,13 @@ __all__ = [
     "DegenerateClusterError", "DirectedGraph", "EstimateReport",
     "FunctionDomainError", "InvalidStateError", "LagMatrices",
     "NearSingularError", "NoiseModel", "NonlinearityTriple", "NumericalError",
-    "RecoveryMetrics", "SimulationDivergedError", "SingularMatrixError",
-    "SortedProfile", "Trajectory", "WeightingConfig", "accumulate",
-    "assumption_report", "build_combination_matrix", "classify_edges",
-    "correlation_estimate", "egg_estimate", "egg_from_trajectory", "finalize",
-    "from_trajectory", "generate_binomial_graph", "granger_estimate",
-    "kmeans2_1d", "least_squares_estimate", "omega_tail_index",
-    "partial_estimate", "precision_estimate", "running_onelag_max",
-    "running_weight_moment", "score", "simulate", "sorted_entry_profile",
-    "stability_constant", "subgraph", "support_offdiagonal", "triple_preset",
+    "RecoveryMetrics", "SimulationDivergedError", "SortedProfile",
+    "Trajectory", "WeightingConfig", "accumulate", "assumption_report",
+    "build_combination_matrix", "classify_edges", "correlation_estimate",
+    "egg_estimate", "egg_from_trajectory", "finalize", "from_trajectory",
+    "generate_binomial_graph", "granger_estimate", "kmeans2_1d",
+    "least_squares_estimate", "omega_tail_index", "partial_estimate",
+    "precision_estimate", "running_onelag_max", "running_weight_moment",
+    "score", "simulate", "sorted_entry_profile", "stability_constant",
+    "subgraph", "support_offdiagonal", "triple_preset",
 ]

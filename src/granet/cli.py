@@ -96,14 +96,13 @@ def _cmd_estimate(args) -> int:
         traj.n_nodes)
     kinds = [k.strip() for k in args.estimators.split(",")]
     estimators._check_kinds(kinds, observed)
-    estimators._check_cond_limit(args.cond_limit)
     estimators._check_steps(traj)
     out = _out_dir(args)
     status = EXIT_OK
     for kind in kinds:
         try:
             report = estimators.run_estimator(kind, traj, triple, weighting,
-                                              observed, args.cond_limit)
+                                              observed)
         except NumericalError as exc:
             print(f"{kind}: {exc}", file=sys.stderr)
             status = EXIT_NUMERICAL
@@ -188,8 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="regularisation half-width (0 = exact weights)")
     p.add_argument("--observed", default="",
                    help="comma-separated observed nodes for partial kinds")
-    p.add_argument("--cond-limit", type=float,
-                   default=estimators.DEFAULT_COND_LIMIT)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_estimate)
 

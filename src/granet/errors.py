@@ -18,15 +18,12 @@ class NumericalError(RuntimeError):
 
 
 class NearSingularError(NumericalError):
-    """A matrix to be inverted is ill-conditioned beyond the allowed limit."""
+    """A matrix to be inverted is ill-conditioned beyond the allowed limit;
+    ``cond`` is its condition number, ``inf`` when it is exactly singular."""
 
     def __init__(self, message: str, cond: float):
         super().__init__(f"{message} (condition number {cond:.6g})")
         self.cond = cond
-
-
-class SingularMatrixError(NumericalError):
-    """A matrix to be inverted is exactly singular."""
 
 
 class SimulationDivergedError(NumericalError):

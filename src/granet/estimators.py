@@ -4,7 +4,8 @@ The primary estimator solves the generalized regression identity
 ``A_hat @ F0 = F1`` built from the weighted lag moments; the raw-moment
 Granger, correlation and precision estimators serve as linear baselines.
 All inversions go through linear solves (never explicit inverses) and are
-guarded by a condition-number limit.
+refused, with a :class:`NearSingularError`, when the matrix's condition
+number is not at most :data:`COND_LIMIT`.
 """
 
 from __future__ import annotations
@@ -16,23 +17,21 @@ import numpy as np
 
 from . import lagmoments
 from .dynamics import NonlinearityTriple, Trajectory
-from .errors import ConfigError, NearSingularError, SingularMatrixError
+from .errors import ConfigError, NearSingularError
 from .lagmoments import WeightingConfig
 
 #: Estimators abort when the matrix to invert is worse-conditioned than this.
-DEFAULT_COND_LIMIT = 1e12
+COND_LIMIT = 1e12
 
 #: kind -> (partial, call taking the keywords of :func:`run_estimator`).  A
 #: call looks its estimator up when it runs, not when the table is built, so
 #: a patched module attribute (a tracer's or a test's) reaches every dispatch.
 _TABLE = {
-    "egg": (False, lambda traj, triple, config, cond_limit, **_:
-            egg_from_trajectory(traj, triple, config, cond_limit)),
-    "granger": (False, lambda traj, cond_limit, **_:
-                granger_estimate(traj, cond_limit)),
+    "egg": (False, lambda traj, triple, config, **_:
+            egg_from_trajectory(traj, triple, config)),
+    "granger": (False, lambda traj, **_: granger_estimate(traj)),
     "correlation": (False, lambda traj, **_: correlation_estimate(traj)),
-    "precision": (False, lambda traj, cond_limit, **_:
-                  precision_estimate(traj, cond_limit)),
+    "precision": (False, lambda traj, **_: precision_estimate(traj)),
     "egg_partial": (True, lambda traj, observed, **rest:
                     partial_estimate(traj, observed, "egg", **rest)),
     "granger_partial": (True, lambda traj, observed, **rest:
@@ -83,29 +82,21 @@ def _check_steps(traj: Trajectory) -> None:
                          "got a trajectory of 0 steps")
 
 
-def _check_cond_limit(cond_limit: float) -> None:
-    """Reject a condition-number limit that is not a number above zero."""
-    if not cond_limit > 0:
-        raise ConfigError(f"cond_limit: must be > 0, got {cond_limit!r}")
-
-
 def run_estimator(kind: str, traj: Trajectory, triple: NonlinearityTriple,
                   config: WeightingConfig | None = None,
-                  observed: Sequence[int] | None = None,
-                  cond_limit: float = DEFAULT_COND_LIMIT) -> EstimateReport:
+                  observed: Sequence[int] | None = None) -> EstimateReport:
     """Run estimator ``kind``; partial kinds estimate on the ``observed`` nodes.
 
-    An unknown kind, a partial kind without ``observed``, an ``observed``
-    set that :func:`_check_observed` rejects (for any kind), or a
-    ``cond_limit`` that is not above zero (NaN included) is a ConfigError;
-    a trajectory of no steps is a ValueError (:func:`_check_steps`).
+    An unknown kind, a partial kind without ``observed``, or an
+    ``observed`` set that :func:`_check_observed` rejects (for any kind) is
+    a ConfigError; a trajectory of no steps is a ValueError
+    (:func:`_check_steps`).
     """
     _check_kinds((kind,), observed)
     _check_observed(observed, traj.n_nodes)
-    _check_cond_limit(cond_limit)
     _check_steps(traj)
     return _TABLE[kind][1](traj=traj, triple=triple, config=config,
-                           observed=observed, cond_limit=cond_limit)
+                           observed=observed)
 
 
 @dataclass(frozen=True)
@@ -137,27 +128,29 @@ class EstimateReport:
 
 
 def _solve_right(numerator: np.ndarray, denominator: np.ndarray,
-                 cond_limit: float, what: str) -> tuple[np.ndarray, float]:
-    """Solve ``X @ denominator = numerator`` with a conditioning guard."""
-    cond = float(np.linalg.cond(denominator))
-    if not np.isfinite(cond):
-        raise SingularMatrixError(f"{what} is exactly singular")
-    if cond > cond_limit:
+                 what: str) -> tuple[np.ndarray, float]:
+    """Solve ``X @ denominator = numerator``, refusing a condition number
+    that is not at most :data:`COND_LIMIT` (``inf`` and NaN included)."""
+    try:
+        cond = float(np.linalg.cond(denominator))
+    except np.linalg.LinAlgError:  # the SVD fails on a NaN entry
+        cond = float("nan")
+    if not cond <= COND_LIMIT:
         raise NearSingularError(f"{what} is too ill-conditioned to invert", cond)
     try:
         solution = np.linalg.solve(denominator.T, numerator.T).T
     except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"{what} is singular") from exc
+        raise NearSingularError(f"{what} is too ill-conditioned to invert",
+                                float("inf")) from exc
     return solution, cond
 
 
 def egg_estimate(f0_hat: np.ndarray, f1_hat: np.ndarray,
-                 cond_limit: float = DEFAULT_COND_LIMIT,
                  n_samples: int = 0) -> EstimateReport:
     """Estimate the combination matrix from finalized lag moments.
 
     Solves ``A_hat @ F0 = F1``.  ``f0_hat`` must be symmetric up to
-    rounding; a condition number beyond ``cond_limit`` aborts with a
+    rounding; a condition number beyond :data:`COND_LIMIT` aborts with a
     near-singular error carrying the measured value.
     """
     f0 = np.asarray(f0_hat, dtype=float)
@@ -169,15 +162,14 @@ def egg_estimate(f0_hat: np.ndarray, f1_hat: np.ndarray,
     skew = np.linalg.norm(f0 - f0.T)
     if skew > 1e-8 * max(1.0, np.linalg.norm(f0)):
         raise ValueError("f0_hat is not symmetric (asymmetry beyond rounding)")
-    a_hat, cond = _solve_right(f1, f0, cond_limit, "zero-lag moment matrix")
+    a_hat, cond = _solve_right(f1, f0, "zero-lag moment matrix")
     return EstimateReport(
         A_hat=a_hat, estimator_kind="egg", n_samples=n_samples, cond_F0=cond,
     )
 
 
 def egg_from_trajectory(traj: Trajectory, triple: NonlinearityTriple,
-                        config: WeightingConfig | None = None,
-                        cond_limit: float = DEFAULT_COND_LIMIT) -> EstimateReport:
+                        config: WeightingConfig | None = None) -> EstimateReport:
     """Accumulate lag moments over a trajectory and run :func:`egg_estimate`."""
     if triple is None:
         raise ValueError("egg estimation requires the nonlinearity triple")
@@ -185,18 +177,15 @@ def egg_from_trajectory(traj: Trajectory, triple: NonlinearityTriple,
     config = config or WeightingConfig()
     lag = lagmoments.from_trajectory(traj, triple, config)
     f0_hat, f1_hat = lagmoments.finalize(lag)
-    return egg_estimate(f0_hat, f1_hat, cond_limit=cond_limit,
-                        n_samples=lag.count)
+    return egg_estimate(f0_hat, f1_hat, n_samples=lag.count)
 
 
-def granger_estimate(traj: Trajectory,
-                     cond_limit: float = DEFAULT_COND_LIMIT) -> EstimateReport:
+def granger_estimate(traj: Trajectory) -> EstimateReport:
     """Linear one-lag regression on raw (non-centred) state moments."""
     _check_steps(traj)
     n = traj.n_steps
     r0, r1 = lagmoments._moment_sums(traj.states, n)
-    a_hat, cond = _solve_right(r1 / n, r0 / n, cond_limit,
-                               "zero-lag state moment matrix")
+    a_hat, cond = _solve_right(r1 / n, r0 / n, "zero-lag state moment matrix")
     return EstimateReport(
         A_hat=a_hat, estimator_kind="granger", n_samples=n, cond_F0=cond,
     )
@@ -212,13 +201,12 @@ def correlation_estimate(traj: Trajectory) -> EstimateReport:
     )
 
 
-def precision_estimate(traj: Trajectory,
-                       cond_limit: float = DEFAULT_COND_LIMIT) -> EstimateReport:
+def precision_estimate(traj: Trajectory) -> EstimateReport:
     """Inverse of the raw zero-lag moment matrix."""
     _check_steps(traj)
     n = traj.n_steps
     r0, _ = lagmoments._moment_sums(traj.states, n, cross=False)
-    a_hat, cond = _solve_right(np.eye(traj.n_nodes), r0 / n, cond_limit,
+    a_hat, cond = _solve_right(np.eye(traj.n_nodes), r0 / n,
                                "zero-lag state moment matrix")
     return EstimateReport(
         A_hat=a_hat, estimator_kind="precision", n_samples=n, cond_F0=cond,
@@ -237,10 +225,11 @@ def least_squares_estimate(traj: Trajectory, triple: NonlinearityTriple,
     triangular factor of the rows before it, so memory does not grow with
     the trajectory.  ``lstsq`` then solves ``R11 B^T = R12`` with the rank
     rule it would apply to the whole design; ``R11`` has the design's
-    singular values, whose squared ratio is ``cond_F0``.  The fit agrees
-    with ``lstsq`` on the whole design to 1e-12 relative, not bitwise.  A
-    rank-deficient design, fewer pairs than nodes included (condition
-    number ``inf``), aborts with a near-singular error.
+    singular values, whose squared ratio is ``cond_F0`` (``inf`` when the
+    smallest is 0, as with fewer pairs than nodes).  The fit agrees with
+    ``lstsq`` on the whole design to 1e-12 relative, not bitwise.  A
+    ``cond_F0`` beyond :data:`COND_LIMIT`, as every rank-deficient design
+    has, aborts with a near-singular error.
     """
     _check_steps(traj)
     config = config or WeightingConfig()
@@ -261,14 +250,15 @@ def least_squares_estimate(traj: Trajectory, triple: NonlinearityTriple,
         factor = np.linalg.qr(stacked[:end], mode="r")
         filled = len(factor)
         stacked[:filled] = factor
-    coeffs, _, rank, singular_values = np.linalg.lstsq(
+    coeffs, _, _, singular_values = np.linalg.lstsq(
         stacked[:width, :width], stacked[:width, width:],
         rcond=np.finfo(float).eps * max(n, width))
-    if rank < width:
-        cond = float(singular_values[0] / singular_values[-1]) \
-            if singular_values[-1] > 0 else float("inf")
-        raise NearSingularError("least-squares design is rank deficient", cond)
-    cond_f0 = float((singular_values[0] / singular_values[-1]) ** 2)
+    smallest = singular_values[-1]
+    cond_f0 = float((singular_values[0] / smallest) ** 2) if smallest > 0 \
+        else float("inf")
+    if not cond_f0 <= COND_LIMIT:
+        raise NearSingularError(
+            "least-squares design is too ill-conditioned to solve", cond_f0)
     return EstimateReport(
         A_hat=coeffs.T, estimator_kind="least_squares", n_samples=n,
         cond_F0=cond_f0,
@@ -277,8 +267,7 @@ def least_squares_estimate(traj: Trajectory, triple: NonlinearityTriple,
 
 def partial_estimate(traj: Trajectory, observed: Sequence[int], kind: str,
                      triple: NonlinearityTriple | None = None,
-                     config: WeightingConfig | None = None,
-                     cond_limit: float = DEFAULT_COND_LIMIT) -> EstimateReport:
+                     config: WeightingConfig | None = None) -> EstimateReport:
     """Estimate the subnetwork matrix from an observed subset of nodes.
 
     Only the observed columns of the trajectory are read: the states are
@@ -298,7 +287,7 @@ def partial_estimate(traj: Trajectory, observed: Sequence[int], kind: str,
     sub_traj = Trajectory(states=columns, seed=traj.seed)
     report = _TABLE[kind][1](
         traj=sub_traj, triple=None if triple is None else triple.restrict(observed),
-        config=config, observed=None, cond_limit=cond_limit,
+        config=config, observed=None,
     )
     return EstimateReport(
         A_hat=report.A_hat, estimator_kind=f"{kind}_partial",

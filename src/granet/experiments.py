@@ -23,7 +23,7 @@ import numpy as np
 from . import estimators, fileio, lagmoments, presets, recovery
 from .dynamics import NoiseModel, Trajectory, simulate
 from .errors import ConfigError, NumericalError
-from .estimators import DEFAULT_COND_LIMIT, EstimateReport
+from .estimators import EstimateReport
 from .graphs import (CombinationMatrix, DirectedGraph,
                      build_combination_matrix, generate_binomial_graph,
                      subgraph)
@@ -42,7 +42,6 @@ _DEFAULTS: dict[str, Any] = {
     "weighting": {"delta": 0.0},
     "estimators": ["egg", "granger", "correlation", "precision"],
     "observed_set": None,
-    "cond_limit": DEFAULT_COND_LIMIT,
     "save_trajectory": None,
 }
 
@@ -99,8 +98,7 @@ def expand_config(raw: dict) -> dict:
     graph = base["graph"]
     _require(_number(graph["n_nodes"], int) and graph["n_nodes"] >= 1,
              "graph.n_nodes: must be a positive integer")
-    for path in ("graph.p", "rho", "noise_std", "weighting.delta",
-                 "cond_limit"):
+    for path in ("graph.p", "rho", "noise_std", "weighting.delta"):
         section, _, name = path.rpartition(".")
         value = base[section][name] if section else base[name]
         _require(_number(value), f"{path}: must be a number, got {value!r}")
@@ -127,7 +125,6 @@ def expand_config(raw: dict) -> dict:
     observed = estimators._check_observed(base["observed_set"], graph["n_nodes"])
     base["observed_set"] = observed
     estimators._check_kinds(base["estimators"], observed)
-    estimators._check_cond_limit(base["cond_limit"])
 
     n_nodes = graph["n_nodes"]
     try:
@@ -207,7 +204,7 @@ def run_experiment(config: dict, out_dir: "str | Path") -> ExperimentResult:
     for kind in config["estimators"]:
         try:
             report = estimators.run_estimator(kind, traj, triple, weighting,
-                                              observed, config["cond_limit"])
+                                              observed)
         except NumericalError as exc:
             errors[kind] = str(exc)
             (run_dir / f"estimate_{kind}.json").write_text(

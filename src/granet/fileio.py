@@ -8,7 +8,8 @@ deterministic bytes for identical inputs.
 
 Every loader raises a :class:`ConfigError` that starts with the path when
 the content is bad: a cell that is not a number, a ragged row, bytes that
-are not UTF-8, or no data row where the format needs one.
+are not UTF-8, or no data row where the format needs one.  A matrix file
+must also hold only finite cells.
 """
 
 from __future__ import annotations
@@ -92,8 +93,14 @@ def save_matrix(matrix: np.ndarray, path: "str | Path") -> None:
 
 
 def load_matrix(path: "str | Path") -> np.ndarray:
+    """The matrix in ``path``; a cell that is not finite is a ConfigError."""
     with _naming(path):
-        return _rows(path)
+        rows = _rows(path)
+        if not np.isfinite(rows).all():
+            row, col = np.argwhere(~np.isfinite(rows))[0]
+            raise ValueError(f"non-finite cell {float(rows[row, col])!r} "
+                             f"at row {row}, column {col}")
+        return rows
 
 
 def save_trajectory(traj: Trajectory, path: "str | Path") -> None:

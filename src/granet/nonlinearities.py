@@ -355,28 +355,56 @@ _FACTORIES: dict[str, Callable[..., Nonlinearity]] = {
 }
 
 
+_SPEC_KEYS = ("kind", "params", "envelope", "exponent_role")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _numbers(value, length: int | None = None) -> bool:
+    """Whether ``value`` is a list (or tuple) of numbers, of ``length`` if
+    given; a string or a boolean is not a number."""
+    return (isinstance(value, (list, tuple)) and all(map(_is_number, value))
+            and length in (None, len(value)))
+
+
 def from_spec(spec: "str | dict") -> Nonlinearity:
     """Build a nonlinearity from a plain-data spec.
 
-    A string is a parameterless kind; a dict holds ``kind`` plus positional
-    ``params`` and optional ``envelope``/``exponent_role`` overrides.
+    A string is a parameterless kind; a dict holds ``kind`` plus a list of
+    positional ``params`` and optional ``envelope`` (a pair of numbers) and
+    ``exponent_role`` (a number) overrides, and no other key.
     """
     if isinstance(spec, str):
         spec = {"kind": spec}
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError(f"nonlinearity spec missing 'kind': {spec!r}")
+    unknown = sorted(set(spec) - set(_SPEC_KEYS))
+    if unknown:
+        raise ValueError(f"unknown nonlinearity spec keys {unknown}; "
+                         f"expected some of {list(_SPEC_KEYS)}")
     kind = spec["kind"]
-    if kind not in _FACTORIES:
+    if not isinstance(kind, str) or kind not in _FACTORIES:
         raise ValueError(
             f"unknown nonlinearity kind {kind!r}; "
             f"expected one of {sorted(_FACTORIES)}"
         )
     params = spec.get("params", ())
+    envelope, role = spec.get("envelope"), spec.get("exponent_role")
+    if not _numbers(params):
+        raise ValueError(f"params for {kind!r} must be a list of numbers, "
+                         f"got {params!r}")
+    if not (envelope is None or _numbers(envelope, 2)) \
+            or not (role is None or _is_number(role)):
+        raise ValueError(
+            f"bad envelope override for {kind!r}: {envelope!r}, "
+            f"exponent_role {role!r}"
+        )
     try:
         fn = _FACTORIES[kind](*params)
     except TypeError as exc:
         raise ValueError(f"bad params for {kind!r}: {params!r}") from exc
-    envelope, role = spec.get("envelope"), spec.get("exponent_role")
     if envelope is None and role is not None:
         if fn.envelope is None:
             raise ValueError(
@@ -384,13 +412,7 @@ def from_spec(spec: "str | dict") -> Nonlinearity:
             )
         envelope = fn.envelope
     if envelope is not None:
-        try:
-            fn = fn.with_envelope(*envelope, role)
-        except TypeError as exc:
-            raise ValueError(
-                f"bad envelope override for {kind!r}: {envelope!r}, "
-                f"exponent_role {role!r}"
-            ) from exc
+        fn = fn.with_envelope(*envelope, role)
     return fn
 
 

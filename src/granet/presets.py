@@ -80,13 +80,23 @@ def triple_to_spec(triple: NonlinearityTriple) -> dict:
 
 
 def triple_from_spec(spec: "str | dict", n_nodes: int) -> NonlinearityTriple:
-    """Build a triple from a preset name or an explicit plain-data spec."""
+    """Build a triple from a preset name or an explicit plain-data spec.
+
+    A spec maps ``sigma``, ``g`` and ``h`` to a family each, and may name
+    a ``triple_id``; no other key is allowed.  A family is a nonlinearity
+    spec for every node, or a mapping whose one key is ``uniform`` (one
+    spec for every node) or ``per_node`` (a list of ``n_nodes`` specs).
+    """
     if isinstance(spec, str):
         return triple_preset(spec, n_nodes)
     if not isinstance(spec, dict):
         raise ValueError(f"triple spec must be a name or mapping, got {spec!r}")
 
     def family(entry, name):
+        if isinstance(entry, dict) and {"uniform", "per_node"} & entry.keys() \
+                and len(entry) != 1:
+            raise ValueError(f"{name} must hold only 'uniform' or only "
+                             f"'per_node', got keys {sorted(entry)}")
         if isinstance(entry, dict) and "uniform" in entry:
             return (nl.from_spec(entry["uniform"]),) * n_nodes
         if isinstance(entry, dict) and "per_node" in entry:
@@ -105,6 +115,9 @@ def triple_from_spec(spec: "str | dict", n_nodes: int) -> NonlinearityTriple:
     missing = {"sigma", "g", "h"} - spec.keys()
     if missing:
         raise ValueError(f"triple spec missing families: {sorted(missing)}")
+    unknown = spec.keys() - {"sigma", "g", "h", "triple_id"}
+    if unknown:
+        raise ValueError(f"unknown triple spec keys: {sorted(unknown)}")
     return NonlinearityTriple(
         sigma=family(spec["sigma"], "sigma"),
         g=family(spec["g"], "g"),

@@ -1,5 +1,7 @@
 """In-process command-line interface checks."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,10 +9,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import granet
 from granet import cli, estimators, fileio
 from granet import experiments as xp
+from granet import nonlinearities as nl
 
 
 def small_experiment_config():
@@ -151,12 +156,15 @@ def test_estimate_checks_observed_for_every_kind(pipeline, tmp_path, capsys,
 
 @pytest.mark.parametrize("limit", ["-1", "0", "nan"])
 def test_estimate_cond_limit_must_be_positive(pipeline, tmp_path, capsys, limit):
-    rc = cli.main(["estimate", "--trajectory",
-                   str(pipeline / "sim" / "trajectory.csv"),
-                   "--triple", "linear", "--estimators", "egg,granger",
-                   "--cond-limit", limit, "--out", str(tmp_path / "est")])
-    assert rc == cli.EXIT_CONFIG
-    assert "cond_limit" in capsys.readouterr().err
+    # the limit is the constant estimators.COND_LIMIT, so the retired flag
+    # is an argparse error whatever its value
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["estimate", "--trajectory",
+                  str(pipeline / "sim" / "trajectory.csv"),
+                  "--triple", "linear", "--estimators", "egg,granger",
+                  "--cond-limit", limit, "--out", str(tmp_path / "est")])
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert "--cond-limit" in capsys.readouterr().err
     assert not (tmp_path / "est").exists()
 
 
@@ -268,6 +276,14 @@ def test_experiment_config_error_exit(tmp_path, capsys):
                  "h": "identity"}}, "per_node"),
     ({"norm": "infinity"}, "norm"),
     ({"weighting": {"mode": "exact", "delta": 0.0}}, "mode"),
+    ({"triple": {"sigma": "identity", "g": "constant_one",
+                 "h": {"kind": "limiter", "parms": [0.5, 2.0]}}}, "parms"),
+    ({"triple": {"sigma": "identity", "g": "constant_one", "h": "identity",
+                 "extra": 1}}, "extra"),
+    ({"triple": {"sigma": {"kind": ["tanh"]}, "g": "constant_one",
+                 "h": "identity"}}, "unknown nonlinearity kind"),
+    ({"triple": {"sigma": {"uniform": "identity", "per_node": 5},
+                 "g": "constant_one", "h": "identity"}}, "only 'uniform'"),
 ])
 def test_experiment_mistyped_value_exit_config(tmp_path, capsys, overrides, key):
     cfg = dict(small_experiment_config(), **overrides)
@@ -278,6 +294,75 @@ def test_experiment_mistyped_value_exit_config(tmp_path, capsys, overrides, key)
     assert rc == cli.EXIT_CONFIG
     assert key in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+_VALID_TRIPLE = {"sigma": {"kind": "tanh_shifted", "params": [0.5]},
+                 "g": {"kind": "constant_one"},
+                 "h": {"kind": "sign_power", "params": [0.6]}}
+_KINDS = sorted(nl._FACTORIES)
+_NOT_A_NUMBER = st.one_of(st.text(max_size=3), st.booleans(), st.none(),
+                          st.lists(st.integers(), max_size=2))
+
+
+def _mutated(spec):
+    """Strategy: ``spec`` with one thing wrong that from_spec must refuse."""
+    unknown_key = st.text(min_size=1, max_size=8).filter(
+        lambda key: key not in ("kind", "params", "envelope", "exponent_role"))
+    bad_kind = st.one_of(
+        st.text(max_size=12).filter(lambda kind: kind not in _KINDS),
+        st.lists(st.sampled_from(_KINDS), min_size=1, max_size=2),
+        st.dictionaries(st.text(max_size=3), st.integers(), max_size=1))
+    bad_params = st.one_of(
+        st.text(max_size=4), st.booleans(),
+        st.lists(st.one_of(st.booleans(), st.text(max_size=3)),
+                 min_size=1, max_size=2))
+    bad_envelope = st.one_of(
+        st.floats(0.0, 2.0), st.text(max_size=4),
+        st.lists(st.floats(0.0, 2.0), max_size=4).filter(lambda e: len(e) != 2),
+        st.tuples(_NOT_A_NUMBER, st.floats(0.0, 2.0)).map(list),
+        st.tuples(st.floats(0.0, 2.0), st.floats(-2.0, -0.01)).map(list))
+    return st.one_of(
+        st.tuples(unknown_key, st.integers()).map(
+            lambda item: {**spec, item[0]: item[1]}),
+        bad_kind.map(lambda kind: {**spec, "kind": kind}),
+        bad_params.map(lambda params: {**spec, "params": params}),
+        bad_envelope.map(lambda envelope: {**spec, "envelope": envelope}))
+
+
+@st.composite
+def _triples_with_one_bad_spec(draw, n_nodes):
+    family = draw(st.sampled_from(sorted(_VALID_TRIPLE)))
+    spec = _VALID_TRIPLE[family]
+    bad = draw(_mutated(spec))
+    triple = dict(_VALID_TRIPLE)
+    form = draw(st.sampled_from(["bare", "uniform", "per_node"]))
+    if form == "per_node":
+        specs = [spec] * n_nodes
+        specs[draw(st.integers(0, n_nodes - 1))] = bad
+        triple[family] = {"per_node": specs}
+    else:
+        triple[family] = bad if form == "bare" else {"uniform": bad}
+    return triple
+
+
+@settings(deadline=None, max_examples=30)
+@given(triple=_triples_with_one_bad_spec(3))
+def test_experiment_refuses_a_malformed_nonlinearity_spec(tmp_path_factory,
+                                                         triple):
+    root = tmp_path_factory.mktemp("mutant")
+    cfg = dict(small_experiment_config(), triple=triple,
+               graph={"n_nodes": 3, "p": 0.5, "seed": 5},
+               sim={"n_steps": 20, "seed": 9, "y0": 0.0})
+    cfg_path = root / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = cli.main(["experiment", "--config", str(cfg_path),
+                       "--out", str(root / "run")])
+    assert rc == cli.EXIT_CONFIG, err.getvalue()
+    assert "configuration error: triple: " in err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert not (root / "run").exists()
 
 
 def test_sweep_mistyped_delta_exit_config(tmp_path, capsys):
@@ -387,6 +472,24 @@ def test_empty_matrix_file_exits_config_without_warnings(tmp_path):
     assert proc.returncode == cli.EXIT_CONFIG
     assert str(path) in proc.stderr
     assert "Warning" not in proc.stderr
+
+
+@pytest.mark.parametrize("command, flag", [("score", "--estimate"),
+                                           ("score", "--truth"),
+                                           ("simulate", "--matrix")])
+def test_non_finite_matrix_cell_exits_config(pipeline, tmp_path, capsys,
+                                            command, flag):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("nan,0\n0,inf\n")
+    good = str(pipeline / "gen" / "matrix.csv")
+    argv = {"score": ["score", "--estimate", good, "--truth", good],
+            "simulate": ["simulate", "--matrix", good, "--steps", "10"]}[command]
+    argv[argv.index(flag) + 1] = str(bad)
+    rc = cli.main(argv + ["--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_CONFIG
+    assert f"configuration error: {bad}: non-finite cell nan" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_experiment_numerical_failure_exit(singular_run):

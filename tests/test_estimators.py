@@ -12,7 +12,6 @@ from granet import (
     FunctionDomainError,
     NearSingularError,
     NoiseModel,
-    SingularMatrixError,
     Trajectory,
     WeightingConfig,
     build_combination_matrix,
@@ -60,8 +59,15 @@ def test_egg_near_singular_carries_condition_number():
 
 
 def test_egg_exactly_singular():
-    with pytest.raises(SingularMatrixError):
+    with pytest.raises(NearSingularError) as err:
         egg_estimate(np.diag([1.0, 0.0]), np.eye(2))
+    assert err.value.cond == float("inf")
+
+
+def test_egg_refuses_a_nan_moment_matrix():
+    with pytest.raises(NearSingularError) as err:
+        egg_estimate(np.diag([1.0, np.nan]), np.eye(2))
+    assert np.isnan(err.value.cond)
 
 
 def test_noiseless_scalar_recovers_coefficient_exactly():

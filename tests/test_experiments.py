@@ -30,7 +30,6 @@ def test_expand_fills_defaults_and_is_idempotent():
     expanded = xp.expand_config(small_config())
     assert expanded["noise_std"] == 1.0
     assert expanded["weighting"] == {"delta": 0.0}
-    assert expanded["cond_limit"] == 1e12
     # the preset name is replaced by a fully explicit spec
     assert isinstance(expanded["triple"], dict)
     assert xp.expand_config(expanded) == expanded

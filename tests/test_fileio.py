@@ -189,6 +189,15 @@ def test_loaders_name_the_file_on_a_bad_payload(tmp_path, kind, payload):
             load(path, path) if kind == "lag_matrices" else load(path)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_matrix_loader_rejects_a_non_finite_cell(tmp_path, cell):
+    path = tmp_path / "matrix.csv"
+    path.write_text(f"0.5,0\n0,{cell}\n")
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: "
+                       f"non-finite cell {cell} at row 1, column 1$"):
+        fileio.load_matrix(path)
+
+
 @pytest.mark.parametrize("payload", [b'{"false_edges": 0,', b'{"\xff": 0}'])
 def test_metrics_loader_names_the_file_on_a_bad_payload(tmp_path, payload):
     path = tmp_path / "metrics.json"

@@ -232,6 +232,21 @@ def test_spec_roundtrip():
         )
 
 
+@pytest.mark.parametrize("spec, message", [
+    ({"kind": "limiter", "parms": [0.5, 2.0]}, "unknown nonlinearity spec keys"),
+    ({"kind": ["tanh"]}, "unknown nonlinearity kind"),
+    ({"kind": "tanh_shifted", "params": "2"}, "list of numbers"),
+    ({"kind": "sign_power", "params": [True]}, "list of numbers"),
+    ({"kind": "tanh", "envelope": "12"}, "bad envelope"),
+    ({"kind": "tanh", "envelope": [True, 1.0]}, "bad envelope"),
+    ({"kind": "tanh", "envelope": [1.0]}, "bad envelope"),
+    ({"kind": "identity", "exponent_role": True}, "bad envelope"),
+])
+def test_from_spec_rejects_what_it_would_misread(spec, message):
+    with pytest.raises(ValueError, match=message):
+        nl.from_spec(spec)
+
+
 def test_equality_and_hashing():
     assert nl.sign_power(0.5) == nl.sign_power(0.5)
     assert nl.sign_power(0.5) != nl.sign_power(0.3)

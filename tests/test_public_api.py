@@ -1,25 +1,28 @@
-"""The package's public names, pinned.
+"""The package's public names, command-line options and config keys, pinned.
 
-A public name is added or removed by editing the list below, so a change to
-the API shows in the diff of this test.
+A public name, an option or a config key is added or removed by editing the
+lists below, so a change to the API shows in the diff of this test.
 """
 
+import argparse
+
 import granet
+from granet import cli, experiments
 
 PUBLIC_NAMES = [
     "AssumptionReport", "ClusterSplit", "CombinationMatrix", "ConfigError",
     "DegenerateClusterError", "DirectedGraph", "EstimateReport",
     "FunctionDomainError", "InvalidStateError", "LagMatrices",
     "NearSingularError", "NoiseModel", "NonlinearityTriple", "NumericalError",
-    "RecoveryMetrics", "SimulationDivergedError", "SingularMatrixError",
-    "SortedProfile", "Trajectory", "WeightingConfig", "accumulate",
-    "assumption_report", "build_combination_matrix", "classify_edges",
-    "correlation_estimate", "egg_estimate", "egg_from_trajectory", "finalize",
-    "from_trajectory", "generate_binomial_graph", "granger_estimate",
-    "kmeans2_1d", "least_squares_estimate", "omega_tail_index",
-    "partial_estimate", "precision_estimate", "running_onelag_max",
-    "running_weight_moment", "score", "simulate", "sorted_entry_profile",
-    "stability_constant", "subgraph", "support_offdiagonal", "triple_preset",
+    "RecoveryMetrics", "SimulationDivergedError", "SortedProfile",
+    "Trajectory", "WeightingConfig", "accumulate", "assumption_report",
+    "build_combination_matrix", "classify_edges", "correlation_estimate",
+    "egg_estimate", "egg_from_trajectory", "finalize", "from_trajectory",
+    "generate_binomial_graph", "granger_estimate", "kmeans2_1d",
+    "least_squares_estimate", "omega_tail_index", "partial_estimate",
+    "precision_estimate", "running_onelag_max", "running_weight_moment",
+    "score", "simulate", "sorted_entry_profile", "stability_constant",
+    "subgraph", "support_offdiagonal", "triple_preset",
 ]
 
 
@@ -29,3 +32,46 @@ def test_public_names_are_pinned_and_import():
     namespace = {}
     exec("from granet import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC_NAMES
+
+
+#: Each subcommand's long options, ``--help`` aside.
+CLI_OPTIONS = {
+    "generate": ["--n", "--out", "--p", "--rho", "--seed"],
+    "simulate": ["--matrix", "--out", "--seed", "--std", "--steps", "--triple",
+                 "--y0"],
+    "estimate": ["--delta", "--estimators", "--observed", "--out",
+                 "--trajectory", "--triple"],
+    "score": ["--estimate", "--out", "--truth"],
+    "experiment": ["--config", "--out", "--preset", "--seed"],
+    "sweep": ["--config", "--out", "--seed", "--workers"],
+}
+
+#: The experiment config's top-level keys (``preset`` aside, which picks the
+#: defaults and is not stored), and the keys of each section.
+CONFIG_KEYS = ["estimators", "graph", "noise_std", "observed_set", "rho",
+               "save_trajectory", "sim", "triple", "weighting"]
+CONFIG_SECTIONS = {
+    "graph": ["n_nodes", "p", "seed"],
+    "sim": ["n_steps", "seed", "y0"],
+    "weighting": ["delta"],
+}
+
+
+def test_cli_options_are_pinned():
+    parser = cli.build_parser()
+    (subcommands,) = [action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction)]
+    options = {
+        name: sorted(option for action in sub._actions
+                     for option in action.option_strings
+                     if option.startswith("--") and option != "--help")
+        for name, sub in subcommands.choices.items()
+    }
+    assert options == CLI_OPTIONS
+
+
+def test_experiment_config_keys_are_pinned():
+    config = experiments.experiment_preset("example1")
+    assert sorted(config) == CONFIG_KEYS
+    assert {key: sorted(value) for key, value in config.items()
+            if isinstance(value, dict)} == CONFIG_SECTIONS
