@@ -20,7 +20,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import estimators, experiments, fileio, lagmoments, presets, recovery
+from . import experiments, fileio, presets, recovery
 from .dynamics import NoiseModel, NonlinearityTriple, simulate
 from .errors import ConfigError, NumericalError
 from .graphs import (CombinationMatrix, build_combination_matrix,
@@ -89,28 +89,17 @@ def _cmd_simulate(args) -> int:
 def _cmd_estimate(args) -> int:
     traj = fileio.load_trajectory(args.trajectory)
     triple = _load_triple(args.triple, traj.n_nodes)
-    weighting = WeightingConfig(delta=args.delta)
-    lagmoments._check_regularizable(triple, weighting)
-    observed = estimators._check_observed(
-        [int(v) for v in args.observed.split(",")] if args.observed else None,
-        traj.n_nodes)
+    observed = [int(v) for v in args.observed.split(",")] if args.observed else None
     kinds = [k.strip() for k in args.estimators.split(",")]
-    estimators._check_kinds(kinds, observed)
-    estimators._check_steps(traj)
-    out = _out_dir(args)
-    status = EXIT_OK
+    out = Path(args.out)
+    _, errors = experiments.run_estimators(
+        out, traj, triple, WeightingConfig(delta=args.delta), kinds, observed)
     for kind in kinds:
-        try:
-            report = estimators.run_estimator(kind, traj, triple, weighting,
-                                              observed)
-        except NumericalError as exc:
-            print(f"{kind}: {exc}", file=sys.stderr)
-            status = EXIT_NUMERICAL
-            continue
-        fileio.save_estimate_report(report, out / f"estimate_{kind}.json",
-                                    out / f"estimate_{kind}.csv")
-        print(f"wrote {kind} estimate to {out / f'estimate_{kind}.csv'}")
-    return status
+        if kind in errors:
+            print(f"{kind}: {errors[kind]}", file=sys.stderr)
+        else:
+            print(f"wrote {kind} estimate to {out / f'estimate_{kind}.csv'}")
+    return EXIT_NUMERICAL if errors else EXIT_OK
 
 
 def _cmd_score(args) -> int:

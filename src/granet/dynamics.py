@@ -29,8 +29,8 @@ DIVERGENCE_LIMIT = 1e12
 #: Epochs of noise drawn per call of the generator in :func:`simulate`.
 _NOISE_BLOCK = 8192
 
-#: Rows per block of the finiteness check in :class:`Trajectory`.
-_FINITE_CHECK_ROWS = 4096
+#: Rows per block of the magnitude check in :class:`Trajectory`.
+_MAGNITUDE_CHECK_ROWS = 4096
 
 #: Tolerance used when checking that growth exponents sum to one.
 _PQ_TOL = 1e-9
@@ -253,7 +253,8 @@ class Trajectory:
     """A simulated state history.
 
     ``states`` has shape ``(n_steps + 1, n_nodes)``; row 0 is the initial
-    condition.  All entries are finite by construction.  ``states`` is
+    condition.  Every entry is finite with magnitude at most
+    ``DIVERGENCE_LIMIT``, the bound :func:`simulate` stops at.  ``states`` is
     read-only.  A read-only float64 array that owns its data is kept as
     given, so the trajectory may share that buffer with its producer.
     """
@@ -263,16 +264,23 @@ class Trajectory:
 
     def __post_init__(self):
         states = np.asarray(self.states, dtype=float)
-        if states.ndim != 2 or states.shape[0] < 1:
+        if states.ndim != 2 or 0 in states.shape:
             raise ValueError(
                 "states must be 2-d (n_steps + 1, n_nodes) with at least one "
-                f"row, got shape {states.shape}"
+                f"row and one node, got shape {states.shape}"
             )
-        # Checked a block of rows at a time, so the boolean temporary stays
-        # small however long the trajectory is.
-        for start in range(0, states.shape[0], _FINITE_CHECK_ROWS):
-            if not np.isfinite(states[start:start + _FINITE_CHECK_ROWS]).all():
-                raise ValueError("trajectory states must all be finite")
+        # Checked a block of rows at a time with two reductions, so no
+        # temporary grows with the trajectory.  NaN fails both comparisons.
+        for start in range(0, states.shape[0], _MAGNITUDE_CHECK_ROWS):
+            block = states[start:start + _MAGNITUDE_CHECK_ROWS]
+            if not (block.max() <= DIVERGENCE_LIMIT
+                    and block.min() >= -DIVERGENCE_LIMIT):
+                row, node = np.argwhere(~(np.abs(block) <= DIVERGENCE_LIMIT))[0]
+                raise ValueError(
+                    "trajectory states must all be finite with magnitude at "
+                    f"most {DIVERGENCE_LIMIT:g}; row {start + row}, node {node} "
+                    f"holds {float(block[row, node])!r}"
+                )
         # A read-only array that owns its data cannot change under us, so it
         # is kept as it is; anything else (writable, or a view of a buffer
         # that may be writable elsewhere) is copied.
@@ -328,8 +336,9 @@ def simulate(matrix: CombinationMatrix, triple: NonlinearityTriple,
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
     y0 = np.broadcast_to(np.asarray(y0, dtype=float), (n,)).copy()
-    if not np.all(np.isfinite(y0)):
-        raise ValueError("y0 must be finite")
+    if not np.all(np.abs(y0) <= DIVERGENCE_LIMIT):
+        raise ValueError(f"y0 must be finite with magnitude at most "
+                         f"{DIVERGENCE_LIMIT:g}")
 
     states = np.empty((n_steps + 1, n))
     states[0] = y0

@@ -23,9 +23,11 @@ from .lagmoments import WeightingConfig
 #: Estimators abort when the matrix to invert is worse-conditioned than this.
 COND_LIMIT = 1e12
 
-#: kind -> (partial, call taking the keywords of :func:`run_estimator`).  A
-#: call looks its estimator up when it runs, not when the table is built, so
-#: a patched module attribute (a tracer's or a test's) reaches every dispatch.
+#: kind -> (partial, call taking the keywords ``traj``, ``triple``, ``config``
+#: and ``observed``), as :func:`granet.experiments.run_estimators` makes it.
+#: A call looks its estimator up when it runs, not when the table is built,
+#: so a patched module attribute (a tracer's or a test's) reaches every
+#: dispatch.
 _TABLE = {
     "egg": (False, lambda traj, triple, config, **_:
             egg_from_trajectory(traj, triple, config)),
@@ -80,23 +82,6 @@ def _check_steps(traj: Trajectory) -> None:
     if traj.n_steps < 1:
         raise ValueError("estimation needs at least one step, "
                          "got a trajectory of 0 steps")
-
-
-def run_estimator(kind: str, traj: Trajectory, triple: NonlinearityTriple,
-                  config: WeightingConfig | None = None,
-                  observed: Sequence[int] | None = None) -> EstimateReport:
-    """Run estimator ``kind``; partial kinds estimate on the ``observed`` nodes.
-
-    An unknown kind, a partial kind without ``observed``, or an
-    ``observed`` set that :func:`_check_observed` rejects (for any kind) is
-    a ConfigError; a trajectory of no steps is a ValueError
-    (:func:`_check_steps`).
-    """
-    _check_kinds((kind,), observed)
-    _check_observed(observed, traj.n_nodes)
-    _check_steps(traj)
-    return _TABLE[kind][1](traj=traj, triple=triple, config=config,
-                           observed=observed)
 
 
 @dataclass(frozen=True)

@@ -16,12 +16,13 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
 from . import estimators, fileio, lagmoments, presets, recovery
-from .dynamics import NoiseModel, Trajectory, simulate
+from .dynamics import (DIVERGENCE_LIMIT, NoiseModel, NonlinearityTriple,
+                       Trajectory, simulate)
 from .errors import ConfigError, NumericalError
 from .estimators import EstimateReport
 from .graphs import (CombinationMatrix, DirectedGraph,
@@ -65,8 +66,9 @@ def _number(value, types=(int, float)) -> bool:
     return isinstance(value, types) and not isinstance(value, bool)
 
 
-def _finite(value) -> bool:
-    return _number(value) and math.isfinite(value)
+def _state(value) -> bool:
+    """A number that a :class:`Trajectory` may hold as a state."""
+    return _number(value) and abs(value) <= DIVERGENCE_LIMIT
 
 
 def expand_config(raw: dict) -> dict:
@@ -114,9 +116,10 @@ def expand_config(raw: dict) -> dict:
     _require(_number(sim["seed"], int) and sim["seed"] >= 0,
              "sim.seed: must be a non-negative integer")
     y0 = sim["y0"]
-    _require(_finite(y0) or (isinstance(y0, list) and len(y0) == graph["n_nodes"]
-                             and all(map(_finite, y0))),
-             "sim.y0: must be a finite number or a list of n_nodes finite numbers")
+    _require(_state(y0) or (isinstance(y0, list) and len(y0) == graph["n_nodes"]
+                            and all(map(_state, y0))),
+             f"sim.y0: must be a number of magnitude at most {DIVERGENCE_LIMIT:g}, "
+             "or a list of n_nodes such numbers")
     _require(base["save_trajectory"] is None
              or isinstance(base["save_trajectory"], bool),
              "save_trajectory: must be null, true or false")
@@ -159,6 +162,43 @@ class ExperimentResult:
         return bool(self.errors)
 
 
+def run_estimators(out_dir: "str | Path", traj: Trajectory,
+                   triple: NonlinearityTriple, weighting: WeightingConfig,
+                   kinds: Sequence[str], observed: Sequence[int] | None
+                   ) -> tuple[dict[str, EstimateReport], dict[str, str]]:
+    """Run each estimator kind on ``traj`` and write its files to ``out_dir``.
+
+    The estimation stage of both ``granet experiment`` and ``granet
+    estimate``.  Every input is checked before ``out_dir`` is created.  A
+    kind writes ``estimate_<kind>.json`` and ``.csv``; a kind that fails
+    with a NumericalError writes only the JSON, holding its kind and the
+    error, and the other kinds still run.  Kinds are looked up in
+    ``estimators._TABLE`` as they run, so a patched estimator is the one
+    called.  Returns the reports and the error messages, keyed by kind.
+    """
+    lagmoments._check_regularizable(triple, weighting)
+    observed = estimators._check_observed(observed, traj.n_nodes)
+    estimators._check_kinds(kinds, observed)
+    estimators._check_steps(traj)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    reports: dict[str, EstimateReport] = {}
+    errors: dict[str, str] = {}
+    for kind in kinds:
+        try:
+            reports[kind] = estimators._TABLE[kind][1](
+                traj=traj, triple=triple, config=weighting, observed=observed)
+        except NumericalError as exc:
+            errors[kind] = str(exc)
+            fileio._write_json({"estimator_kind": kind, "error": str(exc)},
+                               out_dir / f"estimate_{kind}.json")
+        else:
+            fileio.save_estimate_report(reports[kind],
+                                        out_dir / f"estimate_{kind}.json",
+                                        out_dir / f"estimate_{kind}.csv")
+    return reports, errors
+
+
 def run_experiment(config: dict, out_dir: "str | Path") -> ExperimentResult:
     """Run one full generate/simulate/estimate/score pipeline.
 
@@ -197,24 +237,10 @@ def run_experiment(config: dict, out_dir: "str | Path") -> ExperimentResult:
     fileio.save_lag_matrices(lag, run_dir / "lag_f0.csv", run_dir / "lag_f1.csv")
     f0_hat, _ = lagmoments.finalize(lag)
 
-    observed = config["observed_set"]
-    reports: dict[str, EstimateReport] = {}
+    reports, errors = run_estimators(run_dir, traj, triple, weighting,
+                                     config["estimators"], config["observed_set"])
     metrics: dict[str, RecoveryMetrics] = {}
-    errors: dict[str, str] = {}
-    for kind in config["estimators"]:
-        try:
-            report = estimators.run_estimator(kind, traj, triple, weighting,
-                                              observed)
-        except NumericalError as exc:
-            errors[kind] = str(exc)
-            (run_dir / f"estimate_{kind}.json").write_text(
-                json.dumps({"estimator_kind": kind, "error": str(exc)},
-                           indent=2, sort_keys=True) + "\n"
-            )
-            continue
-        reports[kind] = report
-        fileio.save_estimate_report(report, run_dir / f"estimate_{kind}.json",
-                                    run_dir / f"estimate_{kind}.csv")
+    for kind, report in reports.items():
         if report.observed_set is not None:
             truth_graph = subgraph(graph, report.observed_set)
             truth_entries = matrix.entries[np.ix_(report.observed_set,

@@ -6,10 +6,11 @@ header; trajectory files carry ``# N=<n>, steps=<k>, seed=<s>``; lag-moment
 files prepend ``# count=<c>`` to the dense matrix payload.  Writers emit
 deterministic bytes for identical inputs.
 
-Every loader raises a :class:`ConfigError` that starts with the path when
-the content is bad: a cell that is not a number, a ragged row, bytes that
-are not UTF-8, or no data row where the format needs one.  A matrix file
-must also hold only finite cells.
+The matrix and trajectory loaders raise a :class:`ConfigError` that starts
+with the path when the content is bad: a cell that is not a number, a
+ragged row, bytes that are not UTF-8, or no data row.  A matrix file must
+also hold only finite cells, and a trajectory file only states that a
+:class:`~granet.dynamics.Trajectory` accepts.
 """
 
 from __future__ import annotations
@@ -35,17 +36,17 @@ _FMT = "%.17g"
 
 
 @contextlib.contextmanager
-def _naming(name: "str | Path"):
+def _naming(path: "str | Path"):
     """Re-raise a ValueError from reading a file as a ConfigError that starts
-    with ``name``: the file's path, or the paths of two files that disagree."""
+    with the file's ``path``."""
     try:
         with warnings.catch_warnings():
-            # Formats that need a row check for one in _rows; the warning
-            # would only reach stderr.
+            # _rows checks for a data row; the warning would only reach
+            # stderr.
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             yield
     except ValueError as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _first_line(path: "str | Path") -> str:
@@ -65,27 +66,6 @@ def save_graph(graph: DirectedGraph, path: "str | Path") -> None:
     lines = [f"# N={graph.n_nodes}"]
     lines += [f"{i},{j}" for i, j in graph.sorted_edges()]
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_graph(path: "str | Path") -> DirectedGraph:
-    with _naming(path):
-        text = Path(path).read_text(encoding="utf-8").strip().splitlines()
-        if not text or not text[0].startswith("#"):
-            raise ValueError("missing '# N=<n>' header")
-        match = re.match(r"#\s*N\s*=\s*(\d+)", text[0])
-        if not match:
-            raise ValueError(f"malformed header {text[0]!r}")
-        edges = set()
-        for line in text[1:]:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                i, j = (int(part) for part in line.split(","))
-            except ValueError as exc:
-                raise ValueError(f"malformed edge line {line!r}") from exc
-            edges.add((i, j))
-        return DirectedGraph(n_nodes=int(match.group(1)), edges=frozenset(edges))
 
 
 def save_matrix(matrix: np.ndarray, path: "str | Path") -> None:
@@ -135,25 +115,6 @@ def save_lag_matrices(lag: LagMatrices, f0_path: "str | Path",
                    header=f"count={lag.count}")
 
 
-def load_lag_matrices(f0_path: "str | Path",
-                      f1_path: "str | Path") -> LagMatrices:
-    counts, sums = [], []
-    for path in (f0_path, f1_path):
-        with _naming(path):
-            match = re.match(r"#\s*count\s*=\s*(\d+)", _first_line(path))
-            if not match:
-                raise ValueError("missing '# count=<c>' header")
-            counts.append(int(match.group(1)))
-            sums.append(_rows(path))
-    with _naming(f"{f0_path} and {f1_path}"):
-        if counts[0] != counts[1]:
-            raise ValueError(
-                f"lag files disagree on count: {counts[0]} vs {counts[1]}"
-            )
-        return LagMatrices(n_nodes=sums[0].shape[0], count=counts[0],
-                           f0_sum=sums[0], f1_sum=sums[1])
-
-
 def _jsonable(value):
     if isinstance(value, float) and not math.isfinite(value):
         return repr(value).replace("'", "")  # "inf", "-inf", "nan"
@@ -188,15 +149,6 @@ def save_recovery_metrics(metrics: RecoveryMetrics, path: "str | Path") -> None:
     _write_json(payload, path)
 
 
-def load_recovery_metrics(path: "str | Path") -> RecoveryMetrics:
-    with _naming(path):
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    for key in ("edge_error_rate", "matrix_rel_error", "identifiability_gap"):
-        if isinstance(payload.get(key), str):
-            payload[key] = float(payload[key])
-    return RecoveryMetrics(**payload)
-
-
 def save_assumption_report(report: AssumptionReport, path: "str | Path") -> None:
     payload = {k: _jsonable(v) for k, v in dataclasses.asdict(report).items()}
     payload["kappa_stable"] = report.kappa_stable
@@ -209,15 +161,3 @@ def save_profile(profile: SortedProfile, path: "str | Path") -> None:
         f"{slot},{true:.17g},{est:.17g}" for slot, true, est in profile.rows()
     ]
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_profile(path: "str | Path") -> SortedProfile:
-    # Three columns even with no row: a one-node matrix has no off-diagonal slot.
-    with _naming(path):
-        raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2,
-                         usecols=(0, 1, 2), encoding="utf-8")
-    return SortedProfile(
-        slot_ids=raw[:, 0].astype(int),
-        true_values=raw[:, 1],
-        estimated_values=raw[:, 2],
-    )

@@ -88,10 +88,6 @@ class CombinationMatrix:
     def n_nodes(self) -> int:
         return self.entries.shape[0]
 
-    def row_sum_deviation(self) -> float:
-        """Largest absolute deviation of a row sum from ``rho``."""
-        return float(np.max(np.abs(self.entries.sum(axis=1) - self.rho)))
-
 
 def generate_binomial_graph(n_nodes: int, p: float, seed: int) -> DirectedGraph:
     """Draw a binomial (Erdos-Renyi) digraph without self-loops.

@@ -83,7 +83,7 @@ def triple_from_spec(spec: "str | dict", n_nodes: int) -> NonlinearityTriple:
     """Build a triple from a preset name or an explicit plain-data spec.
 
     A spec maps ``sigma``, ``g`` and ``h`` to a family each, and may name
-    a ``triple_id``; no other key is allowed.  A family is a nonlinearity
+    a string ``triple_id``; no other key is allowed.  A family is a nonlinearity
     spec for every node, or a mapping whose one key is ``uniform`` (one
     spec for every node) or ``per_node`` (a list of ``n_nodes`` specs).
     """
@@ -118,9 +118,12 @@ def triple_from_spec(spec: "str | dict", n_nodes: int) -> NonlinearityTriple:
     unknown = spec.keys() - {"sigma", "g", "h", "triple_id"}
     if unknown:
         raise ValueError(f"unknown triple spec keys: {sorted(unknown)}")
+    triple_id = spec.get("triple_id", "custom")
+    if not isinstance(triple_id, str):
+        raise ValueError(f"triple_id must be a string, got {triple_id!r}")
     return NonlinearityTriple(
         sigma=family(spec["sigma"], "sigma"),
         g=family(spec["g"], "g"),
         h=family(spec["h"], "h"),
-        triple_id=str(spec.get("triple_id", "custom")),
+        triple_id=triple_id,
     )

@@ -67,9 +67,9 @@ def test_help_lists_all_subcommands():
 
 
 def test_generate_outputs_load_and_are_deterministic(tmp_path, pipeline):
-    graph = fileio.load_graph(pipeline / "gen" / "graph.csv")
+    header = (pipeline / "gen" / "graph.csv").read_text().splitlines()[0]
     matrix = fileio.load_matrix(pipeline / "gen" / "matrix.csv")
-    assert graph.n_nodes == 6
+    assert header == "# N=6"
     assert matrix.shape == (6, 6)
     assert cli.main(["generate", "--n", "6", "--p", "0.4", "--rho", "0.5",
                      "--seed", "5", "--out", str(tmp_path)]) == 0
@@ -186,6 +186,18 @@ def test_estimate_rejects_a_zero_step_trajectory(pipeline, tmp_path, capsys,
     assert not (tmp_path / "est").exists()
 
 
+def test_estimate_rejects_states_beyond_the_divergence_limit(tmp_path, capsys):
+    # such states overflow the moment sums, so the loader refuses them
+    path = tmp_path / "trajectory.csv"
+    path.write_text("# N=2, steps=3, seed=0\n0,0\n1,2\n3,1e200\n0,1\n")
+    rc = cli.main(["estimate", "--trajectory", str(path), "--triple", "linear",
+                   "--estimators", "egg,granger", "--out", str(tmp_path / "est")])
+    assert rc == cli.EXIT_CONFIG
+    assert f"configuration error: {path}: trajectory states must all be " \
+        "finite" in capsys.readouterr().err
+    assert not (tmp_path / "est").exists()
+
+
 def test_unregularizable_g_is_rejected_before_any_file(pipeline, tmp_path,
                                                        capsys):
     # limiter(0, 1) vanishes on a half-line, so no clamp can regularise 1/g
@@ -284,6 +296,11 @@ def test_experiment_config_error_exit(tmp_path, capsys):
                  "h": "identity"}}, "unknown nonlinearity kind"),
     ({"triple": {"sigma": {"uniform": "identity", "per_node": 5},
                  "g": "constant_one", "h": "identity"}}, "only 'uniform'"),
+    ({"sim": {"y0": 1e13}}, "y0"),
+    ({"triple": {"sigma": "identity", "g": "constant_one", "h": "identity",
+                 "triple_id": None}}, "triple_id must be a string, got None"),
+    ({"triple": {"sigma": "identity", "g": "constant_one", "h": "identity",
+                 "triple_id": [1, 2]}}, "triple_id must be a string, got [1, 2]"),
 ])
 def test_experiment_mistyped_value_exit_config(tmp_path, capsys, overrides, key):
     cfg = dict(small_experiment_config(), **overrides)
@@ -527,6 +544,11 @@ def test_estimate_singular_exit(singular_run, tmp_path, capsys):
                    "--out", str(tmp_path)])
     assert rc == cli.EXIT_NUMERICAL
     assert "ill-conditioned" in capsys.readouterr().err
+    # the failed kind is recorded as the experiment records it
+    payload = json.loads((tmp_path / "estimate_egg.json").read_text())
+    assert payload.keys() == {"estimator_kind", "error"}
+    assert "ill-conditioned" in payload["error"]
+    assert not (tmp_path / "estimate_egg.csv").exists()
 
 
 def test_sweep_cli_roundtrip(tmp_path):
@@ -613,22 +635,31 @@ _PER_NODE_TRIPLE = {
 
 
 def test_estimate_reproduces_experiment_files(tmp_path):
-    # a preset by name, and a per-node triple through the run's stored config
-    for case, triple in (("preset", "example1"), ("per_node", _PER_NODE_TRIPLE)):
+    # a preset by name, a per-node triple through the run's stored config,
+    # and a preset on which egg and least_squares fail
+    for case, triple, failed in (("preset", "example1", set()),
+                                 ("per_node", _PER_NODE_TRIPLE, set()),
+                                 ("singular", "singular-h",
+                                  {"egg", "least_squares"})):
         run, est = tmp_path / case / "run", tmp_path / case / "est"
         cfg = dict(small_experiment_config(), triple=triple,
                    save_trajectory=True, observed_set=[0, 2, 3, 5],
                    estimators=list(estimators.ESTIMATOR_KINDS))
         result = xp.run_experiment(cfg, run)
-        assert result.errors == {}
+        assert result.errors.keys() == failed
         triple_arg = triple if isinstance(triple, str) \
             else str(run / "config.expanded.json")
-        assert cli.main(["estimate", "--trajectory", str(run / "trajectory.csv"),
-                         "--triple", triple_arg,
-                         "--estimators", ",".join(estimators.ESTIMATOR_KINDS),
-                         "--observed", "0,2,3,5", "--out", str(est)]) == 0
+        rc = cli.main(["estimate", "--trajectory", str(run / "trajectory.csv"),
+                       "--triple", triple_arg,
+                       "--estimators", ",".join(estimators.ESTIMATOR_KINDS),
+                       "--observed", "0,2,3,5", "--out", str(est)])
+        assert rc == (cli.EXIT_NUMERICAL if failed else cli.EXIT_OK)
         for kind in estimators.ESTIMATOR_KINDS:
             for suffix in ("csv", "json"):
                 name = f"estimate_{kind}.{suffix}"
-                assert (est / name).read_bytes() == (run / name).read_bytes(), \
-                    (case, name)
+                # a failed kind writes its error JSON and no matrix
+                written = suffix == "json" or kind not in failed
+                assert (est / name).exists() == (run / name).exists() == written
+                if written:
+                    assert (est / name).read_bytes() == (run / name).read_bytes(), \
+                        (case, name)

@@ -18,7 +18,7 @@ from granet import (
     triple_preset,
 )
 from granet import nonlinearities as nl
-from granet.dynamics import _Family
+from granet.dynamics import DIVERGENCE_LIMIT, _Family
 
 
 def zero_matrix(n):
@@ -408,9 +408,25 @@ def test_trajectory_finiteness_check_adds_no_full_temporary(peak_traced_bytes):
         Trajectory(states=bad, seed=0)
 
 
+def test_trajectory_holds_states_within_the_divergence_limit():
+    # simulate stops at this bound; beyond it the moment sums overflow
+    states = np.full((4, 2), 1.0)
+    states[2, 1] = 1e200
+    with pytest.raises(ValueError, match=r"must all be finite with magnitude "
+                       r"at most 1e\+12; row 2, node 1 holds 1e\+200"):
+        Trajectory(states=states, seed=0)
+    states[2, 1] = -DIVERGENCE_LIMIT
+    assert Trajectory(states=states, seed=0).states[2, 1] == -DIVERGENCE_LIMIT
+    with pytest.raises(ValueError, match="y0 must be finite with magnitude"):
+        simulate(zero_matrix(2), triple_preset("linear", 2),
+                 NoiseModel.uniform(2), 1e13, 5, seed=0)
+
+
 def test_trajectory_rejects_shape_mismatch():
     with pytest.raises(ValueError):
         Trajectory(states=np.zeros(3), seed=0)
+    with pytest.raises(ValueError, match="at least one row and one node"):
+        Trajectory(states=np.zeros((3, 0)), seed=0)
 
 
 def test_triple_requires_invertible_sigma():
