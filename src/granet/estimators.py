@@ -23,6 +23,10 @@ from .lagmoments import WeightingConfig
 #: Estimators abort when the matrix to invert is worse-conditioned than this.
 COND_LIMIT = 1e12
 
+#: Pairs per QR row block of :func:`least_squares_estimate`.  NumPy's
+#: ``qr`` copies its whole input twice, so this bounds those copies.
+_QR_BLOCK = 1024
+
 #: kind -> (partial, call taking the keywords ``traj``, ``triple``, ``config``
 #: and ``observed``), as :func:`granet.experiments.run_estimators` makes it.
 #: A call looks its estimator up when it runs, not when the table is built,
@@ -47,10 +51,13 @@ _PARTIAL_KINDS = tuple(kind for kind, (partial, _) in _TABLE.items() if partial)
 
 
 def _check_kinds(kinds: Sequence, observed, key: str = "estimators") -> None:
-    """Reject an unknown kind, or a partial kind without an observed set."""
-    for kind in kinds:
+    """Reject an unknown or repeated kind, or a partial kind without an
+    observed set."""
+    for index, kind in enumerate(kinds):
         if kind not in ESTIMATOR_KINDS:
             raise ConfigError(f"{key}: unknown kind {kind!r}")
+        if kind in kinds[:index]:
+            raise ConfigError(f"{key}: kind {kind!r} is listed more than once")
         if kind in _PARTIAL_KINDS and observed is None:
             raise ConfigError(f"{key}: partial estimation requires observed_set")
 
@@ -204,30 +211,32 @@ def least_squares_estimate(traj: Trajectory, triple: NonlinearityTriple,
 
     Fits ``omega(y[k]) * sigma^{-1}(y[k+1]) ~= B h(y[k])`` without the
     lag-moment accumulator or normal equations, so it checks the moment
-    solve independently.  Each chunk of ``[h | target]`` rows comes from
-    :func:`lagmoments._onelag_terms` (zero targets at singular base states,
-    epochs named in domain errors) and is QR-factored together with the
-    triangular factor of the rows before it, so memory does not grow with
-    the trajectory.  ``lstsq`` then solves ``R11 B^T = R12`` with the rank
-    rule it would apply to the whole design; ``R11`` has the design's
-    singular values, whose squared ratio is ``cond_F0`` (``inf`` when the
-    smallest is 0, as with fewer pairs than nodes).  The fit agrees with
-    ``lstsq`` on the whole design to 1e-12 relative, not bitwise.  A
-    ``cond_F0`` beyond :data:`COND_LIMIT`, as every rank-deficient design
-    has, aborts with a near-singular error.
+    solve independently.  Each block of :data:`_QR_BLOCK` (1024) pairs of
+    ``[h | target]`` rows comes from :func:`lagmoments._onelag_terms` (zero
+    targets at singular base states, epochs named in domain errors) and is
+    QR-factored together with the triangular factor of the rows before it.
+    So, whatever the trajectory's length, the fit holds one
+    ``(2N + 1024, 2N)`` buffer and ``qr`` two copies of it: 2.7 MB at 50
+    nodes, less than one ``(8192, N)`` chunk buffer of
+    :func:`lagmoments.from_trajectory`.  ``lstsq`` then solves
+    ``R11 B^T = R12`` with the rank rule it would apply to the whole
+    design; ``R11`` has the design's singular values, whose squared ratio
+    is ``cond_F0`` (``inf`` when the smallest is 0, as with fewer pairs
+    than nodes).  The fit agrees with ``lstsq`` on the whole design to
+    1e-12 relative, not bitwise.  A ``cond_F0`` beyond :data:`COND_LIMIT`,
+    as every rank-deficient design has, aborts with a near-singular error.
     """
     _check_steps(traj)
     config = config or WeightingConfig()
     n = lagmoments._pair_count(traj, triple, None)
     width = traj.n_nodes
-    chunk = lagmoments._BATCH_CHUNK
     # Rows [0, filled) hold the factor of the rows seen so far and the next
-    # chunk is written below them.  No row at or beyond the pair count is
+    # block is written below them.  No row at or beyond the pair count is
     # ever written, so with fewer pairs than nodes R11 ends in zero rows.
-    stacked = np.zeros((2 * width + min(n, chunk), 2 * width))
+    stacked = np.zeros((2 * width + min(n, _QR_BLOCK), 2 * width))
     filled = 0
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
+    for start in range(0, n, _QR_BLOCK):
+        stop = min(start + _QR_BLOCK, n)
         end = filled + stop - start
         lagmoments._onelag_terms(triple, config, traj.states, start, stop,
                                  (stacked[filled:end, width:],

@@ -161,11 +161,24 @@ def _bind_tanh_shifted(c):
     return kernel
 
 
+#: Rows per block of :func:`_bind_sin_plus_signed_power`'s temporary.
+_WAVE_ROWS = 1024
+
+
 def _bind_sin_plus_signed_power(freq, a):
     freq = np.array(freq, dtype=float)
     power = _bind_signed_power(a)
 
     def kernel(y, out):
+        # ``sin(freq * y)`` needs a temporary of the input's shape; over
+        # blocks of rows of 2-d input it stays small however many epochs
+        # come in.  The function is elementwise, so the blocks give the same
+        # bits, and a 1-d state (one epoch) takes one pass with no loop.
+        if y.ndim > 1 and len(y) > _WAVE_ROWS:
+            for start in range(0, len(y), _WAVE_ROWS):
+                rows = slice(start, start + _WAVE_ROWS)
+                kernel(y[rows], out[rows])
+            return out
         wave = np.multiply(freq, y)
         np.sin(wave, wave)
         power(y, out)

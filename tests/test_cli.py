@@ -222,6 +222,25 @@ def test_unregularizable_g_is_rejected_before_any_file(pipeline, tmp_path,
     assert not (tmp_path / "est").exists()
 
 
+def test_a_repeated_kind_is_rejected_before_any_file(pipeline, tmp_path,
+                                                      capsys):
+    rc = cli.main(["estimate", "--trajectory",
+                   str(pipeline / "sim" / "trajectory.csv"),
+                   "--estimators", "egg,egg,granger",
+                   "--out", str(tmp_path / "est")])
+    assert rc == cli.EXIT_CONFIG
+    assert "kind 'egg' is listed more than once" in capsys.readouterr().err
+    assert not (tmp_path / "est").exists()
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(dict(small_experiment_config(),
+                                        estimators=["egg", "granger", "egg"])))
+    rc = cli.main(["experiment", "--config", str(cfg_path),
+                   "--out", str(tmp_path / "run")])
+    assert rc == cli.EXIT_CONFIG
+    assert "kind 'egg' is listed more than once" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_experiment_requires_exactly_one_source(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["experiment", "--out", str(tmp_path)])

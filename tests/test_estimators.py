@@ -30,7 +30,7 @@ from granet import (
     support_offdiagonal,
     triple_preset,
 )
-from granet import lagmoments
+from granet import estimators, lagmoments
 
 
 def noiseless_scalar_ar():
@@ -159,6 +159,7 @@ def test_least_squares_fewer_pairs_than_nodes_is_infinitely_conditioned():
 
 _ORACLE_NODES = 6
 _CHUNK = lagmoments._BATCH_CHUNK
+_QR_BLOCK = estimators._QR_BLOCK
 _ORACLE_CASES = pytest.mark.parametrize("preset, config", [
     ("example1", WeightingConfig()),
     ("example2", WeightingConfig()),
@@ -176,7 +177,9 @@ def _oracle_trajectory(preset):
 
 
 @_ORACLE_CASES
-@pytest.mark.parametrize("n_pairs", [1, _ORACLE_NODES - 1, _CHUNK - 1, _CHUNK,
+@pytest.mark.parametrize("n_pairs", [1, _ORACLE_NODES - 1, _QR_BLOCK - 1,
+                                     _QR_BLOCK, _QR_BLOCK + 1,
+                                     2 * _QR_BLOCK + 17, _CHUNK - 1, _CHUNK,
                                      _CHUNK + 1, 2 * _CHUNK + 17])
 def test_streamed_least_squares_matches_lstsq_on_the_whole_design(
         preset, config, n_pairs):
@@ -230,6 +233,19 @@ def test_least_squares_memory_does_not_grow_with_the_trajectory(
         lambda: least_squares_estimate(short, triple))
     assert long_peak < 8 * chunk_buffer
     assert abs(long_peak - short_peak) < 0.5 * chunk_buffer
+
+
+@pytest.mark.parametrize("preset", ["example1", "example2"])
+@pytest.mark.parametrize("n_chunks", [3, 12])
+def test_least_squares_holds_under_one_chunk_buffer(trajectory_factory,
+                                                    peak_traced_bytes, preset,
+                                                    n_chunks):
+    # the (2N + _QR_BLOCK, 2N) buffer and the copy qr makes of it
+    long = trajectory_factory(preset, 13, 12 * _CHUNK)
+    traj = Trajectory(states=long.states[:n_chunks * _CHUNK + 1], seed=long.seed)
+    triple = triple_preset(preset, 50)
+    _, peak = peak_traced_bytes(lambda: least_squares_estimate(traj, triple))
+    assert peak < _CHUNK * 50 * 8
 
 
 def test_least_squares_agrees_with_egg():

@@ -533,12 +533,14 @@ _FOOTPRINT_PAIRS = 3 * lagmoments._BATCH_CHUNK
 _FOOTPRINT_BOUND = 2.5 * lagmoments._BATCH_CHUNK * 50 * 8
 
 
-#: example1 in both modes, and singular-h, whose sigma family has three runs.
+#: example1 in both modes, singular-h, whose sigma family has three runs, and
+#: example2, whose h kernel needs a temporary for its sine.
 _FOOTPRINT_CASES = pytest.mark.parametrize("preset, config", [
     ("example1", EXACT),
     ("example1", WeightingConfig(delta=0.1)),
     ("singular-h", EXACT),
-], ids=["exact", "delta0.1", "singular-h-exact"])
+    ("example2", EXACT),
+], ids=["exact", "delta0.1", "singular-h-exact", "example2-exact"])
 
 
 @_FOOTPRINT_CASES

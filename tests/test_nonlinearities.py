@@ -46,14 +46,16 @@ _REFERENCE = {
 ], ids=lambda fn: fn.describe())
 def test_kernel_out_is_bit_equal_to_closed_form(fn):
     assert set(_REFERENCE) == set(nl._KERNELS)
-    y = np.random.default_rng(8).standard_normal((40, 7)) * 3.0
-    y[0, :3] = (0.0, -0.0, 1.0)
-    expected = _REFERENCE[fn.kind](y, *fn.params)
-    out = np.full_like(y, np.nan)
-    assert nl._KERNELS[fn.kind][0](*fn.params)(y, out) is out
-    assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
-    assert np.array_equal(fn.evaluate(y).view(np.uint64),
-                          expected.view(np.uint64))
+    # the longer input spans several of the row blocks a kernel may work in
+    for rows in (40, 2 * nl._WAVE_ROWS + 17):
+        y = np.random.default_rng(8).standard_normal((rows, 7)) * 3.0
+        y[0, :3] = (0.0, -0.0, 1.0)
+        expected = _REFERENCE[fn.kind](y, *fn.params)
+        out = np.full_like(y, np.nan)
+        assert nl._KERNELS[fn.kind][0](*fn.params)(y, out) is out
+        assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
+        assert np.array_equal(fn.evaluate(y).view(np.uint64),
+                              expected.view(np.uint64))
 
 
 _INVERSE_REFERENCE = {
