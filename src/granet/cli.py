@@ -10,7 +10,7 @@ Subcommands::
     granet sweep       repeat an experiment along one axis
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 I/O error.
+4 I/O error or out of memory.
 """
 
 from __future__ import annotations
@@ -44,9 +44,11 @@ def _out_dir(args) -> Path:
 
 def _load_config(path: str) -> dict:
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
 
 
 def _load_triple(spec: str, n_nodes: int) -> NonlinearityTriple:
@@ -215,6 +217,9 @@ def main(argv: "list[str] | None" = None) -> int:
         return EXIT_NUMERICAL
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_IO
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import copy
 import csv
 import dataclasses
-import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -221,9 +220,7 @@ def run_experiment(config: dict, out_dir: "str | Path") -> ExperimentResult:
     weighting = WeightingConfig(**config["weighting"])
     noise = NoiseModel.uniform(n_nodes, config["noise_std"])
 
-    (run_dir / "config.expanded.json").write_text(
-        json.dumps(config, indent=2, sort_keys=True) + "\n"
-    )
+    fileio._write_json(config, run_dir / "config.expanded.json")
     fileio.save_graph(graph, run_dir / "graph.csv")
     fileio.save_matrix(matrix.entries, run_dir / "matrix.csv")
 

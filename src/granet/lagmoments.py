@@ -6,11 +6,12 @@ For a trajectory ``y[0..n]`` the two empirical moments are
     F1(n) = (1/n) sum_k  [ omega(y[k]) * sigma^{-1}(y[k+1]) ] h(y[k])^T * 1{y[k] not in Z}
 
 with ``omega(y) = 1 / g(y)`` componentwise and ``Z`` the set of states at
-which some ``g_i`` vanishes.  With exact weights (``delta = 0``) a step
-whose base state lies in ``Z`` contributes to ``F0`` but its one-lag term is
-dropped; with ``delta > 0`` the reciprocal weight is clamped near each root
-of ``g_i`` (constant on a ``delta``-neighbourhood, equal to its boundary
-value) so no step is ever dropped.
+which some ``g_i`` vanishes (numerically: is zero or subnormal, whose
+reciprocal overflows or keeps no precision).  With exact weights
+(``delta = 0``) a step whose base state lies in ``Z`` contributes to ``F0``
+but its one-lag term is dropped; with ``delta > 0`` the reciprocal weight
+is clamped near each root of ``g_i`` (constant on a ``delta``-neighbourhood,
+equal to its boundary value) so no step is ever dropped.
 
 The weighted one-lag target ``omega * sigma^{-1}`` is formed by one
 kernel, :func:`_onelag_terms`, which also zeroes the rows of singular base
@@ -44,6 +45,10 @@ _TAIL_MIN_TOP = 100
 #: Sampling step of :func:`running_onelag_max`, in pairs.
 _ONELAG_MAX_EVERY = 100
 
+#: Under exact weights a state is singular when some ``|g_i|`` is below
+#: this, the smallest normal float: zero or subnormal.
+_G_TINY = float(np.finfo(float).tiny)
+
 
 @dataclass(frozen=True)
 class WeightingConfig:
@@ -52,7 +57,7 @@ class WeightingConfig:
     delta : float
         Half-width of the clamped neighbourhood around each root of
         ``g_i``.  ``0`` gives exact weights: the raw reciprocal, with a
-        state flagged singular when some ``g_i`` is exactly zero.  A
+        state flagged singular when some ``g_i`` is zero or subnormal.  A
         positive ``delta`` clamps the weight near each root and never
         flags.
     """
@@ -128,10 +133,10 @@ def _omega_block(triple: NonlinearityTriple, config: WeightingConfig,
         _regularized_weights(triple, config, block, weights, scratch)
         return np.zeros(block.shape[0], dtype=bool)
     triple.eval_g(block, weights)
-    # Some g_i is zero exactly when the row's smallest |g_i| is; fmin skips
-    # NaN as the comparison would.
-    in_z = np.fmin.reduce(np.abs(weights, scratch), axis=1) <= 0.0
-    with np.errstate(divide="ignore"):
+    # Some |g_i| is below _G_TINY exactly when the row's smallest is; fmin
+    # skips NaN as the comparison would.
+    in_z = np.fmin.reduce(np.abs(weights, scratch), axis=1) < _G_TINY
+    with np.errstate(divide="ignore", over="ignore"):
         np.divide(1.0, weights, out=weights)
     return in_z
 
@@ -317,17 +322,16 @@ def finalize(lag: LagMatrices) -> tuple[np.ndarray, np.ndarray]:
 
 
 def running_weight_moment(traj: Trajectory, triple: NonlinearityTriple,
-                          config: WeightingConfig,
-                          n_pairs: int | None = None) -> np.ndarray:
+                          config: WeightingConfig) -> np.ndarray:
     """Running mean of ``||omega(y[k])||^2`` along the trajectory.
 
     Entry ``k`` is the average of the squared weight-vector norms over the
     first ``k + 1`` base states — the quantity whose boundedness underpins
-    convergence of the one-lag average.  Exactly singular states (the ones
+    convergence of the one-lag average.  Singular states (the ones
     the one-lag accumulator drops) are excluded from the average; until the
     first regular state the running mean is 0.
     """
-    norms, valid = _weight_norms(traj, triple, config, n_pairs)
+    norms, valid = _weight_norms(traj, triple, config, None)
     return np.cumsum(norms) / np.maximum(np.cumsum(valid), 1)
 
 
@@ -361,8 +365,8 @@ def omega_tail_index(traj: Trajectory, triple: NonlinearityTriple,
     exponent at or below one means the norms have no finite mean, so the
     running average inside the one-lag functional drifts between ever larger
     spikes instead of settling.  The top ``max(_TAIL_MIN_TOP,
-    _TAIL_TOP_FRACTION * n)`` values (100 and 0.01) are used; exactly
-    singular states are excluded first.  Returns ``inf`` when too few
+    _TAIL_TOP_FRACTION * n)`` values (100 and 0.01) are used; singular
+    states are excluded first.  Returns ``inf`` when too few
     regular states remain or when the upper tail is flat (bounded weights),
     both unremarkable tails.
     """

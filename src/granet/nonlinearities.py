@@ -20,9 +20,9 @@ How a kind is evaluated, inverted and domain-checked lives in one table,
 None).  A kind is invertible exactly when the table has its inverse.  Each
 binder takes the kind's params once and returns a kernel ``kernel(y, out)``
 that writes its function of ``y`` into the caller-owned ``out`` and returns
-it.  Vector evaluators bind each kernel when they are built, so the
-simulator's epoch loop calls the kernel directly, with its own buffers and
-no per-call params.
+it.  The one evaluator, ``dynamics._Family``, binds each kernel when it is
+built and checks an inverse's domain, so the simulator's epoch loop calls
+the kernel directly, with its own buffers and no per-call params.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-from .errors import FunctionDomainError
 
 
 @dataclass(frozen=True)
@@ -69,40 +67,6 @@ class Nonlinearity:
     def invertible(self) -> bool:
         """Whether the catalogue implements an inverse for this kind."""
         return _KERNELS[self.kind][1] is not None
-
-    def evaluate(self, y):
-        """Apply the function elementwise to ``y`` (scalar or array).
-
-        A scalar is computed as a one-element array, so it gets the same
-        bits as the array path, and is returned as a ``float``.
-        """
-        arr = np.asarray(y, dtype=float)
-        vec = np.atleast_1d(arr)
-        out = _KERNELS[self.kind][0](*self.params)(vec, np.empty_like(vec))
-        return out if arr.ndim else float(out[0])
-
-    def evaluate_inverse(self, y):
-        """Apply the inverse elementwise; raises on out-of-domain input.
-
-        Only invertible functions support this.  Domain violations raise
-        :class:`FunctionDomainError` naming the first offending value.  A
-        scalar is handled as in :meth:`evaluate`.
-        """
-        _, bind_inverse, bind_radius = _KERNELS[self.kind]
-        if bind_inverse is None:
-            raise ValueError(f"{self.kind}{self.params} has no implemented inverse")
-        arr = np.asarray(y, dtype=float)
-        vec = np.atleast_1d(arr)
-        out = np.empty_like(vec)
-        if bind_radius is not None:
-            pos = _first_outside(bind_radius(*self.params)(vec, out))
-            if pos is not None:
-                raise FunctionDomainError(
-                    f"input outside the domain of {self.describe()} inverse",
-                    float(vec[pos]),
-                )
-        out = bind_inverse(*self.params)(vec, out)
-        return out if arr.ndim else float(out[0])
 
     def describe(self) -> str:
         if self.params:

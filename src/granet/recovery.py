@@ -27,6 +27,10 @@ from .nonlinearities import Nonlinearity
 # margin above so Hill-estimator noise cannot hide a genuine divergence.
 OMEGA_TAIL_CRITICAL = 1.1
 
+#: Values up to this magnitude are squared and summed as they are; larger
+#: ones are first divided by the largest, so the sums cannot overflow.
+_SQUARE_SAFE = 1e150
+
 
 @dataclass(frozen=True)
 class ClusterSplit:
@@ -38,6 +42,14 @@ class ClusterSplit:
     within_sse: float
 
 
+def _overflow_scale(values: np.ndarray) -> float:
+    """The largest magnitude in ``values`` when it is beyond
+    ``_SQUARE_SAFE``, else 1.0, which leaves the values exact when divided
+    by."""
+    top = float(np.abs(values).max()) if values.size else 0.0
+    return top if top > _SQUARE_SAFE else 1.0
+
+
 def kmeans2_1d(values: Sequence[float]) -> ClusterSplit:
     """Exact two-cluster 1-d k-means by contiguous-split enumeration.
 
@@ -47,7 +59,9 @@ def kmeans2_1d(values: Sequence[float]) -> ClusterSplit:
     of the boundary pair.  Fewer than two values, or all-equal input, admit
     no two-group split and raise :class:`DegenerateClusterError`; so does
     input whose spread is at the float rounding scale, where any split
-    would be noise-driven.
+    would be noise-driven.  Input beyond ``_SQUARE_SAFE`` is split at unit
+    scale (see :func:`_overflow_scale`); the optimal split does not change
+    under a positive scaling.
     """
     v = np.sort(np.asarray(values, dtype=float).ravel())
     n = v.size
@@ -60,8 +74,10 @@ def kmeans2_1d(values: Sequence[float]) -> ClusterSplit:
             "values are equal to within floating-point noise; "
             "no meaningful two-group split exists"
         )
-    sums = np.cumsum(v)
-    sq_sums = np.cumsum(v * v)
+    scale = _overflow_scale(v)
+    u = v / scale
+    sums = np.cumsum(u)
+    sq_sums = np.cumsum(u * u)
     left_count = np.arange(1, n)
     left_sum = sums[:-1]
     right_sum = sums[-1] - left_sum
@@ -77,7 +93,7 @@ def kmeans2_1d(values: Sequence[float]) -> ClusterSplit:
         threshold=float((v[split] + v[split + 1]) / 2.0),
         low_centroid=float(low.mean()),
         high_centroid=float(high.mean()),
-        within_sse=float(max(sse[split], 0.0)),
+        within_sse=float(max(sse[split], 0.0)) * scale * scale,
     )
 
 
@@ -144,7 +160,9 @@ def score(recovered: DirectedGraph, truth: DirectedGraph,
     total = n * (n - 1)
     diff = (a_hat - a_true)[off]
     denom = np.linalg.norm(a_true[off])
-    rel_error = float(np.linalg.norm(diff) / denom) if denom > 0 else float("nan")
+    scale = _overflow_scale(diff)
+    rel_error = (float(np.linalg.norm(diff / scale)) * scale / float(denom)
+                 if denom > 0 else float("nan"))
     edge_vals = a_hat[tru & off]
     non_edge_vals = a_hat[~tru & off]
     if edge_vals.size and non_edge_vals.size:

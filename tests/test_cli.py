@@ -475,6 +475,55 @@ def test_missing_input_files_exit_io(tmp_path, pipeline):
                      "--out", str(tmp_path / "d")]) == cli.EXIT_IO
 
 
+@pytest.mark.parametrize("command", ["generate", "simulate", "experiment"])
+def test_an_allocation_beyond_the_address_space_exits_io(pipeline, tmp_path,
+                                                         capsys, command):
+    # Every request is above the 128 TiB x86-64 user address space (71 PiB,
+    # 437 TiB, 364 TiB), so it fails at once and nothing is allocated.
+    out = tmp_path / "out"
+    if command == "generate":
+        argv = ["generate", "--n", "100000000"]
+    elif command == "simulate":
+        argv = ["simulate", "--matrix", str(pipeline / "gen" / "matrix.csv"),
+                "--triple", "linear", "--steps", "10000000000000"]
+    else:
+        config = small_experiment_config()
+        config["graph"]["n_nodes"] = 5
+        config["sim"]["n_steps"] = 10_000_000_000_000
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        argv = ["experiment", "--config", str(cfg_path)]
+    assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("out of memory: ")
+    if command == "experiment":
+        # like a numerical failure, the files written before it are kept
+        assert {p.name for p in out.iterdir()} == {
+            "config.expanded.json", "graph.csv", "matrix.csv"}
+
+
+@pytest.mark.parametrize("command", ["experiment", "sweep", "simulate",
+                                     "estimate"])
+def test_a_file_that_is_not_utf8_is_named(pipeline, tmp_path, capsys, command):
+    path = tmp_path / "input.json"
+    path.write_bytes(b"\xff\xfe{}")
+    argv = {
+        "experiment": ["experiment", "--config", str(path)],
+        "sweep": ["sweep", "--config", str(path)],
+        "simulate": ["simulate", "--matrix",
+                     str(pipeline / "gen" / "matrix.csv"), "--steps", "10",
+                     "--triple", str(path)],
+        "estimate": ["estimate", "--trajectory",
+                     str(pipeline / "sim" / "trajectory.csv"),
+                     "--triple", str(path)],
+    }[command]
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {path}: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("payload", [
     "not json {",
     json.dumps({"sigma": "tanh", "g": "constant_one"}),

@@ -21,6 +21,18 @@ from granet import nonlinearities as nl
 from granet.dynamics import DIVERGENCE_LIMIT, _Family
 
 
+def per_node(fns, y, column=0):
+    """``y`` mapped one node (column) at a time by that node's bound kernel,
+    ``nl._KERNELS[kind][column]`` (0 the function, 1 its inverse): the
+    reference a multi-run family must match bit for bit."""
+    out = np.empty_like(y)
+    for node, fn in enumerate(fns):
+        sub = y[..., node:node + 1]
+        kernel = nl._KERNELS[fn.kind][column](*fn.params)
+        out[..., node:node + 1] = kernel(sub, np.empty_like(sub))
+    return out
+
+
 def zero_matrix(n):
     return CombinationMatrix(0.5, np.zeros((n, n)))
 
@@ -227,13 +239,12 @@ def test_family_out_matches_allocating_call():
     y = np.random.default_rng(4).uniform(-3.0, 3.0, size=(5, 8))
     out = np.full_like(y, np.nan)
     assert family(y, out=out) is out
-    per_node = np.column_stack(
-        [fn.evaluate(y[:, i]) for i, fn in enumerate(sigma * 2)])
-    assert np.array_equal(out, per_node)
-    assert np.array_equal(family(y), per_node)
+    expected = per_node(sigma * 2, y)
+    assert np.array_equal(out, expected)
+    assert np.array_equal(family(y), expected)
 
 
-def test_family_apply_is_bit_equal_to_per_node_evaluate():
+def test_family_apply_is_bit_equal_to_per_node_kernels():
     # every kernel kind as a two-node run and again as a one-node run, so
     # each run is a strided column view on 2-d input
     kinds = (nl.identity(), nl.constant_one(), nl.sign_power(0.5),
@@ -248,9 +259,7 @@ def test_family_apply_is_bit_equal_to_per_node_evaluate():
     rng = np.random.default_rng(12)
     for shape in ((), (6,)):
         y = rng.standard_normal(shape + (len(fns),)) * 3.0
-        expected = np.empty_like(y)
-        for node, fn in enumerate(fns):
-            expected[..., node] = fn.evaluate(y[..., node])
+        expected = per_node(fns, y)
         out = np.full_like(y, np.nan)
         assert family.apply(y, out) is out
         assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
@@ -258,9 +267,7 @@ def test_family_apply_is_bit_equal_to_per_node_evaluate():
                               expected.view(np.uint64))
         # the forward image lies in each inverse's domain
         y = inverse_family(rng.standard_normal(shape + (len(invertible),)) * 3.0)
-        expected = np.empty_like(y)
-        for node, fn in enumerate(invertible):
-            expected[..., node] = fn.evaluate_inverse(y[..., node])
+        expected = per_node(invertible, y, column=1)
         out = np.full_like(y, np.nan)
         assert inverse_family.inverse(y, out=out) is out
         assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
@@ -325,11 +332,8 @@ def test_family_groups_map_heterogeneous_nodes():
         (nl.tanh(), slice(0, 1)), (nl.identity(), slice(1, 2)),
         (nl.tanh(), slice(2, 3)), (nl.identity(), slice(3, 4))]
     y = np.random.default_rng(3).uniform(-0.9, 0.9, size=(3, 4))
-    per_node = np.column_stack([fn.evaluate(y[:, i]) for i, fn in enumerate(sigma)])
-    assert np.array_equal(family(y), per_node)
-    per_node = np.column_stack(
-        [fn.evaluate_inverse(y[:, i]) for i, fn in enumerate(sigma)])
-    assert np.array_equal(family.inverse(y), per_node)
+    assert np.array_equal(family(y), per_node(sigma, y))
+    assert np.array_equal(family.inverse(y), per_node(sigma, y, column=1))
     y[1, 2] = 1.5  # outside the open range of tanh
     with pytest.raises(FunctionDomainError) as err:
         family.inverse(y, epoch_offset=10)

@@ -1,5 +1,7 @@
 """Config expansion, experiment runs, and sweeps."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
@@ -7,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from granet import ConfigError, fileio, presets
+from granet import ConfigError, cli, fileio, presets
 from granet import experiments as xp
+from granet.dynamics import DIVERGENCE_LIMIT
 from granet.estimators import ESTIMATOR_KINDS
 
 
@@ -78,13 +81,21 @@ _SIGMA_SPECS = st.one_of(
 
 
 @st.composite
-def valid_configs(draw):
-    n = draw(st.integers(3, 8))
+def valid_configs(draw, max_nodes=8):
+    """A valid experiment config of 3 to ``max_nodes`` nodes and at most 20
+    epochs, which sets every key that has a documented range."""
+    n = draw(st.integers(3, max_nodes))
     cfg = {"graph": {"n_nodes": n, "p": draw(st.floats(0.0, 1.0)),
                      "seed": draw(st.integers(0, 2**31))},
-           "sim": {"y0": draw(st.one_of(
-               st.floats(-1.0, 1.0),
-               st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))}}
+           "rho": draw(st.floats(0.05, 0.95)),
+           "noise_std": draw(st.floats(0.1, 2.0)),
+           "sim": {"n_steps": draw(st.integers(2, 20)),
+                   "seed": draw(st.integers(0, 2**31)),
+                   "y0": draw(st.one_of(
+                       st.floats(-1.0, 1.0),
+                       st.lists(st.floats(-1.0, 1.0), min_size=n,
+                                max_size=n)))},
+           "save_trajectory": draw(st.sampled_from([None, True, False]))}
     source = draw(st.sampled_from(["preset", "triple", "explicit"]))
     if source == "explicit":
         # g = 1 declares no growth exponent, so any sign_power h fits
@@ -105,6 +116,136 @@ def valid_configs(draw):
     cfg["estimators"] = draw(st.lists(st.sampled_from(kinds), min_size=1,
                                       unique=True))
     return cfg
+
+
+#: A value just below the documented range of each bounded key (for
+#: ``sim.y0``, a magnitude above ``DIVERGENCE_LIMIT``).
+_BELOW_RANGE = {
+    ("graph", "n_nodes"): 0, ("graph", "p"): -0.1, ("graph", "seed"): -1,
+    ("rho",): 0.0, ("noise_std",): 0.0, ("sim", "n_steps"): 1,
+    ("sim", "seed"): -1, ("sim", "y0"): -2 * DIVERGENCE_LIMIT,
+    ("weighting", "delta"): -0.1,
+}
+
+#: Values of each JSON type, for replacing a value by one of another type.
+_RETYPED = (None, True, 3, 0.5, "x", [], [1], {})
+
+#: Keys a mutation never drops: their defaults are 50 nodes and 200k
+#: epochs, far larger than a test should run.
+_KEPT = {("graph",), ("sim",), ("graph", "n_nodes"), ("sim", "n_steps")}
+
+
+def _paths(cfg):
+    """The top-level keys of ``cfg`` and the keys under its sections."""
+    paths = [(key,) for key in cfg]
+    for section in ("graph", "sim", "weighting"):
+        if isinstance(cfg.get(section), dict):
+            paths += [(section, key) for key in cfg[section]]
+    return sorted(paths)
+
+
+@st.composite
+def _mutated(draw, cfg, bounded):
+    """``cfg`` with one change: a key dropped, a value of another type, or
+    a number below its range (from ``bounded``: path -> value)."""
+    cfg = json.loads(json.dumps(cfg))
+    paths = _paths(cfg)
+    change = draw(st.sampled_from(["drop", "retype", "below"]))
+    if change == "drop":
+        path = draw(st.sampled_from([p for p in paths if p not in _KEPT]))
+    elif change == "retype":
+        path = draw(st.sampled_from(paths))
+    else:
+        path = draw(st.sampled_from(sorted(p for p in bounded if p in paths)))
+    *parents, key = path
+    holder = cfg
+    for parent in parents:
+        holder = holder[parent]
+    if change == "drop":
+        del holder[key]
+    elif change == "retype":
+        old = holder[key]
+        holder[key] = draw(st.sampled_from(
+            [v for v in _RETYPED if type(v) is not type(old)]))
+    else:
+        holder[key] = bounded[path]
+    return cfg
+
+
+@st.composite
+def mutated_configs(draw):
+    """A valid config of at most 6 nodes with one malformed entry."""
+    return draw(_mutated(draw(valid_configs(max_nodes=6)), _BELOW_RANGE))
+
+
+@st.composite
+def mutated_sweeps(draw):
+    """A sweep over a valid base with one malformed sweep key."""
+    base = draw(valid_configs(max_nodes=6))
+    n = base["graph"]["n_nodes"]
+    axis = draw(st.sampled_from(xp.SWEEP_AXES))
+    value = {"n_steps": st.integers(2, 20), "delta": st.floats(0.0, 1.0),
+             "observed_set_size": st.integers(1, n)}[axis]
+    sweep = {"base": base, "axis": axis,
+             "values": draw(st.lists(value, min_size=1, max_size=2)),
+             "master_seed": draw(st.integers(0, 2**31)),
+             "summary_estimator": draw(st.sampled_from(base["estimators"]))}
+    below = {"n_steps": 1, "delta": -0.1, "observed_set_size": 0}[axis]
+    bounded = {("master_seed",): -1, ("values",): [below]}
+    mutated = draw(_mutated({k: v for k, v in sweep.items() if k != "base"},
+                            bounded))
+    return dict(mutated, base=base)
+
+
+def _run_cli(argv):
+    """``cli.main(argv)`` with its output captured; returns the exit code
+    and stderr.  An exception escaping ``main`` fails the caller."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    return rc, err.getvalue()
+
+
+@settings(deadline=None, max_examples=30)
+@given(cfg=mutated_configs())
+def test_experiment_on_a_mutated_config(tmp_path_factory, cfg):
+    root = tmp_path_factory.mktemp("mutated")
+    (root / "config.json").write_text(json.dumps(cfg))
+    run = root / "run"
+    rc, err = _run_cli(["experiment", "--config", str(root / "config.json"),
+                        "--out", str(run)])
+    assert rc in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NUMERICAL), err
+    assert "Traceback" not in err
+    if rc == cli.EXIT_CONFIG:
+        assert not run.exists()
+    elif rc == cli.EXIT_OK:
+        expanded = json.loads((run / "config.expanded.json").read_text())
+        expected = {"config.expanded.json", "graph.csv", "matrix.csv",
+                    "lag_f0.csv", "lag_f1.csv", "assumptions.json"}
+        if expanded["save_trajectory"] is not False:
+            expected.add("trajectory.csv")
+        for kind in expanded["estimators"]:
+            expected |= {f"estimate_{kind}.json", f"estimate_{kind}.csv",
+                         f"metrics_{kind}.json", f"profile_{kind}.csv"}
+        assert {p.name for p in run.iterdir()} == expected
+
+
+@settings(deadline=None, max_examples=15)
+@given(sweep=mutated_sweeps())
+def test_sweep_on_a_mutated_config(tmp_path_factory, sweep):
+    root = tmp_path_factory.mktemp("mutated_sweep")
+    (root / "sweep.json").write_text(json.dumps(sweep))
+    out = root / "out"
+    rc, err = _run_cli(["sweep", "--config", str(root / "sweep.json"),
+                        "--out", str(out)])
+    assert rc in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NUMERICAL), err
+    assert "Traceback" not in err
+    if rc == cli.EXIT_CONFIG:
+        assert not out.exists()
+    else:
+        points = {f"point_{k:03d}" for k in range(len(sweep["values"]))}
+        assert {p.name for p in out.iterdir()} == points | {"summary.csv"}
 
 
 @settings(deadline=None, max_examples=60)

@@ -89,7 +89,8 @@ def test_omega_regularized_heterogeneous_matches_per_node_clamp():
             offsets, np.argmin(np.abs(offsets), axis=-1)[:, None], axis=-1)[:, 0]
         boundary = (sub - nearest) + delta * np.where(nearest >= 0, 1.0, -1.0)
         clamped = np.where(np.abs(nearest) < delta, boundary, sub)
-        expected = 1.0 / fn.evaluate(clamped)
+        expected = 1.0 / nl._KERNELS[fn.kind][0](*fn.params)(
+            clamped, np.empty_like(clamped))
         assert np.array_equal(got[:, node], expected)
 
 
@@ -115,13 +116,17 @@ def test_accumulate_outer_products():
 
 def test_singular_state_skips_f1_but_not_f0():
     # g = tanh vanishes at 0 while h = 1 there, so the pair contributes
-    # only to the zero-lag sum
+    # only to the zero-lag sum; so does a subnormal g, whose reciprocal
+    # overflows, but not the smallest normal one
     triple = NonlinearityTriple(sigma=(nl.identity(),), g=(nl.tanh(),),
                                 h=(nl.constant_one(),))
-    lag = LagMatrices(n_nodes=1)
-    accumulate(lag, triple, EXACT, np.array([0.0]), np.array([2.0]))
-    assert np.array_equal(lag.f1_sum, [[0.0]])
-    assert np.array_equal(lag.f0_sum, [[1.0]])
+    for y in (0.0, 5e-324, -1e-310):
+        lag = LagMatrices(n_nodes=1)
+        accumulate(lag, triple, EXACT, np.array([y]), np.array([2.0]))
+        assert np.array_equal(lag.f1_sum, [[0.0]])
+        assert np.array_equal(lag.f0_sum, [[1.0]])
+    _, in_z = omega_at(triple, EXACT, np.array([np.finfo(float).tiny]))
+    assert in_z is False
 
 
 def test_double_accumulation_doubles_sums():
@@ -358,8 +363,7 @@ def test_plain_summation_tracks_extended_precision(trajectory_factory):
         assert rel <= 1e-12
 
 
-@pytest.mark.parametrize("fn", [from_trajectory, running_weight_moment,
-                                omega_tail_index])
+@pytest.mark.parametrize("fn", [from_trajectory, omega_tail_index])
 def test_n_pairs_outside_the_trajectory_is_rejected(instance50, fn):
     _, matrix = instance50
     triple = linear_triple(50)
@@ -420,6 +424,8 @@ def test_running_weight_moment_linear_is_one(instance50):
     running = running_weight_moment(traj, triple, EXACT)
     assert running.shape == (500,)
     assert np.allclose(running, 50.0, rtol=0, atol=1e-12)  # ||1||^2 = N
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        running_weight_moment(traj, linear_triple(3), EXACT)
 
 
 def test_running_onelag_max_shape_and_finiteness(instance50):

@@ -130,6 +130,20 @@ def test_classify_shift_scale_invariance(shift, scale, seed):
     assert classify_edges(base * scale).edges == reference
 
 
+def test_classify_and_score_hold_for_entries_whose_squares_overflow():
+    # an estimate from a near-zero g can hold entries near 1e250; under the
+    # suite's warnings filter an overflow in a sum of squares would raise
+    g = generate_binomial_graph(8, 0.4, seed=4)
+    a = build_combination_matrix(g, 0.5).entries
+    huge = a * 1e250
+    assert classify_edges(huge).edges == classify_edges(a).edges == g.edges
+    split, reference = kmeans2_1d(huge.ravel()), kmeans2_1d(a.ravel())
+    assert split.threshold == pytest.approx(reference.threshold * 1e250)
+    assert split.high_centroid == pytest.approx(reference.high_centroid * 1e250)
+    # |huge - a| / |a| = 1e250 - 1
+    assert score(g, g, huge, a).matrix_rel_error == pytest.approx(1e250)
+
+
 # --- scoring --------------------------------------------------------------
 
 def test_score_perfect_recovery():
