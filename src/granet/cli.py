@@ -77,8 +77,11 @@ def _cmd_generate(args) -> int:
 
 def _cmd_simulate(args) -> int:
     entries = fileio.load_matrix(args.matrix)
-    matrix = CombinationMatrix(rho=float(entries.sum(axis=1).mean()),
-                               entries=entries)
+    rho = float(entries.sum(axis=1).mean())
+    if not 0 < rho < 1:
+        raise ConfigError(f"{args.matrix}: the mean row sum must lie in "
+                          f"(0, 1), got {rho!r}")
+    matrix = CombinationMatrix(rho=rho, entries=entries)
     triple = _load_triple(args.triple, matrix.n_nodes)
     noise = NoiseModel.uniform(matrix.n_nodes, args.std)
     traj = simulate(matrix, triple, noise, args.y0, args.steps, args.seed)
@@ -107,6 +110,10 @@ def _cmd_estimate(args) -> int:
 def _cmd_score(args) -> int:
     a_hat = fileio.load_matrix(args.estimate)
     a_true = fileio.load_matrix(args.truth)
+    if a_hat.shape != a_true.shape:
+        raise ConfigError(f"{args.estimate}: shape {a_hat.shape} does not "
+                          f"match the truth {args.truth} of shape "
+                          f"{a_true.shape}")
     truth_graph = support_offdiagonal(a_true)
     recovered = recovery.classify_edges(a_hat)
     metric = recovery.score(recovered, truth_graph, a_hat, a_true)
@@ -139,7 +146,7 @@ def _cmd_sweep(args) -> int:
     # run_sweep rejects a config that is not a mapping.
     if args.seed is not None and isinstance(config, dict):
         config["master_seed"] = args.seed
-    rows = experiments.run_sweep(config, args.out, workers=args.workers)
+    rows = experiments.run_sweep(config, args.out)
     print(f"wrote sweep summary to {Path(args.out) / 'summary.csv'}")
     return EXIT_NUMERICAL if any(row["error"] for row in rows) else EXIT_OK
 
@@ -198,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run an experiment along one axis")
     p.add_argument("--config", required=True, help="sweep config JSON")
     p.add_argument("--seed", type=int, help="override master seed")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sweep)
     return parser

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import lagmoments
 from .dynamics import NonlinearityTriple, Trajectory
-from .errors import ConfigError, NearSingularError
+from .errors import ConfigError, NearSingularError, NumericalError
 from .lagmoments import WeightingConfig
 
 #: Estimators abort when the matrix to invert is worse-conditioned than this.
@@ -97,7 +97,9 @@ class EstimateReport:
 
     ``cond_F0`` is the condition number of the matrix that was inverted
     (None for estimators that invert nothing).  ``observed_set`` lists the
-    original node indices when the estimate covers a subnetwork.
+    original node indices when the estimate covers a subnetwork.  An
+    ``A_hat`` with a non-finite entry, as an overflowed weight gives, is a
+    :class:`NumericalError`.
     """
 
     A_hat: np.ndarray
@@ -111,6 +113,11 @@ class EstimateReport:
         a = np.asarray(self.A_hat, dtype=float).copy()
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"A_hat must be square, got shape {a.shape}")
+        if not np.isfinite(a).all():
+            row, col = np.argwhere(~np.isfinite(a))[0]
+            raise NumericalError(f"estimate has a non-finite entry "
+                                 f"{float(a[row, col])!r} at row {row}, "
+                                 f"column {col}")
         a.setflags(write=False)
         object.__setattr__(self, "A_hat", a)
         if self.observed_set is not None:

@@ -13,7 +13,6 @@ import copy
 import csv
 import dataclasses
 import math
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -312,8 +311,8 @@ _SUMMARY_ROW = {"index": None, "value": None, "estimator": None,
                 "identifiability_gap": "", "error": ""}
 
 
-def _run_sweep_point(args: tuple) -> dict:
-    index, value, config, point_dir, summary_kind = args
+def _run_sweep_point(index: int, value, config: dict, point_dir: Path,
+                     summary_kind: str) -> dict:
     row = dict(_SUMMARY_ROW, index=index, value=value, estimator=summary_kind)
     try:
         result = run_experiment(config, point_dir)
@@ -333,8 +332,7 @@ def _run_sweep_point(args: tuple) -> dict:
     return row
 
 
-def run_sweep(config: dict, out_dir: "str | Path",
-              workers: int = 1) -> list[dict]:
+def run_sweep(config: dict, out_dir: "str | Path") -> list[dict]:
     """Run an experiment per axis value and summarise into one CSV.
 
     ``config`` holds a ``base`` experiment config, the ``axis`` name
@@ -342,13 +340,10 @@ def run_sweep(config: dict, out_dir: "str | Path",
     ``values`` and a ``master_seed`` from which each point derives an
     independent simulation seed.  The ``summary_estimator`` (default: each
     point's first estimator) must run at every point.  A failing point is
-    recorded in its summary row and does not stop the sweep.  Points run
-    concurrently on up to ``workers`` processes (never more than there are
-    points); ``workers`` must be at least 1.  Writes ``summary.csv`` into
+    recorded in its summary row and does not stop the sweep.  The points run
+    one after another in the calling process.  Writes ``summary.csv`` into
     ``out_dir`` and returns its rows.
     """
-    _require(_number(workers, int) and workers >= 1,
-             f"workers must be an integer >= 1, got {workers!r}")
     _require(isinstance(config, dict), "sweep config must be a mapping")
     unknown = set(config) - {"base", "axis", "values", "master_seed",
                              "summary_estimator"}
@@ -375,16 +370,10 @@ def run_sweep(config: dict, out_dir: "str | Path",
         _require(kind in point["estimators"],
                  f"summary_estimator: {kind!r} is not run at point {index}, "
                  f"whose estimators are {point['estimators']}")
-        jobs.append((index, value, point, str(out_dir / f"point_{index:03d}"), kind))
+        jobs.append((index, value, point, out_dir / f"point_{index:03d}", kind))
     # Only a sweep whose every point is valid makes its output directory.
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    workers = min(workers, len(jobs))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_sweep_point, jobs))
-    else:
-        rows = [_run_sweep_point(job) for job in jobs]
+    rows = [_run_sweep_point(*job) for job in jobs]
 
     with open(out_dir / "summary.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(_SUMMARY_ROW))

@@ -9,8 +9,8 @@ deterministic bytes for identical inputs.
 The matrix and trajectory loaders raise a :class:`ConfigError` that starts
 with the path when the content is bad: a cell that is not a number, a
 ragged row, bytes that are not UTF-8, or no data row.  A matrix file must
-also hold only finite cells, and a trajectory file only states that a
-:class:`~granet.dynamics.Trajectory` accepts.
+also hold a square matrix of finite cells, and a trajectory file only
+states that a :class:`~granet.dynamics.Trajectory` accepts.
 """
 
 from __future__ import annotations
@@ -73,9 +73,12 @@ def save_matrix(matrix: np.ndarray, path: "str | Path") -> None:
 
 
 def load_matrix(path: "str | Path") -> np.ndarray:
-    """The matrix in ``path``; a cell that is not finite is a ConfigError."""
+    """The matrix in ``path``; a matrix that is not square, or a cell that is
+    not finite, is a ConfigError."""
     with _naming(path):
         rows = _rows(path)
+        if rows.shape[0] != rows.shape[1]:
+            raise ValueError(f"matrix must be square, got shape {rows.shape}")
         if not np.isfinite(rows).all():
             row, col = np.argwhere(~np.isfinite(rows))[0]
             raise ValueError(f"non-finite cell {float(rows[row, col])!r} "

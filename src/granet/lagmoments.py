@@ -117,7 +117,8 @@ def _regularized_weights(triple: NonlinearityTriple, config: WeightingConfig,
         clamped[..., nodes][near] = (sub[near] - offset
                                      + delta * np.where(offset >= 0, 1.0, -1.0))
     triple.eval_g(clamped, scratch)
-    np.divide(1.0, scratch, out=weights)
+    with np.errstate(divide="ignore", over="ignore"):
+        np.divide(1.0, scratch, out=weights)
 
 
 def _omega_block(triple: NonlinearityTriple, config: WeightingConfig,
@@ -189,7 +190,9 @@ def _moment_sums(states: np.ndarray, n_pairs: int, terms=None,
     matrix products and the per-chunk parts summed in order; that order
     keeps stored moments byte-identical across releases.  With
     ``cross=False`` the cross sum is not formed and None is returned in its
-    place.
+    place.  A weight that overflowed makes the cross sum non-finite without
+    a warning; the :class:`~granet.estimators.EstimateReport` built from it
+    refuses it.
     """
     if terms is None:
         def terms(start, stop):
@@ -200,10 +203,14 @@ def _moment_sums(states: np.ndarray, n_pairs: int, terms=None,
         lead, base = terms(start, min(start + _BATCH_CHUNK, n_pairs))
         base_parts.append(base.T @ base)
         if cross:
-            cross_parts.append(lead.T @ base)
+            with np.errstate(invalid="ignore", over="ignore"):
+                cross_parts.append(lead.T @ base)
     shape = (states.shape[1],) * 2
-    return (sum(base_parts, np.zeros(shape)),
-            sum(cross_parts, np.zeros(shape)) if cross else None)
+    base_sum = sum(base_parts, np.zeros(shape))
+    if not cross:
+        return base_sum, None
+    with np.errstate(invalid="ignore", over="ignore"):
+        return base_sum, sum(cross_parts, np.zeros(shape))
 
 
 def _pair_count(traj: Trajectory, triple: NonlinearityTriple,

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -108,6 +109,27 @@ def test_estimate_and_score_chain(pipeline, tmp_path, capsys):
     assert "edge error rate" in capsys.readouterr().out
 
 
+def test_score_reproduces_an_experiments_scoring(tmp_path):
+    kinds = [kind for kind in estimators.ESTIMATOR_KINDS
+             if kind not in estimators._PARTIAL_KINDS]
+    cfg = {"graph": {"n_nodes": 12, "p": 0.3, "seed": 5}, "triple": "example2",
+           "sim": {"n_steps": 3000, "seed": 9, "y0": 0.0}, "estimators": kinds}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    run = tmp_path / "run"
+    assert cli.main(["experiment", "--config", str(cfg_path),
+                     "--out", str(run)]) == 0
+    for kind in kinds:
+        out = tmp_path / f"score_{kind}"
+        assert cli.main(["score", "--estimate", str(run / f"estimate_{kind}.csv"),
+                         "--truth", str(run / "matrix.csv"),
+                         "--out", str(out)]) == 0
+        assert (out / "metrics.json").read_bytes() == \
+            (run / f"metrics_{kind}.json").read_bytes()
+        assert (out / "profile.csv").read_bytes() == \
+            (run / f"profile_{kind}.csv").read_bytes()
+
+
 def test_estimate_unknown_kind(pipeline, tmp_path, capsys):
     # a known kind listed first writes nothing either
     for kinds in ("mystery", "egg,mystery"):
@@ -152,6 +174,64 @@ def test_estimate_checks_observed_for_every_kind(pipeline, tmp_path, capsys,
     assert rc == cli.EXIT_CONFIG
     assert f"observed_set: nodes must be {reason}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+_SHORT_TRIPLES = ("linear", "example1", "singular-g")
+
+
+@pytest.fixture(scope="module")
+def short_trajectories(pipeline, tmp_path_factory):
+    """A 20-epoch trajectory on the 6-node pipeline matrix per triple."""
+    root = tmp_path_factory.mktemp("short")
+    for triple in _SHORT_TRIPLES:
+        assert cli.main(["simulate", "--matrix", str(pipeline / "gen" / "matrix.csv"),
+                         "--triple", triple, "--steps", "20", "--seed", "4",
+                         "--out", str(root / triple)]) == 0
+    return root
+
+
+_observed_items = st.one_of(st.integers(-2, 7).map(str),
+                            st.sampled_from(["", " 1", "a", "1.5", "2e0"]))
+_observed_args = st.one_of(
+    st.just(""),
+    st.lists(st.integers(0, 5), min_size=1, max_size=6, unique=True)
+    .map(lambda nodes: ",".join(map(str, nodes))),
+    st.lists(_observed_items, min_size=1, max_size=5).map(",".join),
+)
+_delta_args = st.one_of(
+    st.sampled_from(["-1", "-0.0", "0", "5e-324", "1e-310", "1e-110",
+                     "nan", "inf", "-inf"]),
+    st.floats(0.0, 1.0).map(repr),
+)
+
+
+@settings(deadline=None, max_examples=25)
+@given(triple=st.sampled_from(_SHORT_TRIPLES), observed=_observed_args,
+       delta=_delta_args,
+       kinds=st.lists(st.sampled_from(estimators.ESTIMATOR_KINDS), min_size=1,
+                      max_size=3, unique=True))
+def test_estimate_on_drawn_observed_and_delta(short_trajectories,
+                                              tmp_path_factory, triple,
+                                              observed, delta, kinds):
+    out = tmp_path_factory.mktemp("drawn_estimate") / "out"
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        rc = cli.main(["estimate", "--trajectory",
+                       str(short_trajectories / triple / "trajectory.csv"),
+                       "--triple", triple, "--estimators", ",".join(kinds),
+                       f"--observed={observed}", f"--delta={delta}",
+                       "--out", str(out)])
+    assert rc in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NUMERICAL), err
+    assert "Traceback" not in err.getvalue()
+    if rc == cli.EXIT_CONFIG:
+        assert not out.exists()
+    else:
+        written = sorted(out.glob("estimate_*.csv"))
+        if rc == cli.EXIT_OK:
+            assert len(written) == len(kinds)
+        for path in written:
+            assert np.isfinite(np.loadtxt(path, delimiter=",", ndmin=2)).all()
 
 
 @pytest.mark.parametrize("limit", ["-1", "0", "nan"])
@@ -577,6 +657,35 @@ def test_non_finite_matrix_cell_exits_config(pipeline, tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, flag, content, message", [
+    # equal off-diagonal entries: classifying them first was a numerical failure
+    ("score", "--estimate", "0.5,0.1\n0.1,0.5\n", "shape (2, 2) does not match"),
+    ("score", "--estimate", "0.5,0.1\n0.3,0.5\n", "shape (2, 2) does not match"),
+    ("score", "--estimate", "0.5,0.1,0\n0.3,0.5,0\n", "must be square"),
+    ("score", "--truth", "0.5,0.1,0\n0.3,0.5,0\n", "must be square"),
+    ("simulate", "--matrix", "0.5,0.1,0\n0.3,0.5,0\n", "must be square"),
+    ("simulate", "--matrix", "0.5,0.5\n0.5,0.5\n", "got 1.0"),
+    ("simulate", "--matrix", "0,0\n0,0\n", "got 0.0"),
+], ids=["score_size_equal_entries", "score_size", "score_estimate_not_square",
+        "score_truth_not_square", "simulate_not_square", "simulate_row_sum_one",
+        "simulate_row_sum_zero"])
+def test_a_bad_matrix_file_is_named_before_any_work(pipeline, tmp_path, capsys,
+                                                    command, flag, content,
+                                                    message):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(content)
+    good = str(pipeline / "gen" / "matrix.csv")
+    argv = {"score": ["score", "--estimate", good, "--truth", good],
+            "simulate": ["simulate", "--matrix", good, "--steps", "10"]}[command]
+    argv[argv.index(flag) + 1] = str(bad)
+    rc = cli.main(argv + ["--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {bad}: ")
+    assert message in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_experiment_numerical_failure_exit(singular_run):
     rc, run_dir = singular_run
     assert rc == cli.EXIT_NUMERICAL
@@ -604,6 +713,70 @@ def test_experiment_one_observed_node_records_the_error(tmp_path, capsys):
     assert (run_dir / "assumptions.json").exists()
 
 
+def _assert_failed_non_finite(out_dir, kind):
+    payload = json.loads((out_dir / f"estimate_{kind}.json").read_text())
+    assert payload["estimator_kind"] == kind
+    assert payload["error"].startswith("estimate has a non-finite entry")
+    for name in (f"estimate_{kind}.csv", f"metrics_{kind}.json",
+                 f"profile_{kind}.csv"):
+        assert not (out_dir / name).exists()
+
+
+# A positive delta whose clamped g underflows to zero (or to a subnormal)
+# makes the regularised reciprocal overflow.
+_OVERFLOWING_WEIGHTS = [
+    ("singular-g", 1e-310),
+    ({"sigma": {"kind": "sign_power", "params": [0.5]},
+      "g": {"kind": "sign_power", "params": [3.0]},
+      "h": {"kind": "tanh"}, "triple_id": "cubic-g"}, 1e-110),
+]
+
+
+@pytest.mark.parametrize("triple, delta", _OVERFLOWING_WEIGHTS,
+                         ids=["singular_g", "cubic_g"])
+def test_experiment_refuses_a_non_finite_estimate(tmp_path, capsys, triple,
+                                                  delta):
+    cfg = {"graph": {"n_nodes": 6, "p": 0.4, "seed": 5}, "triple": triple,
+           "sim": {"n_steps": 20, "seed": 9, "y0": 0.0},
+           "weighting": {"delta": delta},
+           "estimators": ["egg", "least_squares", "granger"]}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    rc = cli.main(["experiment", "--config", str(cfg_path),
+                   "--out", str(tmp_path / "run")])
+    assert rc == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "Warning" not in err
+    for kind in ("egg", "least_squares"):
+        assert f"{kind}: estimate has a non-finite entry nan" in err
+        _assert_failed_non_finite(tmp_path / "run", kind)
+    # the linear baseline reads no weight and is still scored
+    assert (tmp_path / "run" / "metrics_granger.json").exists()
+
+
+@pytest.mark.parametrize("triple, delta", _OVERFLOWING_WEIGHTS,
+                         ids=["singular_g", "cubic_g"])
+def test_estimate_refuses_a_non_finite_estimate(pipeline, tmp_path, capsys,
+                                                triple, delta):
+    triple_path = tmp_path / "triple.json"
+    triple_path.write_text(json.dumps(triple))
+    spec = triple if isinstance(triple, str) else str(triple_path)
+    assert cli.main(["simulate", "--matrix", str(pipeline / "gen" / "matrix.csv"),
+                     "--triple", spec, "--steps", "40", "--seed", "3",
+                     "--out", str(tmp_path / "sim")]) == 0
+    rc = cli.main(["estimate", "--trajectory",
+                   str(tmp_path / "sim" / "trajectory.csv"), "--triple", spec,
+                   "--delta", repr(delta), "--observed", "0,2,3",
+                   "--estimators", "egg,least_squares,egg_partial,granger",
+                   "--out", str(tmp_path / "est")])
+    assert rc == cli.EXIT_NUMERICAL
+    assert "Warning" not in capsys.readouterr().err
+    for kind in ("egg", "least_squares", "egg_partial"):
+        _assert_failed_non_finite(tmp_path / "est", kind)
+    assert np.isfinite(
+        np.loadtxt(tmp_path / "est" / "estimate_granger.csv", delimiter=",")).all()
+
+
 def test_estimate_singular_exit(singular_run, tmp_path, capsys):
     _, run_dir = singular_run
     rc = cli.main(["estimate", "--trajectory",
@@ -625,7 +798,7 @@ def test_sweep_cli_roundtrip(tmp_path):
              "summary_estimator": "egg"}
     cfg_path = tmp_path / "sweep.json"
     cfg_path.write_text(json.dumps(sweep))
-    rc = cli.main(["sweep", "--config", str(cfg_path), "--workers", "2",
+    rc = cli.main(["sweep", "--config", str(cfg_path),
                    "--out", str(tmp_path / "out")])
     assert rc == 0
     lines = (tmp_path / "out" / "summary.csv").read_text().splitlines()
@@ -640,17 +813,6 @@ def test_sweep_empty_values_exit(tmp_path):
     cfg_path = tmp_path / "sweep.json"
     cfg_path.write_text(json.dumps(sweep))
     rc = cli.main(["sweep", "--config", str(cfg_path),
-                   "--out", str(tmp_path / "out")])
-    assert rc == cli.EXIT_CONFIG
-
-
-@pytest.mark.parametrize("workers", ["0", "-1"])
-def test_sweep_workers_below_one_exit_config(tmp_path, workers):
-    sweep = {"base": small_experiment_config(), "axis": "n_steps",
-             "values": [100], "master_seed": 7, "summary_estimator": "egg"}
-    cfg_path = tmp_path / "sweep.json"
-    cfg_path.write_text(json.dumps(sweep))
-    rc = cli.main(["sweep", "--config", str(cfg_path), "--workers", workers,
                    "--out", str(tmp_path / "out")])
     assert rc == cli.EXIT_CONFIG
 

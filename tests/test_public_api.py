@@ -43,7 +43,7 @@ CLI_OPTIONS = {
                  "--trajectory", "--triple"],
     "score": ["--estimate", "--out", "--truth"],
     "experiment": ["--config", "--out", "--preset", "--seed"],
-    "sweep": ["--config", "--out", "--seed", "--workers"],
+    "sweep": ["--config", "--out", "--seed"],
 }
 
 #: The experiment config's top-level keys (``preset`` aside, which picks the
