@@ -14,16 +14,14 @@ entries together.
 import numpy as np
 
 from granet import (NoiseModel, WeightingConfig, build_combination_matrix,
-                    classify_edges, egg_from_trajectory,
-                    generate_binomial_graph, score, simulate,
-                    sorted_entry_profile, support_offdiagonal, triple_preset)
+                    egg_from_trajectory, generate_binomial_graph, score,
+                    simulate, sorted_entry_profile, triple_preset)
 
 
 def main() -> None:
     n_nodes, n_steps = 50, 100_000
     graph = generate_binomial_graph(n_nodes, 0.2, 101)
     matrix = build_combination_matrix(graph, 0.5)
-    truth = support_offdiagonal(matrix)
     triple = triple_preset("singular-g", n_nodes)
     traj = simulate(matrix, triple, NoiseModel.uniform(n_nodes), 0.0,
                     n_steps, seed=3002)
@@ -36,8 +34,7 @@ def main() -> None:
         diff = profile.estimated_values - profile.true_values
         offset = diff.mean()
         oscillation = np.abs(diff - offset).max()
-        err = score(classify_edges(a_hat), truth, a_hat,
-                    matrix.entries).edge_error_rate
+        err = score(a_hat, matrix.entries).edge_error_rate
         print(f"{delta:6.2f} {offset:+10.2e} {oscillation:12.4f} {err:9.4f}")
 
     print("\nsmaller delta: smaller offset, larger oscillation "

@@ -19,20 +19,19 @@ from .estimators import (EstimateReport, correlation_estimate, egg_estimate,
                          precision_estimate)
 from .graphs import (CombinationMatrix, DirectedGraph,
                      build_combination_matrix, generate_binomial_graph,
-                     subgraph, support_offdiagonal)
+                     support_offdiagonal)
 from .lagmoments import (LagMatrices, WeightingConfig, accumulate, finalize,
                          from_trajectory, omega_tail_index, running_onelag_max,
                          running_weight_moment)
 from .presets import triple_preset
-from .recovery import (AssumptionReport, ClusterSplit, RecoveryMetrics,
-                       SortedProfile, assumption_report, classify_edges,
-                       kmeans2_1d, score, sorted_entry_profile,
-                       stability_constant)
+from .recovery import (AssumptionReport, RecoveryMetrics, SortedProfile,
+                       assumption_report, classify_edges, kmeans2_1d, score,
+                       sorted_entry_profile, stability_constant)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssumptionReport", "ClusterSplit", "CombinationMatrix", "ConfigError",
+    "AssumptionReport", "CombinationMatrix", "ConfigError",
     "DegenerateClusterError", "DirectedGraph", "EstimateReport",
     "FunctionDomainError", "InvalidStateError", "LagMatrices",
     "NearSingularError", "NoiseModel", "NonlinearityTriple", "NumericalError",
@@ -44,5 +43,5 @@ __all__ = [
     "least_squares_estimate", "omega_tail_index", "partial_estimate",
     "precision_estimate", "running_onelag_max", "running_weight_moment",
     "score", "simulate", "sorted_entry_profile", "stability_constant",
-    "subgraph", "support_offdiagonal", "triple_preset",
+    "support_offdiagonal", "triple_preset",
 ]

@@ -20,11 +20,13 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import experiments, fileio, presets, recovery
 from .dynamics import NoiseModel, NonlinearityTriple, simulate
 from .errors import ConfigError, NumericalError
 from .graphs import (CombinationMatrix, build_combination_matrix,
-                     generate_binomial_graph, support_offdiagonal)
+                     generate_binomial_graph)
 from .lagmoments import WeightingConfig
 
 EXIT_OK = 0
@@ -77,10 +79,10 @@ def _cmd_generate(args) -> int:
 
 def _cmd_simulate(args) -> int:
     entries = fileio.load_matrix(args.matrix)
-    rho = float(entries.sum(axis=1).mean())
+    rho = float(np.abs(entries).sum(axis=1).max())
     if not 0 < rho < 1:
-        raise ConfigError(f"{args.matrix}: the mean row sum must lie in "
-                          f"(0, 1), got {rho!r}")
+        raise ConfigError(f"{args.matrix}: the largest absolute row sum must "
+                          f"lie in (0, 1), got {rho!r}")
     matrix = CombinationMatrix(rho=rho, entries=entries)
     triple = _load_triple(args.triple, matrix.n_nodes)
     noise = NoiseModel.uniform(matrix.n_nodes, args.std)
@@ -114,9 +116,7 @@ def _cmd_score(args) -> int:
         raise ConfigError(f"{args.estimate}: shape {a_hat.shape} does not "
                           f"match the truth {args.truth} of shape "
                           f"{a_true.shape}")
-    truth_graph = support_offdiagonal(a_true)
-    recovered = recovery.classify_edges(a_hat)
-    metric = recovery.score(recovered, truth_graph, a_hat, a_true)
+    metric = recovery.score(a_hat, a_true)
     out = _out_dir(args)
     fileio.save_recovery_metrics(metric, out / "metrics.json")
     fileio.save_profile(recovery.sorted_entry_profile(a_true, a_hat),

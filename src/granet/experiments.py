@@ -24,8 +24,7 @@ from .dynamics import (DIVERGENCE_LIMIT, NoiseModel, NonlinearityTriple,
 from .errors import ConfigError, NumericalError
 from .estimators import EstimateReport
 from .graphs import (CombinationMatrix, DirectedGraph,
-                     build_combination_matrix, generate_binomial_graph,
-                     subgraph)
+                     build_combination_matrix, generate_binomial_graph)
 from .lagmoments import WeightingConfig
 from .recovery import AssumptionReport, RecoveryMetrics
 
@@ -237,24 +236,18 @@ def run_experiment(config: dict, out_dir: "str | Path") -> ExperimentResult:
                                      config["estimators"], config["observed_set"])
     metrics: dict[str, RecoveryMetrics] = {}
     for kind, report in reports.items():
-        if report.observed_set is not None:
-            truth_graph = subgraph(graph, report.observed_set)
-            truth_entries = matrix.entries[np.ix_(report.observed_set,
-                                                  report.observed_set)]
-        else:
-            truth_graph = graph
-            truth_entries = matrix.entries
+        obs = report.observed_set
+        truth = (matrix.entries if obs is None
+                 else matrix.entries[np.ix_(obs, obs)])
         try:
-            recovered = recovery.classify_edges(report.A_hat)
-            metric = recovery.score(recovered, truth_graph, report.A_hat,
-                                    truth_entries)
+            metric = recovery.score(report.A_hat, truth)
         except NumericalError as exc:
             errors[kind] = str(exc)
             continue
         metrics[kind] = metric
         fileio.save_recovery_metrics(metric, run_dir / f"metrics_{kind}.json")
         fileio.save_profile(
-            recovery.sorted_entry_profile(truth_entries, report.A_hat),
+            recovery.sorted_entry_profile(truth, report.A_hat),
             run_dir / f"profile_{kind}.csv",
         )
 

@@ -11,7 +11,6 @@ row sums to exactly ``rho``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -68,7 +67,10 @@ class CombinationMatrix:
 
     ``entries[i, j]`` is the weight node ``i`` assigns to node ``j``.  Rows
     sum to ``rho`` and all entries are non-negative, so the infinity norm of
-    the matrix equals ``rho``.
+    the matrix equals ``rho``.  Any square ``entries`` are accepted whose
+    infinity norm (largest absolute row sum) is at most ``rho``, give or
+    take ``n_nodes`` float spacings of ``rho`` for the rounding of a row
+    sum; a larger or ``nan`` norm raises ValueError.
     """
 
     rho: float
@@ -80,6 +82,10 @@ class CombinationMatrix:
             raise ValueError(f"entries must be square, got shape {entries.shape}")
         if not 0 < self.rho < 1:
             raise ValueError(f"rho must lie in (0, 1), got {self.rho}")
+        norm = float(np.abs(entries).sum(axis=1).max(initial=0.0))
+        if not norm <= self.rho + entries.shape[0] * np.spacing(self.rho):
+            raise ValueError(f"entries have infinity norm {norm!r}; it must "
+                             f"not exceed rho {self.rho!r}")
         entries = entries.copy()
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
@@ -137,37 +143,16 @@ def build_combination_matrix(graph: DirectedGraph, rho: float) -> CombinationMat
     return CombinationMatrix(rho=rho, entries=entries)
 
 
-def support_offdiagonal(matrix: "CombinationMatrix | np.ndarray") -> DirectedGraph:
+def support_offdiagonal(a: np.ndarray) -> DirectedGraph:
     """Recover the off-diagonal support of a matrix as a directed graph.
 
     Entries with ``|a_ij| > 0`` and ``i != j`` become edges (NaN entries do
     not); the diagonal is ignored entirely.
     """
-    a = np.asarray(getattr(matrix, "entries", matrix), dtype=float)
+    a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     mask = np.abs(a) > 0
     np.fill_diagonal(mask, False)
     edges = frozenset((int(i), int(j)) for i, j in zip(*np.nonzero(mask)))
     return DirectedGraph(n_nodes=a.shape[0], edges=edges)
-
-
-def subgraph(graph: DirectedGraph, nodes: Sequence[int]) -> DirectedGraph:
-    """Induced subgraph on ``nodes``, relabelled to ``0 .. len(nodes) - 1``.
-
-    ``nodes`` must be distinct and in range; the relabelling follows the
-    order in which they are given.
-    """
-    nodes = [int(v) for v in nodes]
-    if len(set(nodes)) != len(nodes):
-        raise ValueError("nodes must be distinct")
-    for v in nodes:
-        if not 0 <= v < graph.n_nodes:
-            raise ValueError(f"node {v} out of range")
-    local = {v: k for k, v in enumerate(nodes)}
-    edges = frozenset(
-        (local[i], local[j])
-        for i, j in graph.edges
-        if i in local and j in local
-    )
-    return DirectedGraph(n_nodes=len(nodes), edges=edges)

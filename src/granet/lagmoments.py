@@ -20,10 +20,10 @@ states.  A chunked pass allocates two chunk buffers once
 those it holds only what a nonlinearity's own kernel allocates.  Batch
 moments come from one chunk reducer, :func:`_moment_sums`, fed either by
 that kernel or, for the linear baselines, by raw state slices.
-:func:`accumulate` adds one step through the same kernel, as a chunk of
-one pair, so it has no weighting code of its own.  All sums are plain
-(uncompensated): over 2e4 steps their relative error stays near 1e-14, far
-inside every tolerance checked here.
+:func:`accumulate` adds one step through the same kernel and reducer, as
+a chunk of one pair, so it has no weighting or reduction code of its own.
+All sums are plain (uncompensated): over 2e4 steps their relative error
+stays near 1e-14, far inside every tolerance checked here.
 """
 
 from __future__ import annotations
@@ -275,9 +275,11 @@ def accumulate(lag: LagMatrices, triple: NonlinearityTriple,
                y_k1: np.ndarray) -> LagMatrices:
     """Add one step ``(y[k], y[k+1])`` to the running sums, in place.
 
-    The step is the one-pair case of :func:`_onelag_terms`: the zero-lag
-    term is always added, and the one-lag term is zero when the base state
-    is singular under exact weights.  ``y_k`` and ``y_k1`` must both have
+    The step is the one-pair case of :func:`_onelag_terms` and
+    :func:`_moment_sums`, so a weight that overflows leaves the same
+    non-finite sums, without a warning, as in :func:`from_trajectory`.  The
+    zero-lag term is always added, and the one-lag term is zero when the
+    base state is singular under exact weights.  ``y_k`` and ``y_k1`` must both have
     shape ``(n_nodes,)`` and ``lag`` must cover the triple's nodes;
     otherwise a ValueError names the shapes and the sums are left as they
     were.  The pair is not an epoch of a trajectory, so a domain error names
@@ -292,10 +294,14 @@ def accumulate(lag: LagMatrices, triple: NonlinearityTriple,
         )
     pair = np.empty((2, n))
     pair[0], pair[1] = y_k, y_k1
-    targets, h = _onelag_terms(triple, config, pair, 0, 1, _chunk_buffers(1, n),
-                               epochs=False)
-    lag.f0_sum += h.T @ h
-    lag.f1_sum += targets.T @ h
+    buffers = _chunk_buffers(1, n)
+    f0, f1 = _moment_sums(
+        pair, 1,
+        lambda start, stop: _onelag_terms(triple, config, pair, start, stop,
+                                          buffers, epochs=False),
+    )
+    lag.f0_sum += f0
+    lag.f1_sum += f1
     lag.count += 1
     return lag
 

@@ -2,10 +2,11 @@
 
 Off-diagonal entries of an estimated combination matrix are split into a
 low and a high group by an exact one-dimensional 2-means; the high group is
-declared to be the edge set.  Scoring compares the recovered support with
-the ground truth and summarises how well the raw entries separate.  The
-stability and assumption checkers evaluate the sufficient conditions under
-which the weighted regression estimator is consistent.
+declared to be the edge set.  Scoring compares that edge set with the
+off-diagonal support of the true matrix and summarises how well the raw
+entries separate.  The stability and assumption checkers evaluate the
+sufficient conditions under which the weighted regression estimator is
+consistent.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from .dynamics import (_PQ_TOL, NonlinearityTriple, Trajectory,
                        resolve_exponents)
 from .errors import ConfigError, DegenerateClusterError
-from .graphs import CombinationMatrix, DirectedGraph
+from .graphs import CombinationMatrix, DirectedGraph, support_offdiagonal
 from .lagmoments import WeightingConfig, omega_tail_index
 from .nonlinearities import Nonlinearity
 
@@ -32,16 +33,6 @@ OMEGA_TAIL_CRITICAL = 1.1
 _SQUARE_SAFE = 1e150
 
 
-@dataclass(frozen=True)
-class ClusterSplit:
-    """An optimal two-group split of scalar values."""
-
-    threshold: float
-    low_centroid: float
-    high_centroid: float
-    within_sse: float
-
-
 def _overflow_scale(values: np.ndarray) -> float:
     """The largest magnitude in ``values`` when it is beyond
     ``_SQUARE_SAFE``, else 1.0, which leaves the values exact when divided
@@ -50,16 +41,16 @@ def _overflow_scale(values: np.ndarray) -> float:
     return top if top > _SQUARE_SAFE else 1.0
 
 
-def kmeans2_1d(values: Sequence[float]) -> ClusterSplit:
-    """Exact two-cluster 1-d k-means by contiguous-split enumeration.
+def kmeans2_1d(values: Sequence[float]) -> float:
+    """Threshold of the exact two-cluster 1-d k-means split.
 
     After sorting, an optimal 2-means partition is contiguous, so every
-    split point is evaluated and the global within-cluster SSE minimiser
-    returned (lowest split index on ties).  The threshold is the midpoint
-    of the boundary pair.  Fewer than two values, or all-equal input, admit
-    no two-group split and raise :class:`DegenerateClusterError`; so does
-    input whose spread is at the float rounding scale, where any split
-    would be noise-driven.  Input beyond ``_SQUARE_SAFE`` is split at unit
+    split point is evaluated and the one minimising the within-cluster sum
+    of squared errors is taken (lowest split index on ties).  The returned
+    threshold is the midpoint of its boundary pair.  Fewer than two values,
+    or all-equal input, admit no two-group split and raise
+    :class:`DegenerateClusterError`; so does input whose spread is at the
+    float rounding scale, where any split would be noise-driven.  Input beyond ``_SQUARE_SAFE`` is split at unit
     scale (see :func:`_overflow_scale`); the optimal split does not change
     under a positive scaling.
     """
@@ -87,14 +78,7 @@ def kmeans2_1d(values: Sequence[float]) -> ClusterSplit:
         + (sq_sums[-1] - sq_sums[:-1]) - right_sum ** 2 / right_count
     )
     split = int(np.argmin(sse))
-    low = v[:split + 1]
-    high = v[split + 1:]
-    return ClusterSplit(
-        threshold=float((v[split] + v[split + 1]) / 2.0),
-        low_centroid=float(low.mean()),
-        high_centroid=float(high.mean()),
-        within_sse=float(max(sse[split], 0.0)) * scale * scale,
-    )
+    return float((v[split] + v[split + 1]) / 2.0)
 
 
 def classify_edges(a_hat: np.ndarray) -> DirectedGraph:
@@ -108,8 +92,8 @@ def classify_edges(a_hat: np.ndarray) -> DirectedGraph:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     m = a.shape[0]
     off_mask = ~np.eye(m, dtype=bool)
-    split = kmeans2_1d(a[off_mask])
-    rows, cols = np.nonzero(off_mask & (a > split.threshold))
+    threshold = kmeans2_1d(a[off_mask])
+    rows, cols = np.nonzero(off_mask & (a > threshold))
     return DirectedGraph(
         n_nodes=m,
         edges=frozenset(zip(rows.tolist(), cols.tolist())),
@@ -133,38 +117,33 @@ class RecoveryMetrics:
     identifiability_gap: float
 
 
-def score(recovered: DirectedGraph, truth: DirectedGraph,
-          a_hat: np.ndarray, a_true: np.ndarray) -> RecoveryMetrics:
-    """Compare a recovered graph and estimate against the ground truth.
+def score(a_hat: np.ndarray, a_true: np.ndarray) -> RecoveryMetrics:
+    """Score an estimate against the true combination matrix.
 
-    The matrix error is the relative Frobenius error over off-diagonal
-    slots only; diagonals are never scored.
+    The recovered graph is :func:`classify_edges` of ``a_hat``; the true
+    graph is the off-diagonal support of ``a_true``.  The matrix error is
+    the relative Frobenius error over off-diagonal slots only; diagonals
+    are never scored.
     """
-    if recovered.n_nodes != truth.n_nodes:
-        raise ValueError(
-            f"graph size mismatch: recovered {recovered.n_nodes}, "
-            f"truth {truth.n_nodes}"
-        )
-    n = truth.n_nodes
     a_hat = np.asarray(a_hat, dtype=float)
     a_true = np.asarray(a_true, dtype=float)
-    if a_hat.shape != (n, n) or a_true.shape != (n, n):
-        raise ValueError(
-            f"matrices must be {n}x{n}, got {a_hat.shape} and {a_true.shape}"
-        )
-    rec = recovered.adjacency()
-    tru = truth.adjacency()
+    if a_hat.shape != a_true.shape:
+        raise ValueError(f"matrix shape mismatch: estimate {a_hat.shape}, "
+                         f"truth {a_true.shape}")
+    rec = classify_edges(a_hat).adjacency()
+    tru = support_offdiagonal(a_true).adjacency()
+    n = tru.shape[0]
     off = ~np.eye(n, dtype=bool)
-    false_edges = int(np.count_nonzero(rec & ~tru & off))
-    missed_edges = int(np.count_nonzero(~rec & tru & off))
+    false_edges = int(np.count_nonzero(rec & ~tru))
+    missed_edges = int(np.count_nonzero(tru & ~rec))
     total = n * (n - 1)
     diff = (a_hat - a_true)[off]
     denom = np.linalg.norm(a_true[off])
     scale = _overflow_scale(diff)
     rel_error = (float(np.linalg.norm(diff / scale)) * scale / float(denom)
                  if denom > 0 else float("nan"))
-    edge_vals = a_hat[tru & off]
-    non_edge_vals = a_hat[~tru & off]
+    edge_vals = a_hat[tru]
+    non_edge_vals = a_hat[off & ~tru]
     if edge_vals.size and non_edge_vals.size:
         gap = float(edge_vals.min() - non_edge_vals.max())
     else:
@@ -262,7 +241,7 @@ def _family_envelope(fns: Sequence[Nonlinearity], name: str) -> tuple[float, flo
 
 
 def stability_constant(triple: NonlinearityTriple,
-                       matrix: "CombinationMatrix | np.ndarray") -> AssumptionReport:
+                       matrix: CombinationMatrix) -> AssumptionReport:
     """Stability constant ``kappa_s`` of a configured system.
 
     With family envelopes ``|sigma(y)| <= alpha_s |y| + beta_s``,
@@ -273,19 +252,15 @@ def stability_constant(triple: NonlinearityTriple,
     - ``alpha_s * alpha_g * beta_h  * ||A||``  when ``p = 1`` and ``q = 0``,
     - ``alpha_s * alpha_h * beta_g  * ||A||``  when ``p = 0`` and ``q = 1``.
 
-    ``||A||`` is the infinity norm, the largest absolute row sum.
-    ``kappa_s < 1`` is sufficient for the state recursion to forget its
-    initial condition.  A sigma envelope declared with exponent ``e < 1``
-    is first relaxed to exponent one via ``|y|^e <= |y| + 1``.
+    ``||A||`` is the infinity norm, the largest absolute row sum.  The
+    matrix's ``rho`` bounds it up to rounding (see
+    :class:`CombinationMatrix`) and stands in for it, so the constant of a
+    uniform averaging matrix carries no summation rounding.  ``kappa_s <
+    1`` is sufficient for the state recursion to forget its initial
+    condition.  A sigma envelope declared with exponent ``e < 1`` is first
+    relaxed to exponent one via ``|y|^e <= |y| + 1``.
     """
-    entries = matrix.entries if isinstance(matrix, CombinationMatrix) else \
-        np.asarray(matrix, dtype=float)
-    if isinstance(matrix, CombinationMatrix) and np.all(entries >= 0):
-        # Non-negative rows sum to rho by construction, so the max
-        # absolute row sum is rho without summation rounding.
-        norm_a = float(matrix.rho)
-    else:
-        norm_a = float(np.max(np.abs(entries).sum(axis=1)))
+    norm_a = float(matrix.rho)
     alpha_s, beta_s = _family_envelope(triple.sigma, "sigma")
     sigma_roles = {fn.exponent_role for fn in triple.sigma
                    if fn.exponent_role is not None}

@@ -110,20 +110,26 @@ def test_estimate_and_score_chain(pipeline, tmp_path, capsys):
 
 
 def test_score_reproduces_an_experiments_scoring(tmp_path):
-    kinds = [kind for kind in estimators.ESTIMATOR_KINDS
-             if kind not in estimators._PARTIAL_KINDS]
+    kinds = list(estimators.ESTIMATOR_KINDS)
+    observed = [1, 4, 6, 7, 10, 11]
     cfg = {"graph": {"n_nodes": 12, "p": 0.3, "seed": 5}, "triple": "example2",
-           "sim": {"n_steps": 3000, "seed": 9, "y0": 0.0}, "estimators": kinds}
+           "sim": {"n_steps": 3000, "seed": 9, "y0": 0.0}, "estimators": kinds,
+           "observed_set": observed}
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(cfg))
     run = tmp_path / "run"
     assert cli.main(["experiment", "--config", str(cfg_path),
                      "--out", str(run)]) == 0
+    # a partial kind is scored against the observed sub-block of the truth
+    block = tmp_path / "matrix_observed.csv"
+    fileio.save_matrix(
+        fileio.load_matrix(run / "matrix.csv")[np.ix_(observed, observed)],
+        block)
     for kind in kinds:
+        truth = block if kind in estimators._PARTIAL_KINDS else run / "matrix.csv"
         out = tmp_path / f"score_{kind}"
         assert cli.main(["score", "--estimate", str(run / f"estimate_{kind}.csv"),
-                         "--truth", str(run / "matrix.csv"),
-                         "--out", str(out)]) == 0
+                         "--truth", str(truth), "--out", str(out)]) == 0
         assert (out / "metrics.json").read_bytes() == \
             (run / f"metrics_{kind}.json").read_bytes()
         assert (out / "profile.csv").read_bytes() == \
@@ -666,9 +672,12 @@ def test_non_finite_matrix_cell_exits_config(pipeline, tmp_path, capsys,
     ("simulate", "--matrix", "0.5,0.1,0\n0.3,0.5,0\n", "must be square"),
     ("simulate", "--matrix", "0.5,0.5\n0.5,0.5\n", "got 1.0"),
     ("simulate", "--matrix", "0,0\n0,0\n", "got 0.0"),
+    # rho is the largest absolute row sum, not the mean (0.75) of the rows
+    ("simulate", "--matrix", "0.75,0.5\n0.25,0\n",
+     "largest absolute row sum must lie in (0, 1), got 1.25"),
 ], ids=["score_size_equal_entries", "score_size", "score_estimate_not_square",
         "score_truth_not_square", "simulate_not_square", "simulate_row_sum_one",
-        "simulate_row_sum_zero"])
+        "simulate_row_sum_zero", "simulate_unequal_rows_norm_above_one"])
 def test_a_bad_matrix_file_is_named_before_any_work(pipeline, tmp_path, capsys,
                                                     command, flag, content,
                                                     message):

@@ -335,6 +335,19 @@ def test_partial_estimators_scored_against_subgraph(tmp_path):
     assert m.total_offdiag == 6
 
 
+def test_an_underflowing_rho_is_scored_against_the_matrix_support(tmp_path):
+    # rho / d underflows to zero, so the matrix has none of the generated
+    # edges; the truth scored against is the matrix's support, which is empty
+    cfg = small_config(graph={"n_nodes": 6, "p": 0.5, "seed": 5}, rho=5e-324,
+                       estimators=["correlation"])
+    res = xp.run_experiment(xp.expand_config(cfg), tmp_path)
+    assert res.graph.n_edges == 16
+    assert not (res.matrix.entries * ~np.eye(6, dtype=bool)).any()
+    m = res.metrics["correlation"]
+    assert m.missed_edges == 0
+    assert np.isnan(m.identifiability_gap)
+
+
 def test_kappa_flag_does_not_block_run(tmp_path):
     cfg = small_config(triple={
         "sigma": {"kind": "identity", "envelope": [2.4, 0.0]},

@@ -93,8 +93,8 @@ def test_estimate_report_roundtrip(tmp_path, small_run):
 
 
 def test_recovery_metrics_roundtrip(tmp_path, small_run):
-    g, matrix, _, _ = small_run
-    m = score(g, g, matrix.entries, matrix.entries)
+    _, matrix, _, _ = small_run
+    m = score(matrix.entries, matrix.entries)
     path = tmp_path / "metrics.json"
     fileio.save_recovery_metrics(m, path)
     assert RecoveryMetrics(**json.loads(path.read_text())) == m

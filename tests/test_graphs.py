@@ -10,7 +10,6 @@ from granet import (
     DirectedGraph,
     build_combination_matrix,
     generate_binomial_graph,
-    subgraph,
     support_offdiagonal,
 )
 
@@ -78,20 +77,26 @@ def test_entries_nonnegative_and_on_support_only():
 
 def test_support_of_scaled_identity_is_empty():
     a = CombinationMatrix(0.5, 0.5 * np.eye(3))
-    assert support_offdiagonal(a).edges == frozenset()
+    assert support_offdiagonal(a.entries).edges == frozenset()
 
 
 def test_support_of_complete_two_node():
     a = build_combination_matrix(complete_graph(2), 0.5)
-    assert support_offdiagonal(a).edges == {(0, 1), (1, 0)}
+    assert support_offdiagonal(a.entries).edges == {(0, 1), (1, 0)}
 
 
-def test_subgraph_relabels_induced_edges():
-    g = DirectedGraph(n_nodes=5, edges=frozenset({(0, 3), (3, 4), (1, 2), (4, 0)}))
-    sub = subgraph(g, [0, 3, 4])
-    # kept nodes 0,3,4 become 0,1,2
-    assert sub.n_nodes == 3
-    assert sub.edges == {(0, 1), (1, 2), (2, 0)}
+def test_combination_matrix_refuses_a_norm_above_rho():
+    # stability_constant reads rho as the infinity norm, 0.9 here
+    with pytest.raises(ValueError, match="norm 0.9; it must not exceed rho 0.5"):
+        CombinationMatrix(0.5, np.diag([0.9, 0.1, 0.5]))
+    with pytest.raises(ValueError, match="norm nan"):
+        CombinationMatrix(0.5, np.diag([np.nan, 0.1, 0.5]))
+    # a row sum may round up by a spacing of rho per node
+    over = 0.5 + 3 * np.spacing(0.5)
+    assert CombinationMatrix(0.5, np.diag([over, 0.1, 0.5])).rho == 0.5
+    # rho / d underflows to zero for a subnormal rho; the rows still fit
+    g = generate_binomial_graph(6, 0.5, seed=5)
+    assert build_combination_matrix(g, 5e-324).entries.max() == 5e-324
 
 
 def test_validation_errors():
@@ -129,6 +134,6 @@ def test_row_sum_and_support_consistency(n, p, seed, rho):
     a = build_combination_matrix(g, rho)
     assert np.abs(a.entries.sum(axis=1) - a.rho).max() < 1e-12
     # recovered support must be exactly the generating graph
-    assert support_offdiagonal(a).edges == g.edges
+    assert support_offdiagonal(a.entries).edges == g.edges
     # infinity norm equals rho for nonnegative rows summing to rho
     assert abs(np.abs(a.entries).sum(axis=1).max() - rho) < 1e-12

@@ -1,5 +1,7 @@
 """Weighting function and running lag-moment accumulation."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -272,6 +274,23 @@ def test_accumulate_rejects_mismatched_shapes(y_k1, n_nodes, shapes):
         accumulate(lag, linear_triple(3), EXACT, np.zeros(3), y_k1)
     assert lag.count == 0
     assert not lag.f0_sum.any() and not lag.f1_sum.any()
+
+
+def test_accumulate_of_an_overflowing_weight_is_silent_like_the_pass():
+    # a subnormal delta clamps the root 0 of g to 1e-310, whose reciprocal
+    # overflows; one pair goes through the chunk reducer, so the sums turn
+    # non-finite without a warning, as they do in from_trajectory
+    triple = triple_preset("singular-g", 3)
+    config = WeightingConfig(delta=1e-310)
+    traj = Trajectory(states=[[0.0] * 3, [0.5] * 3], seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lag = accumulate(LagMatrices(n_nodes=3), triple, config,
+                         traj.states[0], traj.states[1])
+    fresh = from_trajectory(traj, triple, config)
+    assert not np.isfinite(lag.f1_sum).any()
+    np.testing.assert_array_equal(lag.f0_sum, fresh.f0_sum)
+    np.testing.assert_array_equal(lag.f1_sum, fresh.f1_sum)
 
 
 def test_singular_base_still_checks_the_next_state():

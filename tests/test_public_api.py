@@ -5,12 +5,17 @@ lists below, so a change to the API shows in the diff of this test.
 """
 
 import argparse
+import importlib
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
 
 import granet
 from granet import cli, experiments
 
 PUBLIC_NAMES = [
-    "AssumptionReport", "ClusterSplit", "CombinationMatrix", "ConfigError",
+    "AssumptionReport", "CombinationMatrix", "ConfigError",
     "DegenerateClusterError", "DirectedGraph", "EstimateReport",
     "FunctionDomainError", "InvalidStateError", "LagMatrices",
     "NearSingularError", "NoiseModel", "NonlinearityTriple", "NumericalError",
@@ -22,7 +27,7 @@ PUBLIC_NAMES = [
     "least_squares_estimate", "omega_tail_index", "partial_estimate",
     "precision_estimate", "running_onelag_max", "running_weight_moment",
     "score", "simulate", "sorted_entry_profile", "stability_constant",
-    "subgraph", "support_offdiagonal", "triple_preset",
+    "support_offdiagonal", "triple_preset",
 ]
 
 
@@ -75,3 +80,32 @@ def test_experiment_config_keys_are_pinned():
     assert sorted(config) == CONFIG_KEYS
     assert {key: sorted(value) for key, value in config.items()
             if isinstance(value, dict)} == CONFIG_SECTIONS
+
+
+#: Parameters that the benchmark's span counters read from traced calls.
+TRACED_PARAMETERS = {
+    ("granet.dynamics", "simulate"): ["n_steps"],
+    ("granet.lagmoments", "from_trajectory"): ["traj", "n_pairs"],
+    ("granet.lagmoments", "omega_tail_index"): ["traj", "n_pairs"],
+    ("granet.fileio", "save_trajectory"): ["path"],
+    ("granet.estimators", "partial_estimate"): ["kind"],
+}
+
+
+def test_functions_the_benchmark_traces_exist(monkeypatch):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up while the module runs
+    monkeypatch.setitem(sys.modules, spec.name, spans)
+    spec.loader.exec_module(spans)
+    original = granet.simulate
+    # opening the recorder looks up every traced function and raises if one
+    # is missing; closing it puts the originals back
+    with spans.Recorder():
+        assert granet.simulate is not original
+    assert granet.simulate is original
+    for (module, name), params in TRACED_PARAMETERS.items():
+        fn = getattr(importlib.import_module(module), name)
+        missing = set(params) - set(inspect.signature(fn).parameters)
+        assert not missing, f"{module}.{name} lacks {sorted(missing)}"

@@ -23,10 +23,16 @@ from granet import (
     simulate,
     sorted_entry_profile,
     stability_constant,
-    support_offdiagonal,
     triple_preset,
 )
 from granet import nonlinearities as nl
+
+
+def split_sse(values, threshold):
+    """Within-cluster SSE of the split of ``values`` at ``threshold``."""
+    v = np.asarray(values, dtype=float)
+    low, high = v[v <= threshold], v[v > threshold]
+    return ((low - low.mean()) ** 2).sum() + ((high - high.mean()) ** 2).sum()
 
 
 def brute_force_split(values):
@@ -43,19 +49,21 @@ def brute_force_split(values):
 # --- kmeans ---------------------------------------------------------------
 
 def test_kmeans_perfectly_separated():
-    s = kmeans2_1d([0, 0, 0, 1, 1, 1])
-    assert (s.low_centroid, s.high_centroid) == (0.0, 1.0)
-    assert s.within_sse == 0.0
-    assert s.threshold == 0.5
+    values = [0, 0, 0, 1, 1, 1]
+    threshold = kmeans2_1d(values)
+    assert threshold == 0.5
+    assert split_sse(values, threshold) == 0.0
 
 
 def test_kmeans_six_values():
-    s = kmeans2_1d([0, 0.01, -0.02, 0.24, 0.26, 0.25])
+    values = np.array([0, 0.01, -0.02, 0.24, 0.26, 0.25])
+    threshold = kmeans2_1d(values)
     # low cluster {-0.02, 0, 0.01}, high cluster {0.24, 0.25, 0.26}
-    assert s.threshold == pytest.approx(0.125)
-    assert s.low_centroid == pytest.approx(-0.01 / 3)
-    assert s.high_centroid == pytest.approx(0.25)
-    assert s.low_centroid <= s.threshold <= s.high_centroid
+    assert threshold == pytest.approx(0.125)
+    low, high = values[values <= threshold], values[values > threshold]
+    assert low.mean() == pytest.approx(-0.01 / 3)
+    assert high.mean() == pytest.approx(0.25)
+    assert low.mean() <= threshold <= high.mean()
 
 
 def test_kmeans_single_value_is_an_error():
@@ -81,8 +89,8 @@ def test_kmeans_matches_brute_force_sample():
         values = rng.uniform(-1, 1, size=rng.integers(2, 21))
         if values.max() - values.min() < 1e-9:
             continue
-        s = kmeans2_1d(values)
-        assert s.within_sse == pytest.approx(brute_force_split(values), abs=1e-9)
+        assert split_sse(values, kmeans2_1d(values)) == \
+            pytest.approx(brute_force_split(values), abs=1e-9)
 
 
 @settings(deadline=None, max_examples=100)
@@ -91,9 +99,8 @@ def test_kmeans_brute_force_property(values):
     v = np.asarray(values)
     if v.max() - v.min() <= 1e-6:
         return
-    s = kmeans2_1d(values)
     brute = brute_force_split(values)
-    assert s.within_sse <= brute + 1e-9 * max(1.0, brute)
+    assert split_sse(values, kmeans2_1d(values)) <= brute + 1e-9 * max(1.0, brute)
 
 
 # --- classification -------------------------------------------------------
@@ -137,19 +144,24 @@ def test_classify_and_score_hold_for_entries_whose_squares_overflow():
     a = build_combination_matrix(g, 0.5).entries
     huge = a * 1e250
     assert classify_edges(huge).edges == classify_edges(a).edges == g.edges
-    split, reference = kmeans2_1d(huge.ravel()), kmeans2_1d(a.ravel())
-    assert split.threshold == pytest.approx(reference.threshold * 1e250)
-    assert split.high_centroid == pytest.approx(reference.high_centroid * 1e250)
+    threshold, reference = kmeans2_1d(huge.ravel()), kmeans2_1d(a.ravel())
+    assert threshold == pytest.approx(reference * 1e250)
     # |huge - a| / |a| = 1e250 - 1
-    assert score(g, g, huge, a).matrix_rel_error == pytest.approx(1e250)
+    assert score(huge, a).matrix_rel_error == pytest.approx(1e250)
 
 
 # --- scoring --------------------------------------------------------------
 
+def adjacency(graph):
+    """The 0/1 matrix of ``graph``, which both classifies to ``graph`` and
+    has ``graph`` as its support."""
+    return graph.adjacency().astype(float)
+
+
 def test_score_perfect_recovery():
     g = generate_binomial_graph(6, 0.5, seed=9)
     a = build_combination_matrix(g, 0.5).entries
-    m = score(g, g, a, a)
+    m = score(a, a)
     assert m.false_edges == 0 and m.missed_edges == 0
     assert m.edge_error_rate == 0.0
     assert m.matrix_rel_error == 0.0
@@ -164,16 +176,14 @@ def test_score_complement_has_error_rate_one():
                         if i != j and (i, j) not in g.edges),
     )
     a = build_combination_matrix(g, 0.5).entries
-    m = score(complement, g, a, a)
+    m = score(adjacency(complement), a)
     assert m.edge_error_rate == 1.0
     assert m.false_edges + m.missed_edges == 30
 
 
 def test_score_size_mismatch():
-    g2 = DirectedGraph(n_nodes=2, edges=frozenset())
-    g3 = DirectedGraph(n_nodes=3, edges=frozenset())
     with pytest.raises(ValueError):
-        score(g2, g3, np.zeros((2, 2)), np.zeros((3, 3)))
+        score(np.eye(2), np.eye(3))
 
 
 @settings(deadline=None, max_examples=60)
@@ -185,7 +195,7 @@ def test_score_error_count_is_hamming_distance(seed_a, seed_b):
     n = 7
     ga = generate_binomial_graph(n, 0.5, seed=seed_a)
     gb = generate_binomial_graph(n, 0.5, seed=seed_b)
-    m = score(ga, gb, np.zeros((n, n)), np.ones((n, n)))
+    m = score(adjacency(ga), adjacency(gb))
     hamming = len(ga.edges ^ gb.edges)
     assert m.false_edges + m.missed_edges == hamming
     assert m.edge_error_rate == hamming / (n * (n - 1))
