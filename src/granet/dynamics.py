@@ -26,7 +26,8 @@ from .nonlinearities import _KERNELS, Nonlinearity, _first_outside
 #: States whose magnitude exceeds this are treated as diverged.
 DIVERGENCE_LIMIT = 1e12
 
-#: Epochs of noise drawn per call of the generator in :func:`simulate`.
+#: Epochs of noise drawn per call of the generator, and of states screened
+#: at once, in :func:`simulate`.
 _NOISE_BLOCK = 8192
 
 #: Rows per block of the magnitude check in :class:`Trajectory`.
@@ -248,6 +249,20 @@ class NoiseModel:
         return len(self.per_node_std)
 
 
+def _first_beyond_limit(block: np.ndarray) -> tuple[int, int] | None:
+    """Row and node of the first entry of the 2-d ``block`` that is not
+    finite or exceeds ``DIVERGENCE_LIMIT`` in magnitude; None if there is none.
+
+    Two reductions clear a good block (NaN fails both comparisons); only a
+    bad one builds the mask that finds the entry.
+    """
+    if not block.size or (block.max() <= DIVERGENCE_LIMIT
+                          and block.min() >= -DIVERGENCE_LIMIT):
+        return None
+    row, node = np.argwhere(~(np.abs(block) <= DIVERGENCE_LIMIT))[0]
+    return int(row), int(node)
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """A simulated state history.
@@ -269,17 +284,16 @@ class Trajectory:
                 "states must be 2-d (n_steps + 1, n_nodes) with at least one "
                 f"row and one node, got shape {states.shape}"
             )
-        # Checked a block of rows at a time with two reductions, so no
-        # temporary grows with the trajectory.  NaN fails both comparisons.
+        # Checked a block of rows at a time, so no temporary grows with the
+        # trajectory.
         for start in range(0, states.shape[0], _MAGNITUDE_CHECK_ROWS):
-            block = states[start:start + _MAGNITUDE_CHECK_ROWS]
-            if not (block.max() <= DIVERGENCE_LIMIT
-                    and block.min() >= -DIVERGENCE_LIMIT):
-                row, node = np.argwhere(~(np.abs(block) <= DIVERGENCE_LIMIT))[0]
+            bad = _first_beyond_limit(states[start:start + _MAGNITUDE_CHECK_ROWS])
+            if bad is not None:
+                row, node = start + bad[0], bad[1]
                 raise ValueError(
                     "trajectory states must all be finite with magnitude at "
-                    f"most {DIVERGENCE_LIMIT:g}; row {start + row}, node {node} "
-                    f"holds {float(block[row, node])!r}"
+                    f"most {DIVERGENCE_LIMIT:g}; row {row}, node {node} "
+                    f"holds {float(states[row, node])!r}"
                 )
         # A read-only array that owns its data cannot change under us, so it
         # is kept as it is; anything else (writable, or a view of a buffer
@@ -307,9 +321,16 @@ def simulate(matrix: CombinationMatrix, triple: NonlinearityTriple,
     ``k`` consumes the ``k``-th block of ``n_nodes`` standard normals (drawn
     ``_NOISE_BLOCK`` epochs at a time straight into the state buffer, which
     leaves the stream identical to a one-shot draw), then scaled by the
-    per-node standard deviations.  A state with a non-finite
-    entry or magnitude above ``DIVERGENCE_LIMIT`` aborts the run with the
-    first offending epoch and node.
+    per-node standard deviations.
+
+    States are screened once per block of ``_NOISE_BLOCK`` (8192) epochs: a
+    state with a non-finite entry or magnitude above ``DIVERGENCE_LIMIT``
+    raises :class:`~granet.errors.SimulationDivergedError` with the first
+    offending epoch, node and value.  The run warns or raises as a per-epoch
+    loop under the caller's ``np.errstate`` would: the diverging epoch's
+    floating-point warnings are kept, and nothing is warned after it.  Each
+    block runs with overflow, invalid and divide raising; an epoch that
+    raises is run again under the caller's error state.
 
     Parameters
     ----------
@@ -349,36 +370,65 @@ def simulate(matrix: CombinationMatrix, triple: NonlinearityTriple,
     apply_g = triple.eval_g.apply
     apply_h = triple.eval_h.apply
     g_vals, h_vals, drive = np.empty(n), np.empty(n), np.empty(n)
-    # Every entry at most LIMIT / 2 in magnitude when the sum of squares is
-    # at most this; NaN and inf fail the comparison.
-    screen = (DIVERGENCE_LIMIT / 2) ** 2
 
-    y = states[0]
-    done = 0
-    while done < n_steps:
-        m = min(_NOISE_BLOCK, n_steps - done)
-        # Each of rows done + 1 .. done + m holds its epoch's noise until
-        # that epoch's state overwrites it.
-        block = states[done + 1:done + m + 1]
-        rng.standard_normal(out=block)
-        block *= std
-        for epoch in range(done + 1, done + m + 1):
+    epoch = 0
+
+    def advance(first, stop):
+        # Runs epochs first .. stop - 1; on an exception ``epoch`` is the one
+        # that raised.  Row ``epoch`` holds its noise until its state
+        # overwrites it.  The ufuncs write ``drive`` in place through
+        # ``out``: ``drive *= ...`` would make it a local of this function.
+        nonlocal epoch
+        y = states[first - 1]
+        for epoch in range(first, stop):
             apply_g(y, g_vals)
             apply_h(y, h_vals)
-            np.matmul(a_entries, h_vals, out=drive)
-            drive *= g_vals
+            np.dot(a_entries, h_vals, out=drive)
+            np.multiply(drive, g_vals, drive)
             y = states[epoch]
-            drive += y
+            np.add(drive, y, drive)
             apply_sigma(drive, y)
-            # np.vdot, unlike np.dot, adds no overflow warning of its own
-            # when a huge finite state squares to inf.
-            if not np.vdot(y, y) <= screen:
-                bad = ~(np.abs(y) <= DIVERGENCE_LIMIT)
-                if bad.any():
-                    node = int(np.argmax(bad))
-                    raise SimulationDivergedError(
-                        epoch=epoch, node=node, value=float(y[node])
-                    )
-        done += m
+
+    def screen(first, stop):
+        bad = _first_beyond_limit(states[first:stop])
+        if bad is not None:
+            row, node = first + bad[0], bad[1]
+            raise SimulationDivergedError(
+                epoch=row, node=node, value=float(states[row, node]))
+
+    done = 0
+    while done < n_steps:
+        stop = done + min(_NOISE_BLOCK, n_steps - done) + 1
+        drawn_from = rng.bit_generator.state
+        block = states[done + 1:stop]
+        rng.standard_normal(out=block)
+        block *= std
+        redrawn = None
+        first = done + 1
+        while first < stop:
+            try:
+                with np.errstate(over="raise", invalid="raise", divide="raise"):
+                    advance(first, stop)
+                break
+            except FloatingPointError:
+                pass
+            # A per-epoch screen would have stopped at a diverged state before
+            # this event, with no warning from it.  Otherwise the epoch runs
+            # again under the caller's error state, which gives its warnings
+            # or error.  sigma may have overwritten the epoch's noise before
+            # it raised, so the block's noise is drawn again from the same
+            # stream state.
+            screen(first, epoch)
+            if redrawn is None:
+                bits = np.random.PCG64()
+                bits.state = drawn_from
+                redrawn = np.random.Generator(bits).standard_normal(block.shape)
+                redrawn *= std
+            states[epoch] = redrawn[epoch - done - 1]
+            advance(epoch, epoch + 1)
+            screen(epoch, epoch + 1)
+            first = epoch + 1
+        screen(first, stop)
+        done = stop - 1
     states.setflags(write=False)
     return Trajectory(states=states, seed=seed)

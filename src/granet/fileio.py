@@ -56,7 +56,12 @@ def _first_line(path: "str | Path") -> str:
 
 def _rows(path: "str | Path") -> np.ndarray:
     """The comma-separated float rows of ``path``; there must be one."""
-    rows = np.loadtxt(path, delimiter=",", ndmin=2, encoding="utf-8")
+    try:
+        rows = np.loadtxt(path, delimiter=",", ndmin=2, encoding="utf-8")
+    except ValueError as exc:
+        # NumPy ends its ragged-row message with advice on loadtxt's own
+        # parameters, which a reader of the file cannot act on.
+        raise ValueError(re.sub(r"; use `usecols`.*", "", str(exc))) from exc
     if not rows.size:
         raise ValueError("no data rows")
     return rows

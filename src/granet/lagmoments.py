@@ -187,7 +187,7 @@ def _moment_sums(states: np.ndarray, n_pairs: int, terms=None,
     ``terms(start, stop)`` returns the ``(lead, base)`` rows of the pairs
     ``start .. stop - 1``; by default they are the raw states
     ``(y[k+1], y[k])``.  Chunks of ``_BATCH_CHUNK`` pairs are reduced with
-    matrix products and the per-chunk parts summed in order; that order
+    matrix products and the per-chunk parts added in order; that order
     keeps stored moments byte-identical across releases.  With
     ``cross=False`` the cross sum is not formed and None is returned in its
     place.  A weight that overflowed makes the cross sum non-finite without
@@ -197,20 +197,16 @@ def _moment_sums(states: np.ndarray, n_pairs: int, terms=None,
     if terms is None:
         def terms(start, stop):
             return states[start + 1:stop + 1], states[start:stop]
-    base_parts: list[np.ndarray] = []
-    cross_parts: list[np.ndarray] = []
+    shape = (states.shape[1],) * 2
+    base_sum = np.zeros(shape)
+    cross_sum = np.zeros(shape) if cross else None
     for start in range(0, n_pairs, _BATCH_CHUNK):
         lead, base = terms(start, min(start + _BATCH_CHUNK, n_pairs))
-        base_parts.append(base.T @ base)
+        base_sum += base.T @ base
         if cross:
             with np.errstate(invalid="ignore", over="ignore"):
-                cross_parts.append(lead.T @ base)
-    shape = (states.shape[1],) * 2
-    base_sum = sum(base_parts, np.zeros(shape))
-    if not cross:
-        return base_sum, None
-    with np.errstate(invalid="ignore", over="ignore"):
-        return base_sum, sum(cross_parts, np.zeros(shape))
+                cross_sum += lead.T @ base
+    return base_sum, cross_sum
 
 
 def _pair_count(traj: Trajectory, triple: NonlinearityTriple,

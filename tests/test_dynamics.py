@@ -46,12 +46,13 @@ def heterogeneous_triple(n):
                               h=(nl.sign_power(0.6),) * n)
 
 
-def reference_states(matrix, triple, noise, n_steps, seed):
+def reference_states(matrix, triple, noise, n_steps, seed, y0=0.0):
     """The recursion one epoch at a time, on noise drawn in one shot."""
     n = matrix.n_nodes
     x = np.random.default_rng(seed).standard_normal((n_steps, n)) \
         * noise.per_node_std
     states = np.zeros((n_steps + 1, n))
+    states[0] = y0
     for k in range(n_steps):
         y = states[k]
         states[k + 1] = triple.eval_sigma(
@@ -165,7 +166,7 @@ def test_divergence_guard_reports_first_epoch_and_node():
 @pytest.mark.parametrize("power, y0, std, epoch, value, messages", [
     # an overflow to inf in h, then inf - inf in the matvec
     (30.0, 1e11, 1.0, 1, float("nan"),
-     ["overflow encountered in power", "invalid value encountered in matmul"]),
+     ["overflow encountered in power", "invalid value encountered in dot"]),
     # finite but above the limit: no warning
     (3.0, 0.0, 1e5, 2, 280543951196263.75, []),
 ])
@@ -196,6 +197,91 @@ def test_divergence_screen_adds_no_warning():
             simulate(matrix, triple, NoiseModel.uniform(8), 1e12, 10, seed=5)
     assert (err.value.epoch, err.value.node, err.value.value) == (1, 0, 9e167)
     assert caught == []
+
+
+def recorded(run):
+    """What ``run()`` gives, and the ``(category, message)`` of each warning
+    it gives: ``("states", bytes)`` or ``("diverged", epoch, node, repr)``."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            outcome = ("states", run().states.tobytes())
+        except SimulationDivergedError as err:
+            outcome = ("diverged", err.epoch, err.node, repr(err.value))
+    return outcome, [(w.category, str(w.message)) for w in caught]
+
+
+def overflowing_h_run(matrix, sigma, y0, n_steps):
+    """h = y**30 overflows at y0 = 1e11: in a dense matrix every row sums
+    +inf, in a sparse one some row sums +inf - inf = nan."""
+    n = matrix.n_nodes
+    triple = NonlinearityTriple.uniform(sigma, nl.constant_one(),
+                                        nl.sign_power(30.0), n)
+    return lambda: simulate(matrix, triple, NoiseModel.uniform(n), y0,
+                            n_steps, seed=5)
+
+
+DENSE8 = CombinationMatrix(0.9, np.full((8, 8), 0.9 / 8))
+
+
+def test_an_overflow_at_an_epoch_that_does_not_diverge_runs_on():
+    # tanh maps the inf drive of epoch 1 to 1; the block's raising error
+    # state must neither stop the run nor change a state
+    outcome, caught = recorded(overflowing_h_run(DENSE8, nl.tanh(), 1e11, 50))
+    assert caught == [(RuntimeWarning, "overflow encountered in power")]
+    triple = NonlinearityTriple.uniform(nl.tanh(), nl.constant_one(),
+                                        nl.sign_power(30.0), 8)
+    with np.errstate(over="ignore"):
+        expected = reference_states(DENSE8, triple, NoiseModel.uniform(8), 50,
+                                    5, y0=1e11)
+    assert outcome == ("states", expected.tobytes())
+    assert np.all(expected[1] == 1.0)
+
+
+@pytest.mark.parametrize("matrix, y0, node", [
+    (build_combination_matrix(generate_binomial_graph(8, 0.4, 1), 0.9),
+     1e12, 0),
+    # node 0 stays within the limit only on its own noise, which sigma
+    # overwrites before it overflows at node 1
+    (CombinationMatrix(0.9, np.diag([0.5, 0.5])), np.array([2.0, 1e12]), 1),
+])
+def test_an_overflow_inside_sigma_names_its_epoch_node_and_value(matrix, y0,
+                                                                 node):
+    n = matrix.n_nodes
+    triple = NonlinearityTriple.uniform(nl.sign_power(3.0), nl.constant_one(),
+                                        nl.sign_power(9.0), n)
+    outcome, caught = recorded(lambda: simulate(
+        matrix, triple, NoiseModel.uniform(n), y0, 10, seed=5))
+    assert outcome == ("diverged", 1, node, "inf")
+    assert caught == [(RuntimeWarning, "overflow encountered in power")]
+
+
+def test_a_divergence_after_the_first_noise_block_names_its_epoch():
+    # y -> 0.9 y**2 + x escapes its stable point only after 8192 epochs
+    a = CombinationMatrix(0.9, np.array([[0.9]]))
+    triple = NonlinearityTriple(sigma=(nl.identity(),), g=(nl.constant_one(),),
+                                h=(nl.sign_power(2.0),))
+    outcome, caught = recorded(lambda: simulate(
+        a, triple, NoiseModel.uniform(1, 0.22), 0.0, 30_000, seed=0))
+    assert outcome == ("diverged", 8339, 0, "-6.801029873866522e+21")
+    assert caught == []
+
+
+@pytest.mark.parametrize("run", [
+    overflowing_h_run(DENSE8, nl.tanh(), 1e11, 50),
+    overflowing_h_run(
+        build_combination_matrix(generate_binomial_graph(8, 0.4, 1), 0.9),
+        nl.identity(), 1e11, 10),
+], ids=["runs on", "diverges"])
+def test_simulate_keeps_the_callers_error_state(run):
+    with np.errstate(all="raise"):
+        with pytest.raises(FloatingPointError,
+                           match="overflow encountered in power"):
+            run()
+    with np.errstate(all="ignore"):
+        quiet, caught = recorded(run)
+    assert caught == []
+    assert quiet == recorded(run)[0]
 
 
 def test_simulate_peak_memory_is_one_state_buffer(instance50, peak_traced_bytes):

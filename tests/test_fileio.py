@@ -173,6 +173,16 @@ def test_loaders_name_the_file_on_a_bad_payload(tmp_path, kind, payload):
             getattr(fileio, f"load_{kind}")(path)
 
 
+@pytest.mark.parametrize("kind", _FORMATS)
+def test_a_ragged_row_is_named_without_loadtxt_advice(tmp_path, kind):
+    path = tmp_path / "ragged.csv"
+    path.write_bytes(_FORMATS[kind].encode() + _BAD_PAYLOADS["ragged row"])
+    with pytest.raises(ConfigError) as err:
+        getattr(fileio, f"load_{kind}")(path)
+    assert str(err.value) == \
+        f"{path}: the number of columns changed from 3 to 2 at row 2"
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
 def test_matrix_loader_rejects_a_non_finite_cell(tmp_path, cell):
     path = tmp_path / "matrix.csv"
