@@ -11,12 +11,21 @@ Subcommands::
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 I/O error or out of memory.
+
+A command runs the OpenBLAS that NumPy has loaded on one thread, so its
+files do not depend on ``OPENBLAS_NUM_THREADS``; :func:`main` restores the
+caller's thread count on return.  Where NumPy carries no scipy-openblas
+library, the thread count is left alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
+import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -36,6 +45,40 @@ EXIT_IO = 4
 
 _TRIPLE_HELP = ("triple preset name (default example1), or a JSON file with a "
                 "triple spec or a run's config.expanded.json")
+
+
+@functools.cache
+def _openblas():
+    """The thread-count getter and setter of the scipy-openblas library that
+    NumPy has loaded, or None where there is no such library."""
+    libs = Path(np.__file__).parent.with_name("numpy.libs")
+    for path in sorted(libs.glob("libscipy_openblas64_-*.so")):
+        try:
+            lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+            get_threads = lib.scipy_openblas_get_num_threads64_
+            set_threads = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        return get_threads, set_threads
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with OpenBLAS on one thread, then restore the count."""
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get_threads, set_threads = blas
+    found = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(found)
 
 
 def _out_dir(args) -> Path:
@@ -214,7 +257,8 @@ def main(argv: "list[str] | None" = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with _one_blas_thread():
+            return args.func(args)
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

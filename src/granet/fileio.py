@@ -34,6 +34,9 @@ from .recovery import AssumptionReport, RecoveryMetrics, SortedProfile
 
 _FMT = "%.17g"
 
+#: Rows formatted by one ``%`` operation in :func:`_write_rows`.
+_BLOCK_ROWS = 256
+
 
 @contextlib.contextmanager
 def _naming(path: "str | Path"):
@@ -59,12 +62,32 @@ def _rows(path: "str | Path") -> np.ndarray:
     try:
         rows = np.loadtxt(path, delimiter=",", ndmin=2, encoding="utf-8")
     except ValueError as exc:
-        # NumPy ends its ragged-row message with advice on loadtxt's own
-        # parameters, which a reader of the file cannot act on.
-        raise ValueError(re.sub(r"; use `usecols`.*", "", str(exc))) from exc
+        # NumPy counts a ragged row from 1 and ends the message with advice
+        # on loadtxt's own parameters, which a reader of the file cannot act
+        # on.  Count from 0, as the other messages about a cell or a state
+        # do, and drop the advice.
+        raise ValueError(re.sub(
+            r"at row (\d+); use `usecols`.*",
+            lambda m: f"at row {int(m.group(1)) - 1}", str(exc))) from exc
     if not rows.size:
         raise ValueError("no data rows")
     return rows
+
+
+def _write_rows(path: "str | Path", rows: np.ndarray, header: str = "") -> None:
+    """Write the 2-D ``rows`` to ``path`` with the bytes of ``np.savetxt(path,
+    rows, fmt=_FMT, delimiter=",", header=header)``, formatting
+    ``_BLOCK_ROWS`` rows per ``%`` operation instead of one."""
+    n_rows, n_cols = rows.shape
+    line = ",".join([_FMT] * n_cols) + "\n"
+    block = line * _BLOCK_ROWS
+    with open(path, "w", encoding="utf-8") as fh:
+        if header:
+            fh.write(f"# {header}\n")
+        for start in range(0, n_rows, _BLOCK_ROWS):
+            chunk = rows[start:start + _BLOCK_ROWS]
+            fmt = block if len(chunk) == _BLOCK_ROWS else line * len(chunk)
+            fh.write(fmt % tuple(chunk.ravel().tolist()))
 
 
 def save_graph(graph: DirectedGraph, path: "str | Path") -> None:
@@ -74,7 +97,7 @@ def save_graph(graph: DirectedGraph, path: "str | Path") -> None:
 
 
 def save_matrix(matrix: np.ndarray, path: "str | Path") -> None:
-    np.savetxt(path, np.atleast_2d(matrix), fmt=_FMT, delimiter=",")
+    _write_rows(path, np.atleast_2d(matrix))
 
 
 def load_matrix(path: "str | Path") -> np.ndarray:
@@ -93,7 +116,7 @@ def load_matrix(path: "str | Path") -> np.ndarray:
 
 def save_trajectory(traj: Trajectory, path: "str | Path") -> None:
     header = f"N={traj.n_nodes}, steps={traj.n_steps}, seed={traj.seed}"
-    np.savetxt(path, traj.states, fmt=_FMT, delimiter=",", header=header)
+    _write_rows(path, traj.states, header)
 
 
 def load_trajectory(path: "str | Path") -> Trajectory:
@@ -119,8 +142,7 @@ def load_trajectory(path: "str | Path") -> Trajectory:
 def save_lag_matrices(lag: LagMatrices, f0_path: "str | Path",
                       f1_path: "str | Path") -> None:
     for path, payload in ((f0_path, lag.f0_sum), (f1_path, lag.f1_sum)):
-        np.savetxt(path, payload, fmt=_FMT, delimiter=",",
-                   header=f"count={lag.count}")
+        _write_rows(path, payload, f"count={lag.count}")
 
 
 def _jsonable(value):

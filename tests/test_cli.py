@@ -902,3 +902,70 @@ def test_estimate_reproduces_experiment_files(tmp_path):
                 if written:
                     assert (est / name).read_bytes() == (run / name).read_bytes(), \
                         (case, name)
+
+
+def test_command_files_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # OpenBLAS splits the moment pass's products and the QR differently on
+    # one thread and on two; the commands run on one whatever the caller set.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "preset": "example1", "sim": {"n_steps": 3000},
+        "estimators": list(estimators.ESTIMATOR_KINDS),
+        "observed_set": list(range(10))}))
+    kinds = ",".join(estimators.ESTIMATOR_KINDS)
+    observed = ",".join(str(node) for node in range(10))
+    roots = {}
+    for threads in ("1", "2"):
+        root = roots[threads] = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(granet.__file__).resolve().parents[1]))
+        for argv in (["experiment", "--config", str(config),
+                      "--out", str(root / "run")],
+                     ["estimate", "--trajectory", str(root / "run" / "trajectory.csv"),
+                      "--estimators", kinds, "--observed", observed,
+                      "--out", str(root / "est")]):
+            proc = subprocess.run([sys.executable, "-m", "granet", *argv],
+                                  capture_output=True, text=True, env=env,
+                                  timeout=120)
+            assert proc.returncode == cli.EXIT_OK, proc.stderr
+    files = {threads: sorted(p.relative_to(root) for p in root.rglob("*")
+                             if p.is_file())
+             for threads, root in roots.items()}
+    assert files["1"] == files["2"]
+    differ = [str(name) for name in files["1"]
+              if (roots["1"] / name).read_bytes() != (roots["2"] / name).read_bytes()]
+    assert differ == []
+
+
+@pytest.mark.parametrize("code", [cli.EXIT_OK, cli.EXIT_CONFIG])
+def test_main_restores_the_callers_blas_thread_count(tmp_path, monkeypatch,
+                                                     code):
+    blas = cli._openblas()
+    if blas is None:
+        pytest.skip("NumPy carries no scipy-openblas library")
+    get_threads, set_threads = blas
+    found = get_threads()
+    seen = []
+
+    def command(args):
+        seen.append(get_threads())
+        if code == cli.EXIT_CONFIG:
+            raise granet.ConfigError("refused")
+        return cli.EXIT_OK
+
+    monkeypatch.setattr(cli, "_cmd_generate", command)
+    set_threads(2)
+    caller = get_threads()
+    try:
+        assert cli.main(["generate", "--out", str(tmp_path)]) == code
+        after = get_threads()
+    finally:
+        set_threads(found)
+    assert seen == [1]
+    assert after == caller
+
+
+def test_main_runs_where_no_openblas_library_is_found(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_openblas", lambda: None)
+    assert cli.main(["generate", "--n", "6", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "matrix.csv").exists()

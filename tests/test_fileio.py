@@ -10,6 +10,7 @@ import pytest
 from granet import (
     ConfigError,
     DirectedGraph,
+    LagMatrices,
     NoiseModel,
     RecoveryMetrics,
     Trajectory,
@@ -75,6 +76,52 @@ def test_lag_matrices_roundtrip(tmp_path, small_run):
     for path, payload in ((f0_path, lag.f0_sum), (f1_path, lag.f1_sum)):
         assert path.read_text().startswith(f"# count={lag.count}\n")
         assert np.array_equal(np.loadtxt(path, delimiter=","), payload)
+
+
+_EDGE_VALUES = (-0.0, 5e-324, 1e12, -1e12, 1 / 3, 0.1, -2.5e-7, 0.0)
+
+
+def _edge_rows(n_rows: int, n_cols: int) -> np.ndarray:
+    """Rows that cycle through values whose text is easy to get wrong."""
+    cells = np.resize(np.array(_EDGE_VALUES), n_rows * n_cols)
+    return cells.reshape(n_rows, n_cols)
+
+
+def _savetxt_bytes(path, rows, header="") -> bytes:
+    np.savetxt(path, rows, fmt="%.17g", delimiter=",", header=header)
+    return path.read_bytes()
+
+
+_WRITER_SHAPES = {
+    "one row": (1, 5),
+    "one node": (7, 1),
+    "one block": (fileio._BLOCK_ROWS, 3),
+    "ragged last block": (2 * fileio._BLOCK_ROWS + 3, 4),
+}
+
+
+@pytest.mark.parametrize("shape", _WRITER_SHAPES.values(), ids=_WRITER_SHAPES)
+def test_array_writers_write_the_bytes_of_savetxt(tmp_path, shape):
+    rows = _edge_rows(*shape)
+    ref = tmp_path / "ref.csv"
+    traj = Trajectory(states=rows, seed=-3)
+    fileio.save_trajectory(traj, tmp_path / "trajectory.csv")
+    assert (tmp_path / "trajectory.csv").read_bytes() == _savetxt_bytes(
+        ref, rows, f"N={shape[1]}, steps={shape[0] - 1}, seed=-3")
+    fileio.save_matrix(rows, tmp_path / "matrix.csv")
+    assert (tmp_path / "matrix.csv").read_bytes() == _savetxt_bytes(ref, rows)
+    # save_matrix writes a 1-d array as one row, where savetxt writes a column.
+    fileio.save_matrix(rows[0], tmp_path / "vector.csv")
+    assert (tmp_path / "vector.csv").read_bytes() == _savetxt_bytes(
+        ref, rows[:1])
+    side = shape[0]
+    lag = LagMatrices(n_nodes=side, count=side - 1,
+                      f0_sum=_edge_rows(side, side),
+                      f1_sum=-_edge_rows(side, side)[::-1])
+    fileio.save_lag_matrices(lag, tmp_path / "f0.csv", tmp_path / "f1.csv")
+    for name, payload in (("f0.csv", lag.f0_sum), ("f1.csv", lag.f1_sum)):
+        assert (tmp_path / name).read_bytes() == _savetxt_bytes(
+            ref, payload, f"count={side - 1}")
 
 
 def test_estimate_report_roundtrip(tmp_path, small_run):
@@ -180,7 +227,7 @@ def test_a_ragged_row_is_named_without_loadtxt_advice(tmp_path, kind):
     with pytest.raises(ConfigError) as err:
         getattr(fileio, f"load_{kind}")(path)
     assert str(err.value) == \
-        f"{path}: the number of columns changed from 3 to 2 at row 2"
+        f"{path}: the number of columns changed from 3 to 2 at row 1"
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
