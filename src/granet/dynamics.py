@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import FunctionDomainError, SimulationDivergedError
 from .graphs import CombinationMatrix
-from .nonlinearities import _KERNELS, Nonlinearity, _first_outside
+from .nonlinearities import (_KERNELS, _MAGNITUDE_ROLES, Nonlinearity,
+                             _first_outside)
 
 #: States whose magnitude exceeds this are treated as diverged.
 DIVERGENCE_LIMIT = 1e12
@@ -82,6 +83,11 @@ class _Family:
     with no gather, scatter or array of its own; a homogeneous family is
     the one-run case.  A per-node spec that alternates kinds gives one run
     per node, and so one kernel call per node.
+
+    :func:`simulate`'s epoch loop calls ``apply`` of each family, except
+    that g and h share one ``|y|`` buffer when each is one run of a kind
+    built on ``sign(y) |y|**a`` (see :func:`_epoch_kernels`); it then binds
+    the :meth:`magnitude_kernel` forms.
     """
 
     def __init__(self, fns: Sequence[Nonlinearity]):
@@ -98,6 +104,15 @@ class _Family:
         #: ``y``'s shape, not overlapping it) and returns ``out``.  For a
         #: one-run family it is the bound kernel itself.
         self.apply = self.runs[0][2] if len(self.runs) == 1 else self._map_runs
+
+    def magnitude_kernel(self, mag: np.ndarray, role: str):
+        """The forward kernel in ``role`` with the shared ``|y|`` buffer
+        ``mag`` (see :mod:`granet.nonlinearities`), or None unless the family
+        is one run of a kind that takes that role."""
+        fn = self.fns[0]
+        if len(self.runs) > 1 or role not in _MAGNITUDE_ROLES.get(fn.kind, ()):
+            return None
+        return _KERNELS[fn.kind][0](*fn.params, mag=mag, role=role)
 
     def _map_runs(self, y: np.ndarray, out: np.ndarray) -> np.ndarray:
         for _, nodes, kernel, _, _ in self.runs:
@@ -312,6 +327,25 @@ class Trajectory:
         return self.states.shape[0] - 1
 
 
+def _epoch_kernels(triple: NonlinearityTriple, mag: np.ndarray):
+    """The ``(sigma, g, h)`` kernels of :func:`simulate`'s epoch loop, and
+    whether they share the ``|y|`` buffer ``mag``.
+
+    When g and h are each one run of a kind built on ``sign(y) |y|**a``,
+    both take ``|y[n]|`` from ``mag`` instead of forming it each: a
+    sign_power sigma writes ``|y[n+1]|`` there as it computes it, and under
+    any other sigma g, which the loop calls first, forms it.  Any other
+    triple gets its families' ``apply``.  Every form gives ``apply``'s bits.
+    """
+    sigma, g, h = triple.eval_sigma, triple.eval_g, triple.eval_h
+    write_sigma = sigma.magnitude_kernel(mag, "write")
+    shared_g = g.magnitude_kernel(mag, "form" if write_sigma is None else "read")
+    read_h = h.magnitude_kernel(mag, "read")
+    if shared_g is None or read_h is None:
+        return sigma.apply, g.apply, h.apply, False
+    return write_sigma or sigma.apply, shared_g, read_h, True
+
+
 def simulate(matrix: CombinationMatrix, triple: NonlinearityTriple,
              noise: NoiseModel, y0: "np.ndarray | float", n_steps: int,
              seed: int) -> Trajectory:
@@ -366,10 +400,9 @@ def simulate(matrix: CombinationMatrix, triple: NonlinearityTriple,
     rng = np.random.default_rng(seed)
     a_entries = matrix.entries
     std = noise.per_node_std
-    apply_sigma = triple.eval_sigma.apply
-    apply_g = triple.eval_g.apply
-    apply_h = triple.eval_h.apply
-    g_vals, h_vals, drive = np.empty(n), np.empty(n), np.empty(n)
+    g_vals, h_vals, drive, mag = (np.empty(n) for _ in range(4))
+    apply_sigma, apply_g, apply_h, shared = _epoch_kernels(triple, mag)
+    dot, multiply, add = np.dot, np.multiply, np.add
 
     epoch = 0
 
@@ -378,15 +411,19 @@ def simulate(matrix: CombinationMatrix, triple: NonlinearityTriple,
         # that raised.  Row ``epoch`` holds its noise until its state
         # overwrites it.  The ufuncs write ``drive`` in place through
         # ``out``: ``drive *= ...`` would make it a local of this function.
+        # A shared ``mag`` is formed from the state before ``first``: a
+        # restart at an epoch that raised may follow a sigma that wrote it.
         nonlocal epoch
         y = states[first - 1]
+        if shared:
+            np.abs(y, mag)
         for epoch in range(first, stop):
             apply_g(y, g_vals)
             apply_h(y, h_vals)
-            np.dot(a_entries, h_vals, out=drive)
-            np.multiply(drive, g_vals, drive)
+            dot(a_entries, h_vals, out=drive)
+            multiply(drive, g_vals, drive)
             y = states[epoch]
-            np.add(drive, y, drive)
+            add(drive, y, drive)
             apply_sigma(drive, y)
 
     def screen(first, stop):

@@ -20,8 +20,9 @@ states.  A chunked pass allocates two chunk buffers once
 those it holds only what a nonlinearity's own kernel allocates.  Batch
 moments come from one chunk reducer, :func:`_moment_sums`, fed either by
 that kernel or, for the linear baselines, by raw state slices.
-:func:`accumulate` adds one step through the same kernel and reducer, as
-a chunk of one pair, so it has no weighting or reduction code of its own.
+:func:`accumulate` forms one step's terms through the same kernel, as a
+chunk of one pair, so it has no weighting code of its own, and adds their
+two products to the sums.
 All sums are plain (uncompensated): over 2e4 steps their relative error
 stays near 1e-14, far inside every tolerance checked here.
 """
@@ -135,8 +136,13 @@ def _omega_block(triple: NonlinearityTriple, config: WeightingConfig,
         return np.zeros(block.shape[0], dtype=bool)
     triple.eval_g(block, weights)
     # Some |g_i| is below _G_TINY exactly when the row's smallest is; fmin
-    # skips NaN as the comparison would.
-    in_z = np.fmin.reduce(np.abs(weights, scratch), axis=1) < _G_TINY
+    # skips NaN as the comparison would.  One min over the block, NaN when
+    # any entry is, clears a block with no such row before any per-row work.
+    magnitudes = np.abs(weights, scratch)
+    if magnitudes.size and magnitudes.min() >= _G_TINY:
+        in_z = np.zeros(len(block), dtype=bool)
+    else:
+        in_z = np.fmin.reduce(magnitudes, axis=1) < _G_TINY
     with np.errstate(divide="ignore", over="ignore"):
         np.divide(1.0, weights, out=weights)
     return in_z
@@ -271,12 +277,16 @@ def accumulate(lag: LagMatrices, triple: NonlinearityTriple,
                y_k1: np.ndarray) -> LagMatrices:
     """Add one step ``(y[k], y[k+1])`` to the running sums, in place.
 
-    The step is the one-pair case of :func:`_onelag_terms` and
-    :func:`_moment_sums`, so a weight that overflows leaves the same
-    non-finite sums, without a warning, as in :func:`from_trajectory`.  The
-    zero-lag term is always added, and the one-lag term is zero when the
-    base state is singular under exact weights.  ``y_k`` and ``y_k1`` must both have
-    shape ``(n_nodes,)`` and ``lag`` must cover the triple's nodes;
+    The step's terms are the one-pair case of :func:`_onelag_terms`, and
+    their products ``h^T h`` and ``targets^T h`` go straight into the sums
+    with :func:`_moment_sums`' error state, so a weight that overflows
+    leaves the same non-finite sums, without a warning, as in
+    :func:`from_trajectory`.  On sums that start at +0.0, as a new
+    :class:`LagMatrices`' do, this adds the bits a one-pair
+    :func:`_moment_sums` would.  The zero-lag term is always added, and the
+    one-lag term is zero when the base state is singular under exact
+    weights.  ``y_k`` and ``y_k1`` must both have shape ``(n_nodes,)`` and
+    ``lag`` must cover the triple's nodes;
     otherwise a ValueError names the shapes and the sums are left as they
     were.  The pair is not an epoch of a trajectory, so a domain error names
     only the node.  Returns ``lag`` for chaining.
@@ -290,14 +300,11 @@ def accumulate(lag: LagMatrices, triple: NonlinearityTriple,
         )
     pair = np.empty((2, n))
     pair[0], pair[1] = y_k, y_k1
-    buffers = _chunk_buffers(1, n)
-    f0, f1 = _moment_sums(
-        pair, 1,
-        lambda start, stop: _onelag_terms(triple, config, pair, start, stop,
-                                          buffers, epochs=False),
-    )
-    lag.f0_sum += f0
-    lag.f1_sum += f1
+    targets, h = _onelag_terms(triple, config, pair, 0, 1, _chunk_buffers(1, n),
+                               epochs=False)
+    lag.f0_sum += h.T @ h
+    with np.errstate(invalid="ignore", over="ignore"):
+        lag.f1_sum += targets.T @ h
     lag.count += 1
     return lag
 

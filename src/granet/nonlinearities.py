@@ -22,7 +22,18 @@ binder takes the kind's params once and returns a kernel ``kernel(y, out)``
 that writes its function of ``y`` into the caller-owned ``out`` and returns
 it.  The one evaluator, ``dynamics._Family``, binds each kernel when it is
 built and checks an inverse's domain, so the simulator's epoch loop calls
-the kernel directly, with its own buffers and no per-call params.
+the kernel directly, with its own buffers and no per-call params.  A kernel
+binds the ufuncs it calls along with its params, so a call looks up no
+``np`` attribute.
+
+The kinds built on ``sign(y) |y|**a`` (``sign_power`` and the power term of
+``sin_plus_sign_power``) share one core, ``power(mag, a, out); copysign(out,
+y, out)``, and their forward binders also take a buffer ``mag`` shared by
+the kernels of one state and a role (``_MAGNITUDE_ROLES``): ``"read"`` takes
+``mag = |y|`` from the buffer, ``"form"`` writes ``|y|`` into it first, and
+``"write"`` (sign_power alone) leaves ``|f(y)|``, which it computes anyway,
+there for the next state.  The plain kernel runs the core on ``mag = |y|``
+formed in ``out``.  Every form gives the plain kernel's bits.
 """
 
 from __future__ import annotations
@@ -92,16 +103,50 @@ class Nonlinearity:
 # bits.
 
 
-def _bind_signed_power(a):
-    a = np.array(a, dtype=float)
+def _magnitude_power(a):
+    """``(power, a)`` such that ``power(mag, a, out)`` writes ``mag ** a``
+    into ``out`` with the bits and floating-point messages of ``out **= a``.
 
-    def kernel(y, out):
-        # ``**=`` takes the same scalar fast paths for a 0-d exponent as for
-        # a float (0.5 runs np.sqrt, 2 runs np.square); np.power(out, a)
-        # would not.
-        np.abs(y, out)
-        out **= a
-        return np.copysign(out, y, out)
+    ``out **= a`` runs ``np.power``, whose loop itself takes np.sqrt's path
+    for a scalar exponent of 0.5 and np.square's for 2, while overflow
+    messages still name ``power``.  Calling np.sqrt directly skips power's
+    two-operand dispatch for the same bits, and sets no flag on the
+    magnitudes (``>= 0`` or NaN) it is given; np.square would name itself
+    in an overflow message, so 2 stays with np.power.
+    """
+    if a == 0.5:
+        sqrt = np.sqrt
+
+        def root(mag, _, out):
+            return sqrt(mag, out)
+        return root, None
+    return np.power, np.array(a, dtype=float)
+
+
+def _bind_signed_power(a, mag=None, role=None):
+    """``sign(y) |y|**a``: the plain kernel, or with the shared buffer
+    ``mag`` (of ``y``'s shape, overlapping neither ``y`` nor ``out``) the
+    kernel of ``role`` (see the module docstring)."""
+    power, a = _magnitude_power(a)
+    absolute, copysign = np.abs, np.copysign
+    if mag is None:
+        def kernel(y, out):
+            power(absolute(y, out), a, out)
+            return copysign(out, y, out)
+    elif role == "read":
+        def kernel(y, out):
+            power(mag, a, out)
+            return copysign(out, y, out)
+    elif role == "form":
+        def kernel(y, out):
+            power(absolute(y, mag), a, out)
+            return copysign(out, y, out)
+    else:
+        # "write": |sign(y) |y|**a| is |y|**a, bit for bit (copysign sets
+        # only the sign bit), so the power goes to ``mag``, the sign to ``out``.
+        def kernel(y, out):
+            power(absolute(y, out), a, mag)
+            return copysign(mag, y, out)
     return kernel
 
 
@@ -117,11 +162,10 @@ def _constant_one(y, out):
 
 def _bind_tanh_shifted(c):
     c = np.array(c, dtype=float)
+    tanh, add = np.tanh, np.add
 
     def kernel(y, out):
-        np.tanh(y, out)
-        out += c
-        return out
+        return add(tanh(y, out), c, out)
     return kernel
 
 
@@ -129,9 +173,10 @@ def _bind_tanh_shifted(c):
 _WAVE_ROWS = 1024
 
 
-def _bind_sin_plus_signed_power(freq, a):
+def _bind_sin_plus_signed_power(freq, a, mag=None, role=None):
     freq = np.array(freq, dtype=float)
-    power = _bind_signed_power(a)
+    power = _bind_signed_power(a, mag, role)
+    multiply, sin, add = np.multiply, np.sin, np.add
 
     def kernel(y, out):
         # ``sin(freq * y)`` needs a temporary of the input's shape; over
@@ -143,11 +188,9 @@ def _bind_sin_plus_signed_power(freq, a):
                 rows = slice(start, start + _WAVE_ROWS)
                 kernel(y[rows], out[rows])
             return out
-        wave = np.multiply(freq, y)
-        np.sin(wave, wave)
-        power(y, out)
-        out += wave
-        return out
+        wave = multiply(freq, y)
+        sin(wave, wave)
+        return add(power(y, out), wave, out)
     return kernel
 
 
@@ -166,6 +209,15 @@ def _bind_distance(c):
     def kernel(y, out):
         np.subtract(y, c, out)
         return np.abs(out, out)
+    return kernel
+
+
+def _bind_limiter(lo, hi):
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    clip = np.clip
+
+    def kernel(y, out):
+        return clip(y, lo, hi, out=out)
     return kernel
 
 
@@ -201,9 +253,15 @@ _KERNELS: dict[str, tuple[Callable, Callable | None, Callable | None]] = {
     "tanh": (lambda: np.tanh, lambda: np.arctanh, lambda: np.abs),
     "tanh_shifted": (_bind_tanh_shifted, _bind_arctanh_shifted,
                      _bind_distance),
-    "limiter": (lambda lo, hi: lambda y, out: np.clip(y, lo, hi, out=out),
-                None, None),
+    "limiter": (_bind_limiter, None, None),
     "sin_plus_sign_power": (_bind_sin_plus_signed_power, None, None),
+}
+
+#: Per kind whose forward binder also takes a shared ``|y|`` buffer
+#: (``binder(*params, mag=mag, role=role)``), the roles it can take.
+_MAGNITUDE_ROLES: dict[str, tuple[str, ...]] = {
+    "sign_power": ("read", "form", "write"),
+    "sin_plus_sign_power": ("read", "form"),
 }
 
 

@@ -18,7 +18,7 @@ from granet import (
     triple_preset,
 )
 from granet import nonlinearities as nl
-from granet.dynamics import DIVERGENCE_LIMIT, _Family
+from granet.dynamics import DIVERGENCE_LIMIT, _epoch_kernels, _Family
 
 
 def per_node(fns, y, column=0):
@@ -62,7 +62,10 @@ def reference_states(matrix, triple, noise, n_steps, seed, y0=0.0):
 
 @pytest.mark.parametrize("name, std, n_steps", [
     ("example1", 1.0, 3000), ("example1", 0.7, 3000),
+    # across an 8192-epoch noise block, where |y| is formed again
+    ("example1", 1.0, 9000),
     ("example2", 1.0, 3000), ("example2", 0.7, 3000),
+    ("singular-g", 1.0, 3000), ("singular-h", 1.0, 3000),
     # across eight 8192-epoch noise blocks and a partial ninth
     ("linear", 1.0, 70_000), ("linear", 0.7, 3000),
     ("heterogeneous", 1.0, 3000), ("heterogeneous", 0.7, 3000),
@@ -256,6 +259,20 @@ def test_an_overflow_inside_sigma_names_its_epoch_node_and_value(matrix, y0,
     assert caught == [(RuntimeWarning, "overflow encountered in power")]
 
 
+def test_a_restart_under_a_sigma_that_leaves_y_magnitude_forms_it_again():
+    # sigma = sign_power(30) overflows at epoch 2 after writing the shared
+    # |y|; the epoch runs again from |y[1]|, as in the reference recursion
+    # (from the stale |y| = inf it would give nan and a dot warning)
+    matrix = build_combination_matrix(generate_binomial_graph(8, 0.4, 1), 0.9)
+    triple = NonlinearityTriple.uniform(nl.sign_power(30.0), nl.sign_power(0.3),
+                                        nl.sign_power(0.7), 8)
+    assert _epoch_kernels(triple, np.empty(8))[3]
+    outcome, caught = recorded(lambda: simulate(
+        matrix, triple, NoiseModel.uniform(8, 0.0), 2.6, 30, seed=5))
+    assert outcome == ("diverged", 2, 0, "inf")
+    assert caught == [(RuntimeWarning, "overflow encountered in power")]
+
+
 def test_a_divergence_after_the_first_noise_block_names_its_epoch():
     # y -> 0.9 y**2 + x escapes its stable point only after 8192 epochs
     a = CombinationMatrix(0.9, np.array([[0.9]]))
@@ -361,6 +378,34 @@ def test_family_apply_is_bit_equal_to_per_node_kernels():
                               expected.view(np.uint64))
     # a one-run family's apply is the bound kernel itself
     assert _Family((nl.tanh(),) * 4).apply is np.tanh
+
+
+@pytest.mark.parametrize("name, roles", [
+    ("example1", ("write", "read", "read")),
+    ("example2", (None, "form", "read")),
+    ("singular-g", None), ("singular-h", None), ("linear", None),
+    ("heterogeneous", None),
+])
+def test_epoch_loop_shares_y_magnitude_only_between_power_g_and_h(name, roles):
+    # the shared forms where g and h are both one run built on |y|**a;
+    # every family's own kernels otherwise
+    n = 8
+    triple = (heterogeneous_triple(n) if name == "heterogeneous"
+              else triple_preset(name, n))
+    mag = np.empty(n)
+    kernels = _epoch_kernels(triple, mag)
+    families = (triple.eval_sigma, triple.eval_g, triple.eval_h)
+    assert kernels[3] is (roles is not None)
+    for kernel, family, role in zip(kernels, families, roles or (None,) * 3):
+        if role is None:
+            assert kernel is family.apply
+        else:
+            y = np.random.default_rng(3).standard_normal(n)
+            mag[...] = np.abs(y) if role == "read" else np.nan
+            out = kernel(y, np.empty(n))
+            assert out.tobytes() == family(y).tobytes()
+            left = out if role == "write" else y
+            assert mag.tobytes() == np.abs(left).tobytes()
 
 
 def test_transform_tanh_sigma_is_arctanh():

@@ -61,6 +61,21 @@ def test_omega_sign_power_flags_origin():
     assert in_z is True
     _, in_z = omega_at(triple, EXACT, np.array([0.5]))
     assert in_z is False
+    # in a chunk, one singular row and one NaN row (NaN is skipped, so it
+    # flags only beside a zero); a chunk without them flags nothing
+    triple = NonlinearityTriple.uniform(nl.identity(), nl.sign_power(0.3),
+                                        nl.sign_power(0.7), 3)
+    rows = [[0.5, -1.0, 2.0], [0.5, 0.0, 2.0], [0.5, np.nan, 2.0],
+            [np.nan, -0.0, 0.1], [0.5, -1.0, 2.0]]
+    for block, flags in ((rows, [False, True, False, True, False]),
+                         (rows[:1] + rows[2:3], [False, False]),
+                         (rows[:1], [False])):
+        block = np.array(block)
+        weights = np.empty_like(block)
+        in_z = lagmoments._omega_block(triple, EXACT, block, weights,
+                                       np.empty_like(block))
+        assert in_z.tolist() == flags
+        assert [omega_at(triple, EXACT, row)[1] for row in block] == flags
 
 
 def test_omega_regularized_boundary_fill():

@@ -61,6 +61,58 @@ def test_kernel_out_is_bit_equal_to_closed_form(fn):
         assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
 
 
+def _signed_power_reference(y, out, a):
+    """The sign-power kernel as ``abs; out **= a; copysign``."""
+    np.abs(y, out)
+    out **= np.array(a)
+    return np.copysign(out, y, out)
+
+
+def _run(kernel, y):
+    """The bytes ``kernel(y, out)`` writes, or the message of the error it
+    raises under ``np.errstate(all="raise")``."""
+    out = np.full_like(y, np.nan)
+    with np.errstate(all="raise"):
+        try:
+            kernel(y, out)
+        except FloatingPointError as err:
+            return str(err)
+    return out.tobytes()
+
+
+# zeros of both signs, subnormals, huge values, infinities and NaN: each
+# alone, so that each raises on its own, and all together
+_EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, -1e-310, 2.2e-308, 1e-200, 0.7,
+                -3.5, 1e300, -1e300, np.inf, -np.inf, np.nan, -np.nan)
+_EDGE_INPUTS = [np.array([v]) for v in _EDGE_VALUES] + [np.array(_EDGE_VALUES)]
+
+
+@pytest.mark.parametrize("a", [0.3, 0.5, 0.7, 1.0, 2.0, 1 / 0.3])
+def test_every_magnitude_form_gives_the_reference_bits_and_errors(a):
+    # each kernel form simulate's epoch loop may bind; "read" finds |y| in
+    # the shared buffer, "form" puts it there, "write" leaves |f(y)| there
+    families = [(_Family((nl.sign_power(a),)),
+                 lambda y, out: _signed_power_reference(y, out, a),
+                 ("read", "form", "write"))]
+    if a <= 1:
+        sine = _Family((nl.sin_plus_sign_power(4.0, a),))
+        families.append((sine, sine.apply, ("read", "form")))
+    for family, reference, roles in families:
+        for y in _EDGE_INPUTS:
+            expected = _run(reference, y)
+            assert _run(family.apply, y) == expected
+            for role in roles:
+                mag = np.abs(y) if role == "read" else np.full_like(y, np.nan)
+                assert _run(family.magnitude_kernel(mag, role), y) == expected
+                if isinstance(expected, bytes):
+                    # what the buffer holds for the kernels that read it next
+                    left = np.frombuffer(expected) if role == "write" else y
+                    assert mag.tobytes() == np.abs(left).tobytes()
+    # only sign_power leaves |f(y)| behind
+    assert _Family((nl.sin_plus_sign_power(4.0, 0.5),)).magnitude_kernel(
+        np.empty(1), "write") is None
+
+
 _INVERSE_REFERENCE = {
     "identity": lambda y: y,
     "sign_power": lambda y, a: np.copysign(np.abs(y) ** (1.0 / a), y),
