@@ -19,6 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._paired import paired
 from .errors import FunctionDomainError, SimulationDivergedError
 from .graphs import CombinationMatrix
 from .nonlinearities import (_KERNELS, _MAGNITUDE_ROLES, Nonlinearity,
@@ -27,8 +28,8 @@ from .nonlinearities import (_KERNELS, _MAGNITUDE_ROLES, Nonlinearity,
 #: States whose magnitude exceeds this are treated as diverged.
 DIVERGENCE_LIMIT = 1e12
 
-#: Epochs of noise drawn per call of the generator, and of states screened
-#: at once, in :func:`simulate`.
+#: Epochs of states screened at once in :func:`simulate`; its noise is
+#: drawn in runs of such blocks.
 _NOISE_BLOCK = 8192
 
 #: Rows per block of the magnitude check in :class:`Trajectory`.
@@ -138,25 +139,33 @@ class _Family:
         name no epoch when it is None.  The result is written into ``out``
         (of ``y``'s shape, not overlapping it; a new array when None),
         which also holds each run's domain check, and returned.  Runs are
-        checked in node order, each once, and the first failing run reports
-        its first offending entry.
+        checked in node order, each once, and an error names the earliest
+        offending epoch over all runs, then the lowest node, as a check of
+        one epoch after another would.
         """
         if out is None:
             out = np.empty_like(y, dtype=float)
+        failed = None
         for fn, nodes, _, inverse, radius in self.runs:
             if inverse is None:
                 raise ValueError(f"{fn.kind}{fn.params} has no implemented inverse")
             sub, res = y[..., nodes], out[..., nodes]
             pos = None if radius is None else _first_outside(radius(sub, res))
             if pos is not None:
-                raise FunctionDomainError(
-                    f"input outside the domain of {fn.describe()} inverse",
-                    float(sub[pos]),
-                    node=nodes.start + int(pos[-1]),
-                    epoch=None if epoch_offset is None or sub.ndim < 2
-                    else epoch_offset + int(pos[0]),
-                )
-            inverse(sub, res)
+                # Runs come in node order, so only an earlier epoch wins.
+                if failed is None or (sub.ndim > 1 and pos[0] < failed[1][0]):
+                    failed = (fn, pos, nodes, sub)
+            elif failed is None:
+                inverse(sub, res)
+        if failed is not None:
+            fn, pos, nodes, sub = failed
+            raise FunctionDomainError(
+                f"input outside the domain of {fn.describe()} inverse",
+                float(sub[pos]),
+                node=nodes.start + int(pos[-1]),
+                epoch=None if epoch_offset is None or sub.ndim < 2
+                else epoch_offset + int(pos[0]),
+            )
         return out
 
 
@@ -327,6 +336,25 @@ class Trajectory:
         return self.states.shape[0] - 1
 
 
+def _redraw(drawn_from: dict, skip: int, rows: int,
+            std: np.ndarray) -> np.ndarray:
+    """The scaled noise of the ``rows`` epochs that follow the first ``skip``
+    epochs drawn from the PCG64 state ``drawn_from``.
+
+    The skipped epochs are drawn into the same ``(rows, n)`` buffer, a piece
+    at a time; the stream gives the bits of one draw however it is cut.
+    """
+    bits = np.random.PCG64()
+    bits.state = drawn_from
+    generator = np.random.Generator(bits)
+    noise = np.empty((rows, len(std)))
+    for start in range(0, skip, rows):
+        generator.standard_normal(out=noise[:skip - start])
+    generator.standard_normal(out=noise)
+    noise *= std
+    return noise
+
+
 def _epoch_kernels(triple: NonlinearityTriple, mag: np.ndarray):
     """The ``(sigma, g, h)`` kernels of :func:`simulate`'s epoch loop, and
     whether they share the ``|y|`` buffer ``mag``.
@@ -352,10 +380,14 @@ def simulate(matrix: CombinationMatrix, triple: NonlinearityTriple,
     """Run the coupled recursion for ``n_steps`` epochs.
 
     Noise is drawn from a single PCG64 stream seeded with ``seed``: epoch
-    ``k`` consumes the ``k``-th block of ``n_nodes`` standard normals (drawn
-    ``_NOISE_BLOCK`` epochs at a time straight into the state buffer, which
-    leaves the stream identical to a one-shot draw), then scaled by the
-    per-node standard deviations.
+    ``k`` consumes the ``k``-th block of ``n_nodes`` standard normals, then
+    scaled by the per-node standard deviations.  The noise is drawn straight
+    into the state buffer in runs of ``_NOISE_BLOCK`` (8192) epoch blocks,
+    each run as long as all the runs before it (1, 1, 2, 4, ... blocks),
+    which leaves the stream identical to a one-shot draw.  With more than
+    one CPU a run of more than one block keeps a helper thread
+    (:mod:`granet._paired`) that draws run ``r + 1`` while run ``r``
+    advances, so the states are the same bits with or without it.
 
     States are screened once per block of ``_NOISE_BLOCK`` (8192) epochs: a
     state with a non-finite entry or magnitude above ``DIVERGENCE_LIMIT``
@@ -433,13 +465,15 @@ def simulate(matrix: CombinationMatrix, triple: NonlinearityTriple,
             raise SimulationDivergedError(
                 epoch=row, node=node, value=float(states[row, node]))
 
-    done = 0
-    while done < n_steps:
-        stop = done + min(_NOISE_BLOCK, n_steps - done) + 1
-        drawn_from = rng.bit_generator.state
-        block = states[done + 1:stop]
-        rng.standard_normal(out=block)
-        block *= std
+    def draw(first, stop, drawn_from):
+        # Unscaled noise of rows first .. stop - 1.  The stream is set to the
+        # rows' start first, so a second call draws the same noise.
+        rng.bit_generator.state = drawn_from
+        rng.standard_normal(out=states[first:stop])
+
+    def run_block(done, stop, run_first, drawn_from):
+        # Block rows done + 1 .. stop - 1 of the run of blocks that starts at
+        # row run_first, whose noise was drawn from drawn_from.
         redrawn = None
         first = done + 1
         while first < stop:
@@ -457,15 +491,36 @@ def simulate(matrix: CombinationMatrix, triple: NonlinearityTriple,
             # stream state.
             screen(first, epoch)
             if redrawn is None:
-                bits = np.random.PCG64()
-                bits.state = drawn_from
-                redrawn = np.random.Generator(bits).standard_normal(block.shape)
-                redrawn *= std
+                redrawn = _redraw(drawn_from, done + 1 - run_first,
+                                  stop - done - 1, std)
             states[epoch] = redrawn[epoch - done - 1]
             advance(epoch, epoch + 1)
             screen(epoch, epoch + 1)
             first = epoch + 1
         screen(first, stop)
-        done = stop - 1
+
+    def run_blocks(first, stop, drawn_from):
+        states[first:stop] *= std
+        for done in range(first - 1, stop - 1, _NOISE_BLOCK):
+            run_block(done, min(done + _NOISE_BLOCK + 1, stop), first,
+                      drawn_from)
+
+    # Noise comes in runs of blocks, each as long as all the runs before it:
+    # run r is scaled and advances here while the helper draws run r + 1.
+    # Each wait of the helper for the interpreter lock (to wake, and after
+    # the draw) slows this thread's epoch loop by up to a switch interval, so
+    # the helper draws a few long runs, and the scaling, which would cost it
+    # one more wait, is done here.
+    with paired(n_steps, _NOISE_BLOCK) as pair:
+        first, stop = 1, min(_NOISE_BLOCK, n_steps) + 1
+        drawn_from = rng.bit_generator.state
+        rng.standard_normal(out=states[first:stop])
+        while first < stop:
+            following = min(2 * stop - 1, n_steps + 1)
+            next_from = rng.bit_generator.state if stop < following else None
+            pair(lambda: run_blocks(first, stop, drawn_from),
+                 (lambda: draw(stop, following, next_from))
+                 if next_from else None)
+            first, stop, drawn_from = stop, following, next_from
     states.setflags(write=False)
     return Trajectory(states=states, seed=seed)

@@ -25,6 +25,13 @@ chunk of one pair, so it has no weighting code of its own, and adds their
 two products to the sums.
 All sums are plain (uncompensated): over 2e4 steps their relative error
 stays near 1e-14, far inside every tolerance checked here.
+
+With more than one CPU a pass of more than one chunk keeps a helper thread
+(:mod:`granet._paired`): each chunk's terms are written as two row halves
+into the same two buffers, the later half on the helper, and the chunk's
+two matrix products run one on each thread.  Chunk boundaries and the order
+of the sums do not move, so the sums are the same bits with or without the
+helper.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._paired import paired
 from .dynamics import NonlinearityTriple, Trajectory
 from .errors import InvalidStateError
 
@@ -186,33 +194,65 @@ def _onelag_terms(triple: NonlinearityTriple, config: WeightingConfig,
     return targets, h
 
 
-def _moment_sums(states: np.ndarray, n_pairs: int, terms=None,
+def _moment_sums(states: np.ndarray, n_pairs: int, fill=None, buffers=None,
                  cross: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """Chunk-reduced ``(sum base^T base, sum lead^T base)`` over pairs.
 
-    ``terms(start, stop)`` returns the ``(lead, base)`` rows of the pairs
-    ``start .. stop - 1``; by default they are the raw states
-    ``(y[k+1], y[k])``.  Chunks of ``_BATCH_CHUNK`` pairs are reduced with
-    matrix products and the per-chunk parts added in order; that order
-    keeps stored moments byte-identical across releases.  With
-    ``cross=False`` the cross sum is not formed and None is returned in its
-    place.  A weight that overflowed makes the cross sum non-finite without
-    a warning; the :class:`~granet.estimators.EstimateReport` built from it
+    By default the ``(lead, base)`` rows of the pairs are the raw states
+    ``(y[k+1], y[k])``.  Otherwise ``fill(start, stop, row)`` writes the
+    rows of the pairs ``start .. stop - 1`` into the chunk buffers
+    ``buffers = (lead, base)`` from row ``row`` on; each chunk is filled as
+    two row halves, the later one beside the earlier (see
+    :func:`_fill_halves`).  Chunks of ``_BATCH_CHUNK`` pairs are reduced
+    with matrix products, the base product here and the cross product
+    beside it, and the per-chunk parts added in order; that order keeps
+    stored moments byte-identical across releases.  With ``cross=False``
+    the cross sum is not formed and None is returned in its place.  A
+    weight that overflowed makes the cross sum non-finite without a
+    warning; the :class:`~granet.estimators.EstimateReport` built from it
     refuses it.
     """
-    if terms is None:
-        def terms(start, stop):
-            return states[start + 1:stop + 1], states[start:stop]
     shape = (states.shape[1],) * 2
     base_sum = np.zeros(shape)
     cross_sum = np.zeros(shape) if cross else None
-    for start in range(0, n_pairs, _BATCH_CHUNK):
-        lead, base = terms(start, min(start + _BATCH_CHUNK, n_pairs))
-        base_sum += base.T @ base
-        if cross:
-            with np.errstate(invalid="ignore", over="ignore"):
-                cross_sum += lead.T @ base
+    with paired(n_pairs, _BATCH_CHUNK) as pair:
+        for start in range(0, n_pairs, _BATCH_CHUNK):
+            stop = min(start + _BATCH_CHUNK, n_pairs)
+            if fill is None:
+                lead, base = states[start + 1:stop + 1], states[start:stop]
+            else:
+                _fill_halves(pair, fill, start, stop)
+                lead, base = (buf[:stop - start] for buf in buffers)
+            base_part, cross_part = pair(lambda: base.T @ base,
+                                         _cross_product(lead, base)
+                                         if cross else None)
+            base_sum += base_part
+            if cross:
+                with np.errstate(invalid="ignore", over="ignore"):
+                    cross_sum += cross_part
     return base_sum, cross_sum
+
+
+def _cross_product(lead: np.ndarray, base: np.ndarray):
+    """The call that forms ``lead^T base`` under :func:`_moment_sums`' error
+    state."""
+    def product():
+        with np.errstate(invalid="ignore", over="ignore"):
+            return lead.T @ base
+    return product
+
+
+def _fill_halves(pair, fill, start: int, stop: int) -> None:
+    """``fill(start, stop, 0)`` as two calls over the row halves of the
+    chunk, the earlier here and the later beside it.
+
+    Each half writes its own buffer rows, so the chunk gets the bits of one
+    call; an error in the earlier half wins, and within a half the earliest
+    epoch's, so the error does not depend on where the split falls.
+    """
+    mid = (start + stop + 1) // 2
+    pair(lambda: fill(start, mid, 0),
+         (lambda: fill(mid, stop, mid - start)) if mid < stop else None)
 
 
 def _pair_count(traj: Trajectory, triple: NonlinearityTriple,
@@ -322,11 +362,12 @@ def from_trajectory(traj: Trajectory, triple: NonlinearityTriple,
     """
     n = _pair_count(traj, triple, n_pairs)
     buffers = _chunk_buffers(min(n, _BATCH_CHUNK), traj.n_nodes)
-    f0_sum, f1_sum = _moment_sums(
-        traj.states, n,
-        lambda start, stop: _onelag_terms(triple, config, traj.states, start,
-                                          stop, buffers),
-    )
+
+    def fill(start, stop, row):
+        _onelag_terms(triple, config, traj.states, start, stop,
+                      tuple(buf[row:] for buf in buffers))
+
+    f0_sum, f1_sum = _moment_sums(traj.states, n, fill, buffers)
     return LagMatrices(n_nodes=traj.n_nodes, count=n, f0_sum=f0_sum, f1_sum=f1_sum)
 
 
@@ -359,15 +400,19 @@ def _weight_norms(traj: Trajectory, triple: NonlinearityTriple,
     norms = np.empty(n)
     valid = np.empty(n, dtype=bool)
     buffers = _chunk_buffers(min(n, _BATCH_CHUNK), traj.n_nodes)
-    for start in range(0, n, _BATCH_CHUNK):
-        stop = min(start + _BATCH_CHUNK, n)
-        weights, scratch = (buf[:stop - start] for buf in buffers)
+
+    def fill(start, stop, row):
+        weights, scratch = (buf[row:row + stop - start] for buf in buffers)
         in_z = _omega_block(triple, config, traj.states[start:stop], weights,
                             scratch)
         np.logical_not(in_z, out=valid[start:stop])
         if in_z.any():
             weights[in_z] = 0.0
         np.einsum("ij,ij->i", weights, weights, out=norms[start:stop])
+
+    with paired(n, _BATCH_CHUNK) as pair:
+        for start in range(0, n, _BATCH_CHUNK):
+            _fill_halves(pair, fill, start, min(start + _BATCH_CHUNK, n))
     return norms, valid
 
 

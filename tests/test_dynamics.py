@@ -18,7 +18,8 @@ from granet import (
     triple_preset,
 )
 from granet import nonlinearities as nl
-from granet.dynamics import DIVERGENCE_LIMIT, _epoch_kernels, _Family
+from granet.dynamics import (DIVERGENCE_LIMIT, _epoch_kernels, _Family,
+                             _redraw)
 
 
 def per_node(fns, y, column=0):
@@ -476,13 +477,18 @@ def test_family_inverse_reports_first_failing_group():
     triple = NonlinearityTriple(sigma=sigma, g=(nl.constant_one(),) * 4,
                                 h=(nl.identity(),) * 4)
     y = np.tile([0.0, 2.0, 0.0, 2.0], (10, 1))
-    y[5, 3] = 3.5  # earlier epoch, but in the later tanh_shifted group
+    y[5, 3] = 3.5  # earlier epoch, in the later tanh_shifted group
     y[7, 0] = 1.0
+    y[5, 1] = 0.5  # same epoch, lower node than (5, 3)
     with pytest.raises(FunctionDomainError) as err:
         triple.eval_sigma.inverse(y, epoch_offset=100)
-    assert (err.value.epoch, err.value.node, err.value.value) == (107, 0, 1.0)
-    assert str(err.value) == ("input outside the domain of tanh inverse "
-                              "at epoch 107, node 0: value 1.0")
+    assert (err.value.epoch, err.value.node, err.value.value) == (105, 1, 0.5)
+    y[5, 1] = 2.0
+    with pytest.raises(FunctionDomainError) as err:
+        triple.eval_sigma.inverse(y, epoch_offset=100)
+    assert (err.value.epoch, err.value.node, err.value.value) == (105, 3, 3.5)
+    assert str(err.value) == ("input outside the domain of tanh_shifted(2) "
+                              "inverse at epoch 105, node 3: value 3.5")
     with pytest.raises(FunctionDomainError) as err:
         triple.eval_sigma.inverse(y[7])
     assert (err.value.epoch, err.value.node) == (None, 0)
@@ -584,3 +590,31 @@ def test_chunked_noise_equals_one_shot_draw():
                     NoiseModel.uniform(1), 0.0, n_steps, seed=99)
     expected = np.random.default_rng(99).standard_normal((n_steps, 1))
     assert np.array_equal(traj.states[1:], expected)
+
+
+def test_every_epoch_that_overflows_runs_again_on_its_own_noise():
+    # g = y**30 overflows at node 0, near 1e11, in every epoch, and
+    # tanh_shifted maps its inf drive back to 1e11 + 1; node 1 runs on its
+    # noise.  So every epoch runs again on its block's noise drawn anew,
+    # also in the fourth block, the second of its run of blocks
+    matrix = CombinationMatrix(0.9, np.diag([0.5, 0.5]))
+    triple = NonlinearityTriple(sigma=(nl.tanh_shifted(1e11), nl.tanh()),
+                                g=(nl.sign_power(30.0),) * 2,
+                                h=(nl.identity(),) * 2)
+    noise, n_steps = NoiseModel.uniform(2), 3 * 8192 + 5
+    with np.errstate(over="ignore"):
+        traj = simulate(matrix, triple, noise, 1e11, n_steps, seed=8)
+        expected = reference_states(matrix, triple, noise, n_steps, 8, y0=1e11)
+    assert np.array_equal(traj.states, expected)
+    assert np.all(traj.states[1:, 0] == 1e11 + 1)
+
+
+@pytest.mark.parametrize("skip, rows", [(0, 7), (16, 7), (21, 7), (3, 8)])
+def test_a_redrawn_block_is_its_slice_of_the_stream(skip, rows):
+    # the noise of a block in the middle of a run of blocks is drawn again
+    # from the run's stream state, past the epochs before it
+    drawn_from = np.random.PCG64(5).state
+    std = np.array([2.0, 0.0, 0.5])
+    whole = np.random.Generator(np.random.PCG64(5)).standard_normal((30, 3))
+    assert np.array_equal(_redraw(drawn_from, skip, rows, std).view(np.uint64),
+                          (whole[skip:skip + rows] * std).view(np.uint64))

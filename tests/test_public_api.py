@@ -5,14 +5,17 @@ lists below, so a change to the API shows in the diff of this test.
 """
 
 import argparse
+import functools
 import importlib
 import importlib.util
 import inspect
+import json
 import sys
+import threading
 from pathlib import Path
 
 import granet
-from granet import cli, experiments
+from granet import _paired, cli, experiments, lagmoments
 
 PUBLIC_NAMES = [
     "AssumptionReport", "CombinationMatrix", "ConfigError",
@@ -92,13 +95,19 @@ TRACED_PARAMETERS = {
 }
 
 
-def test_functions_the_benchmark_traces_exist(monkeypatch):
+def perfbench_spans(monkeypatch):
+    """The benchmark's span module, loaded from its file."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     # dataclasses look their module up while the module runs
     monkeypatch.setitem(sys.modules, spec.name, spans)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_functions_the_benchmark_traces_exist(monkeypatch):
+    spans = perfbench_spans(monkeypatch)
     original = granet.simulate
     # opening the recorder looks up every traced function and raises if one
     # is missing; closing it puts the originals back
@@ -109,3 +118,38 @@ def test_functions_the_benchmark_traces_exist(monkeypatch):
         fn = getattr(importlib.import_module(module), name)
         missing = set(params) - set(inspect.signature(fn).parameters)
         assert not missing, f"{module}.{name} lacks {sorted(missing)}"
+
+
+def test_traced_spans_nest_on_the_calling_thread(monkeypatch, tmp_path,
+                                                 capsys):
+    # the recorder keeps one span stack; the helper thread of the chunked
+    # passes and of simulate must call no traced function
+    spans = perfbench_spans(monkeypatch)
+    monkeypatch.setattr(_paired, "_cpu_count", lambda: 2)
+    threads = set()
+
+    class Recorder(spans.Recorder):
+        def _wrap(self, fn, name, work):
+            traced = super()._wrap(fn, name, work)
+
+            @functools.wraps(fn)
+            def noted(*args, **kwargs):
+                threads.add(threading.get_ident())
+                return traced(*args, **kwargs)
+            return noted
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "preset": "example1", "sim": {"n_steps": 3 * lagmoments._BATCH_CHUNK}}))
+    with Recorder() as recorder:
+        assert cli.main(["experiment", "--config", str(config),
+                         "--out", str(tmp_path / "run")]) == 0
+    assert threads == {threading.get_ident()}
+    for span in recorder.spans:
+        assert span.start <= span.end
+        if span.parent is not None:
+            parent = recorder.spans[span.parent]
+            assert parent.start <= span.start and span.end <= parent.end
+    names = [span.name for span in recorder.spans]
+    assert names.count("lagmoments.from_trajectory") == 2
+    assert "dynamics.simulate" in names
