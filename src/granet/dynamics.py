@@ -430,11 +430,12 @@ def simulate(matrix: CombinationMatrix, triple: NonlinearityTriple,
     states = np.empty((n_steps + 1, n))
     states[0] = y0
     rng = np.random.default_rng(seed)
-    a_entries = matrix.entries
     std = noise.per_node_std
     g_vals, h_vals, drive, mag = (np.empty(n) for _ in range(4))
     apply_sigma, apply_g, apply_h, shared = _epoch_kernels(triple, mag)
-    dot, multiply, add = np.dot, np.multiply, np.add
+    # The bound ``entries.dot`` runs ``np.dot``'s C routine without its
+    # dispatch wrapper, and warns and raises as ``np.dot`` does.
+    dot, multiply, add = matrix.entries.dot, np.multiply, np.add
 
     epoch = 0
 
@@ -452,7 +453,7 @@ def simulate(matrix: CombinationMatrix, triple: NonlinearityTriple,
         for epoch in range(first, stop):
             apply_g(y, g_vals)
             apply_h(y, h_vals)
-            dot(a_entries, h_vals, out=drive)
+            dot(h_vals, drive)
             multiply(drive, g_vals, drive)
             y = states[epoch]
             add(drive, y, drive)

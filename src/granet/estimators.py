@@ -27,24 +27,33 @@ COND_LIMIT = 1e12
 #: ``qr`` copies its whole input twice, so this bounds those copies.
 _QR_BLOCK = 1024
 
-#: kind -> (partial, call taking the keywords ``traj``, ``triple``, ``config``
-#: and ``observed``), as :func:`granet.experiments.run_estimators` makes it.
-#: A call looks its estimator up when it runs, not when the table is built,
-#: so a patched module attribute (a tracer's or a test's) reaches every
-#: dispatch.
+#: kind -> (partial, call taking the keywords ``traj``, ``triple``,
+#: ``config``, ``observed`` and ``sums``), as
+#: :func:`granet.experiments.run_estimators` makes it.  ``sums`` are the raw
+#: moment sums of ``traj`` that the stage walked once for the kinds in
+#: :data:`_RAW_KINDS`, or None; a partial kind reads other columns and never
+#: takes them.  A call looks its estimator up when it runs, not when the
+#: table is built, so a patched module attribute (a tracer's or a test's)
+#: reaches every dispatch.
 _TABLE = {
     "egg": (False, lambda traj, triple, config, **_:
             egg_from_trajectory(traj, triple, config)),
-    "granger": (False, lambda traj, **_: granger_estimate(traj)),
-    "correlation": (False, lambda traj, **_: correlation_estimate(traj)),
-    "precision": (False, lambda traj, **_: precision_estimate(traj)),
-    "egg_partial": (True, lambda traj, observed, **rest:
+    "granger": (False, lambda traj, sums=None, **_:
+                granger_estimate(traj, sums=sums)),
+    "correlation": (False, lambda traj, sums=None, **_:
+                    correlation_estimate(traj, sums=sums)),
+    "precision": (False, lambda traj, sums=None, **_:
+                  precision_estimate(traj, sums=sums)),
+    "egg_partial": (True, lambda traj, observed, sums=None, **rest:
                     partial_estimate(traj, observed, "egg", **rest)),
-    "granger_partial": (True, lambda traj, observed, **rest:
+    "granger_partial": (True, lambda traj, observed, sums=None, **rest:
                         partial_estimate(traj, observed, "granger", **rest)),
     "least_squares": (False, lambda traj, triple, config, **_:
                       least_squares_estimate(traj, triple, config)),
 }
+
+#: The kinds that read the raw moment sums; only granger reads the cross sum.
+_RAW_KINDS = ("granger", "correlation", "precision")
 
 ESTIMATOR_KINDS = tuple(_TABLE)
 _PARTIAL_KINDS = tuple(kind for kind, (partial, _) in _TABLE.items() if partial)
@@ -179,32 +188,47 @@ def egg_from_trajectory(traj: Trajectory, triple: NonlinearityTriple,
     return egg_estimate(f0_hat, f1_hat, n_samples=lag.count)
 
 
-def granger_estimate(traj: Trajectory) -> EstimateReport:
-    """Linear one-lag regression on raw (non-centred) state moments."""
+def granger_estimate(traj: Trajectory, *, sums=None) -> EstimateReport:
+    """Linear one-lag regression on raw (non-centred) state moments.
+
+    ``sums``, when given, is ``(sum y[k] y[k]^T, sum y[k+1] y[k]^T)`` over
+    all of ``traj``'s pairs, as :func:`lagmoments._moment_sums` forms them
+    with the cross sum; they are read, never written.  Without them
+    ``traj`` is walked here.
+    """
     _check_steps(traj)
     n = traj.n_steps
-    r0, r1 = lagmoments._moment_sums(traj.states, n)
+    r0, r1 = sums or lagmoments._moment_sums(traj.states, n)
     a_hat, cond = _solve_right(r1 / n, r0 / n, "zero-lag state moment matrix")
     return EstimateReport(
         A_hat=a_hat, estimator_kind="granger", n_samples=n, cond_F0=cond,
     )
 
 
-def correlation_estimate(traj: Trajectory) -> EstimateReport:
-    """Raw zero-lag moment matrix used directly as the estimate."""
+def correlation_estimate(traj: Trajectory, *, sums=None) -> EstimateReport:
+    """Raw zero-lag moment matrix used directly as the estimate.
+
+    ``sums``, when given, is ``(sum y[k] y[k]^T, cross)`` over all of
+    ``traj``'s pairs, as :func:`lagmoments._moment_sums` forms them, with a
+    cross sum of None when none was formed; only the first is read, and
+    never written.  Without it ``traj`` is walked here.
+    """
     _check_steps(traj)
     n = traj.n_steps
-    r0, _ = lagmoments._moment_sums(traj.states, n, cross=False)
+    r0, _ = sums or lagmoments._moment_sums(traj.states, n, cross=False)
     return EstimateReport(
         A_hat=r0 / n, estimator_kind="correlation", n_samples=n, cond_F0=None,
     )
 
 
-def precision_estimate(traj: Trajectory) -> EstimateReport:
-    """Inverse of the raw zero-lag moment matrix."""
+def precision_estimate(traj: Trajectory, *, sums=None) -> EstimateReport:
+    """Inverse of the raw zero-lag moment matrix.
+
+    ``sums`` is read as in :func:`correlation_estimate`.
+    """
     _check_steps(traj)
     n = traj.n_steps
-    r0, _ = lagmoments._moment_sums(traj.states, n, cross=False)
+    r0, _ = sums or lagmoments._moment_sums(traj.states, n, cross=False)
     a_hat, cond = _solve_right(np.eye(traj.n_nodes), r0 / n,
                                "zero-lag state moment matrix")
     return EstimateReport(

@@ -171,7 +171,11 @@ def run_estimators(out_dir: "str | Path", traj: Trajectory,
     with a NumericalError writes only the JSON, holding its kind and the
     error, and the other kinds still run.  Kinds are looked up in
     ``estimators._TABLE`` as they run, so a patched estimator is the one
-    called.  Returns the reports and the error messages, keyed by kind.
+    called.  The raw states are walked once for all of the kinds in
+    ``estimators._RAW_KINDS``, forming the cross sum only when granger is
+    listed, and each such kind reads the two sums; a partial kind walks its
+    own observed columns.  Returns the reports and the error messages,
+    keyed by kind.
     """
     lagmoments._check_regularizable(triple, weighting)
     observed = estimators._check_observed(observed, traj.n_nodes)
@@ -179,12 +183,20 @@ def run_estimators(out_dir: "str | Path", traj: Trajectory,
     estimators._check_steps(traj)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    sums = None
+    if any(kind in estimators._RAW_KINDS for kind in kinds):
+        sums = lagmoments._moment_sums(traj.states, traj.n_steps,
+                                       cross="granger" in kinds)
+        for total in sums:
+            if total is not None:
+                total.setflags(write=False)
     reports: dict[str, EstimateReport] = {}
     errors: dict[str, str] = {}
     for kind in kinds:
         try:
             reports[kind] = estimators._TABLE[kind][1](
-                traj=traj, triple=triple, config=weighting, observed=observed)
+                traj=traj, triple=triple, config=weighting, observed=observed,
+                sums=sums)
         except NumericalError as exc:
             errors[kind] = str(exc)
             fileio._write_json({"estimator_kind": kind, "error": str(exc)},

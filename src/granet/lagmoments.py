@@ -41,9 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._paired import paired
+from ._paired import _strict, paired
 from .dynamics import NonlinearityTriple, Trajectory
-from .errors import InvalidStateError
+from .errors import InvalidStateError, NumericalError
 
 _BATCH_CHUNK = 8192
 
@@ -171,14 +171,48 @@ def _onelag_terms(triple: NonlinearityTriple, config: WeightingConfig,
     the first ``m = stop - start`` rows of the caller-owned buffers
     ``out = (targets, h)`` and returns those two ``[:m]`` views.  Both
     buffers have ``states``' width and at least ``m`` rows, so one pair
-    (see :func:`_chunk_buffers`) serves every chunk of a pass.  Each step
-    works in place: ``g`` then ``1/g`` in ``targets`` (``h`` is scratch
-    for the singular check), ``sigma^{-1}(y[k+1])`` in ``h`` and multiplied
-    into ``targets``, then ``h(y[k])`` in ``h``.  Target rows of singular
-    base states (exact weights) are zero, so those pairs only feed the
-    zero-lag moment.  Domain errors of ``sigma^{-1}`` name the node and,
-    when ``epochs`` is true (the rows of ``states`` are a trajectory's
-    epochs), the epoch of ``y[k+1]``.
+    (see :func:`_chunk_buffers`) serves every chunk of a pass.  Target rows
+    of singular base states (exact weights) are zero, so those pairs only
+    feed the zero-lag moment.  Domain errors of ``sigma^{-1}`` name the
+    node and, when ``epochs`` is true (the rows of ``states`` are a
+    trajectory's epochs), the epoch of ``y[k+1]``.
+
+    The range warns and raises as one call per pair, in order, would, so
+    the earliest pair's error or warning is the one reported wherever the
+    range starts or ends: a range of more than one pair runs with every
+    floating-point condition that the caller does not ignore raised, a
+    range that raises runs again as its two halves, in order, each the same
+    way, and a single pair runs under the caller's error state.  Each
+    pair's rows are the same bits either way, and a range with one bad pair
+    runs about twice, not pair by pair.
+    """
+    m = stop - start
+    if m == 1:
+        return _onelag_rows(triple, config, states, start, stop, out, epochs)
+    try:
+        return _strict(lambda: _onelag_rows(triple, config, states, start,
+                                            stop, out, epochs))
+    except (FloatingPointError, NumericalError):
+        pass
+    half = m // 2
+    _onelag_terms(triple, config, states, start, start + half, out, epochs)
+    _onelag_terms(triple, config, states, start + half, stop,
+                  tuple(buf[half:] for buf in out), epochs)
+    return out[0][:m], out[1][:m]
+
+
+def _onelag_rows(triple: NonlinearityTriple, config: WeightingConfig,
+                 states: np.ndarray, start: int, stop: int,
+                 out: tuple[np.ndarray, np.ndarray], epochs: bool,
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_onelag_terms` as one vectorised range.
+
+    Each step works in place: ``g`` then ``1/g`` in ``targets`` (``h`` is
+    scratch for the singular check), ``sigma^{-1}(y[k+1])`` in ``h`` and
+    multiplied into ``targets``, then ``h(y[k])`` in ``h``.  Each step
+    finishes over the whole range before the next starts, so an error of a
+    later pair in an earlier step comes before an earlier pair's in a later
+    step.
     """
     m = stop - start
     targets, h = out[0][:m], out[1][:m]
@@ -247,8 +281,10 @@ def _fill_halves(pair, fill, start: int, stop: int) -> None:
     chunk, the earlier here and the later beside it.
 
     Each half writes its own buffer rows, so the chunk gets the bits of one
-    call; an error in the earlier half wins, and within a half the earliest
-    epoch's, so the error does not depend on where the split falls.
+    call.  An error in the earlier half wins, and a fill that reports its
+    earliest pair's error or warning, as :func:`_onelag_terms` does, makes
+    each half report what one call over the chunk would; so the error does
+    not depend on where the split falls.
     """
     mid = (start + stop + 1) // 2
     pair(lambda: fill(start, mid, 0),

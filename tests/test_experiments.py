@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from granet import ConfigError, cli, fileio, presets
+from granet import (ConfigError, WeightingConfig, cli, estimators, fileio,
+                    lagmoments, presets)
 from granet import experiments as xp
 from granet.dynamics import DIVERGENCE_LIMIT
 from granet.estimators import ESTIMATOR_KINDS
@@ -333,6 +334,54 @@ def test_partial_estimators_scored_against_subgraph(tmp_path):
     # metrics exist and are computed over the 3x3 observed block
     m = res.metrics["egg_partial"]
     assert m.total_offdiag == 6
+
+
+#: Two full moment chunks and a partial one.
+PAIRS = 2 * lagmoments._BATCH_CHUNK + 37
+
+
+def raw_walks(monkeypatch):
+    """The ``cross`` flag of each walk ``_moment_sums`` makes over raw
+    states, in order."""
+    walks = []
+    original = lagmoments._moment_sums
+
+    def spy(states, n_pairs, fill=None, buffers=None, cross=True):
+        if fill is None:
+            walks.append(cross)
+        return original(states, n_pairs, fill, buffers, cross)
+
+    monkeypatch.setattr(lagmoments, "_moment_sums", spy)
+    return walks
+
+
+def test_the_estimate_stage_walks_the_raw_states_once(tmp_path, monkeypatch,
+                                                      trajectory_factory):
+    traj = trajectory_factory("example1", 12, PAIRS)
+    triple = presets.triple_preset("example1", 50)
+    walks = raw_walks(monkeypatch)
+    kinds = ["granger", "correlation", "precision"]
+    for listed, cross in ((kinds, True), (kinds[1:], False)):
+        walks.clear()
+        reports, errors = xp.run_estimators(tmp_path / listed[0], traj, triple,
+                                            WeightingConfig(), listed, None)
+        assert walks == [cross] and errors == {}
+        # a bare call walks the trajectory itself, to the same bits
+        walks.clear()
+        for kind in listed:
+            alone = estimators._TABLE[kind][1](traj=traj)
+            assert reports[kind].A_hat.tobytes() == alone.A_hat.tobytes()
+        assert walks == [kind == "granger" for kind in listed]
+
+
+def test_a_partial_kind_reads_its_own_columns_in_a_stage_with_granger(
+        tmp_path, trajectory_factory):
+    traj = trajectory_factory("example1", 12, PAIRS)
+    reports, _ = xp.run_estimators(
+        tmp_path, traj, presets.triple_preset("example1", 50),
+        WeightingConfig(), ["granger", "granger_partial"], [0, 2, 4])
+    alone = estimators.partial_estimate(traj, [0, 2, 4], "granger")
+    assert reports["granger_partial"].A_hat.tobytes() == alone.A_hat.tobytes()
 
 
 def test_an_underflowing_rho_is_scored_against_the_matrix_support(tmp_path):

@@ -20,8 +20,8 @@ from granet import (CombinationMatrix, FunctionDomainError, LagMatrices,
                     Trajectory, WeightingConfig, accumulate,
                     build_combination_matrix, correlation_estimate,
                     from_trajectory, generate_binomial_graph, granger_estimate,
-                    omega_tail_index, precision_estimate, simulate,
-                    triple_preset)
+                    least_squares_estimate, omega_tail_index,
+                    precision_estimate, simulate, triple_preset)
 from granet import _paired, dynamics, lagmoments
 from granet import nonlinearities as nl
 
@@ -186,6 +186,74 @@ def test_from_trajectory_names_the_pair_accumulate_fails_at():
     assert (lag.count + 1, stepwise.value.node, stepwise.value.value) == \
         (chunked.value.epoch, chunked.value.node, chunked.value.value) == \
         (10, 4, 1.5)
+
+
+def order_job(job):
+    """``job()``'s error type and text, and its warnings' texts, with
+    overflow raised and under the default error state."""
+    results = []
+    for state in ({"over": "raise"}, {}):
+        with warnings.catch_warnings(record=True) as caught, \
+                np.errstate(**state):
+            warnings.simplefilter("always")
+            with pytest.raises((FloatingPointError, FunctionDomainError)) as err:
+                job()
+        results.append((err.type, str(err.value),
+                        [str(w.message) for w in caught]))
+    return results
+
+
+@pytest.mark.parametrize("late", [13, 20], ids=["same-half", "later-half"])
+def test_an_earlier_pairs_overflow_comes_before_a_later_domain_error(late):
+    # the weight 1/3e-308 times tanh^{-1}(0.999999) overflows at pair 10, and
+    # sigma^{-1} = tanh^{-1} fails at epoch ``late``, in the chunk's earlier
+    # half (pairs 0..14) with the overflow or in its later half; the pairs
+    # report in order, as accumulate's do, wherever the halves split
+    triple = NonlinearityTriple.uniform(nl.tanh(), nl.identity(), nl.tanh(), 3)
+    states = np.full((30, 3), 0.3)
+    states[10, 0], states[11, 0], states[late, 1] = 3e-308, 0.999999, 1.5
+    traj = Trajectory(states=states, seed=0)
+    failed_at = []
+
+    def stepwise():
+        lag = LagMatrices(n_nodes=3)
+        try:
+            for k in range(traj.n_steps):
+                accumulate(lag, triple, WeightingConfig(), states[k],
+                           states[k + 1])
+        finally:
+            failed_at.append(lag.count)
+
+    overflow = "overflow encountered in multiply"
+    domain = "input outside the domain of tanh inverse at {}node 1: value 1.5"
+    assert order_job(stepwise) == [
+        (FloatingPointError, overflow, []),
+        (FunctionDomainError, domain.format(""), [overflow])]
+    assert failed_at == [10, late - 1]
+    for job in (from_trajectory, least_squares_estimate):
+        assert order_job(lambda: job(traj, triple, WeightingConfig())) == [
+            (FloatingPointError, overflow, []),
+            (FunctionDomainError, domain.format(f"epoch {late}, "), [overflow])]
+
+
+def test_a_range_run_again_in_parts_keeps_its_bits():
+    # an overflow that only warns makes each half of the chunk (pairs 0..14
+    # and 15..28) run again in parts, split down to its bad pair; with
+    # overflow ignored, each half runs once
+    triple = NonlinearityTriple.uniform(nl.tanh(), nl.identity(), nl.tanh(), 3)
+    states = np.random.default_rng(3).uniform(-0.5, 0.5, (30, 3))
+    states[10, 0], states[11, 0] = 3e-308, 0.999999
+    states[25, 2], states[26, 2] = 3e-308, 0.999999
+    traj = Trajectory(states=states, seed=0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        replayed = from_trajectory(traj, triple, WeightingConfig())
+    with np.errstate(over="ignore"):
+        once = from_trajectory(traj, triple, WeightingConfig())
+    assert [str(w.message) for w in caught] == \
+        ["overflow encountered in multiply"] * 2
+    assert replayed.f0_sum.tobytes() == once.f0_sum.tobytes()
+    assert replayed.f1_sum.tobytes() == once.f1_sum.tobytes()
 
 
 def test_no_thread_outlives_a_job(cpus, trajectory_factory):
