@@ -10,7 +10,7 @@ Subcommands::
     granet sweep       repeat an experiment along one axis
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 I/O error or out of memory.
+4 I/O error or out of memory, 130 interrupted.
 
 A command runs the OpenBLAS that NumPy has loaded on one thread, so its
 files do not depend on ``OPENBLAS_NUM_THREADS``; :func:`main` restores the
@@ -42,6 +42,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
+#: As a shell reports a command that SIGINT ended: 128 + 2.
+_EXIT_INTERRUPTED = 130
 
 _TRIPLE_HELP = ("triple preset name (default example1), or a JSON file with a "
                 "triple spec or a run's config.expanded.json")
@@ -94,6 +96,8 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"{path}: JSON nested too deeply") from exc
 
 
 def _load_triple(spec: str, n_nodes: int) -> NonlinearityTriple:
@@ -271,6 +275,9 @@ def main(argv: "list[str] | None" = None) -> int:
     except MemoryError as exc:
         print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_IO
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return _EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

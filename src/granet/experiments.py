@@ -92,7 +92,10 @@ def expand_config(raw: dict) -> dict:
                      f"unknown keys under {key!r}: {sorted(sub_unknown)}")
             base[key].update(value)
         else:
-            base[key] = copy.deepcopy(value)
+            try:
+                base[key] = copy.deepcopy(value)
+            except RecursionError as exc:
+                raise ConfigError(f"{key}: nested too deeply") from exc
 
     graph = base["graph"]
     _require(_number(graph["n_nodes"], int) and graph["n_nodes"] >= 1,

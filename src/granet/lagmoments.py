@@ -313,8 +313,6 @@ class LagMatrices:
     by ``count`` (see :func:`finalize`) to obtain the empirical averages.
     :func:`accumulate` adds one step in place (single writer);
     :func:`from_trajectory` fills a whole range through the chunk reducer.
-    Partial accumulators over disjoint step ranges combine with
-    :meth:`merge`, which is associative and commutative up to rounding.
     """
 
     n_nodes: int
@@ -332,20 +330,6 @@ class LagMatrices:
                 setattr(self, name, np.zeros(shape))
             elif np.shape(value) != shape:
                 raise ValueError(f"{name} must have shape {shape}")
-
-    def merge(self, other: "LagMatrices") -> "LagMatrices":
-        """Combine two partial accumulations by summing sums and counts."""
-        if other.n_nodes != self.n_nodes:
-            raise ValueError(
-                f"cannot merge accumulators over {self.n_nodes} and "
-                f"{other.n_nodes} nodes"
-            )
-        return LagMatrices(
-            n_nodes=self.n_nodes,
-            count=self.count + other.count,
-            f0_sum=self.f0_sum + other.f0_sum,
-            f1_sum=self.f1_sum + other.f1_sum,
-        )
 
 
 def accumulate(lag: LagMatrices, triple: NonlinearityTriple,

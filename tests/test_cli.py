@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import granet
-from granet import cli, estimators, fileio
+from granet import _paired, cli, estimators, fileio, lagmoments
 from granet import experiments as xp
 from granet import nonlinearities as nl
 
@@ -588,12 +589,51 @@ def test_an_allocation_beyond_the_address_space_exits_io(pipeline, tmp_path,
             "config.expanded.json", "graph.csv", "matrix.csv"}
 
 
-@pytest.mark.parametrize("command", ["experiment", "sweep", "simulate",
-                                     "estimate"])
-def test_a_file_that_is_not_utf8_is_named(pipeline, tmp_path, capsys, command):
-    path = tmp_path / "input.json"
-    path.write_bytes(b"\xff\xfe{}")
-    argv = {
+@pytest.mark.parametrize("where", ["outside-a-pass", "in-a-chunked-pass"])
+def test_an_interrupt_exits_130_in_one_line(tmp_path, capsys, monkeypatch,
+                                            where):
+    # a patched function raises the interrupt on the calling thread, where
+    # SIGINT's handler raises it; in the chunked pass the helper is running
+    # the later half of the second chunk meanwhile
+    monkeypatch.setattr(_paired, "_cpu_count", lambda: 2)
+    caller, start = threading.get_ident(), threading.active_count()
+    threads_at_raise = []
+
+    def interrupt():
+        threads_at_raise.append(threading.active_count())
+        raise KeyboardInterrupt
+
+    if where == "outside-a-pass":
+        monkeypatch.setattr(fileio, "save_matrix", lambda *args: interrupt())
+    else:
+        rows = lagmoments._onelag_rows
+
+        def onelag_rows(triple, config, states, first, *rest):
+            if threading.get_ident() == caller and \
+                    first >= lagmoments._BATCH_CHUNK:
+                interrupt()
+            return rows(triple, config, states, first, *rest)
+        monkeypatch.setattr(lagmoments, "_onelag_rows", onelag_rows)
+    config = dict(small_experiment_config(),
+                  sim={"n_steps": 3 * lagmoments._BATCH_CHUNK, "seed": 9,
+                       "y0": 0.0})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    try:
+        rc = cli.main(["experiment", "--config", str(path),
+                       "--out", str(tmp_path / "run")])
+    except KeyboardInterrupt:
+        pytest.fail("the interrupt escaped main")
+    assert rc == 130
+    assert capsys.readouterr().err == "interrupted\n"
+    assert threads_at_raise == [start if where == "outside-a-pass"
+                                else start + 1]
+    assert threading.active_count() == start
+
+
+def _reading_json(pipeline, command, path):
+    """The argv of ``command`` with ``path`` as its config or triple file."""
+    return {
         "experiment": ["experiment", "--config", str(path)],
         "sweep": ["sweep", "--config", str(path)],
         "simulate": ["simulate", "--matrix",
@@ -603,10 +643,53 @@ def test_a_file_that_is_not_utf8_is_named(pipeline, tmp_path, capsys, command):
                      str(pipeline / "sim" / "trajectory.csv"),
                      "--triple", str(path)],
     }[command]
+
+
+@pytest.mark.parametrize("command", ["experiment", "sweep", "simulate",
+                                     "estimate"])
+def test_a_file_that_is_not_utf8_is_named(pipeline, tmp_path, capsys, command):
+    path = tmp_path / "input.json"
+    path.write_bytes(b"\xff\xfe{}")
     out = tmp_path / "out"
-    assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_CONFIG
+    assert cli.main(_reading_json(pipeline, command, path)
+                    + ["--out", str(out)]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: {path}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["experiment", "sweep", "simulate",
+                                     "estimate"])
+def test_a_file_nested_too_deeply_is_named(pipeline, tmp_path, capsys,
+                                           command):
+    # deeper than json.loads can recurse
+    path = tmp_path / "input.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    out = tmp_path / "out"
+    assert cli.main(_reading_json(pipeline, command, path)
+                    + ["--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        f"configuration error: {path}: JSON nested too deeply\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["experiment", "sweep"])
+def test_a_config_value_nested_too_deeply_exits_config(tmp_path, capsys,
+                                                       command):
+    # json.loads reads 600 levels, but copying them recurses too deeply
+    deep = []
+    for _ in range(600):
+        deep = [deep]
+    config = {"triple": deep}
+    if command == "sweep":
+        config = {"base": config, "axis": "delta", "values": [0.1]}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(path), "--out", str(out)]) == \
+        cli.EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        "configuration error: triple: nested too deeply\n"
     assert not out.exists()
 
 

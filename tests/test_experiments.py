@@ -58,6 +58,12 @@ def test_expand_validates_fields():
         xp.expand_config(small_config(sim={"n_steps": 1, "seed": 1, "y0": 0.0}))
     with pytest.raises(ConfigError):
         xp.expand_config(small_config(estimators=["egg", "mystery"]))
+    deep = []
+    for _ in range(2000):
+        deep = [deep]
+    for key in ("triple", "estimators"):
+        with pytest.raises(ConfigError, match=f"^{key}: nested too deeply$"):
+            xp.expand_config(small_config(**{key: deep}))
 
 
 def test_expand_observed_set_rules():

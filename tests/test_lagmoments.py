@@ -353,29 +353,6 @@ def test_moment_identity_per_sample():
     assert np.abs(residual).max() <= 1e-10
 
 
-def test_merge_matches_single_pass_and_commutes():
-    n = 5
-    matrix = build_combination_matrix(generate_binomial_graph(n, 0.4, 8), 0.5)
-    triple = triple_preset("example1", n)
-    traj = simulate(matrix, triple, NoiseModel.uniform(n), 0.0, 300, seed=12)
-    whole = from_trajectory(traj, triple, EXACT)
-
-    def segment(lo, hi):
-        lag = LagMatrices(n_nodes=n)
-        for k in range(lo, hi):
-            accumulate(lag, triple, EXACT, traj.states[k], traj.states[k + 1])
-        return lag
-
-    a, b, c = segment(0, 100), segment(100, 210), segment(210, 300)
-    left = a.merge(b).merge(c)
-    right = a.merge(b.merge(c))
-    swapped = c.merge(a).merge(b)
-    for other in (left, right, swapped):
-        assert other.count == whole.count
-        assert np.abs(other.f0_sum - whole.f0_sum).max() <= 1e-10
-        assert np.abs(other.f1_sum - whole.f1_sum).max() <= 1e-10
-
-
 def test_plain_summation_tracks_extended_precision(trajectory_factory):
     # the per-step path sums without compensation; over 5k pairs it stays
     # within 1e-12 relative of an extended-precision running sum

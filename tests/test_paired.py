@@ -8,13 +8,18 @@ also check that no thread outlives a job and that the helper keeps the
 caller's error state.
 """
 
+import os
+import subprocess
 import sys
 import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import granet
 from granet import (CombinationMatrix, FunctionDomainError, LagMatrices,
                     NoiseModel, NonlinearityTriple, SimulationDivergedError,
                     Trajectory, WeightingConfig, accumulate,
@@ -36,13 +41,13 @@ def cpus(monkeypatch):
     """``run(count, job)``: what :func:`outcome` gives for ``job`` with
     ``count`` CPUs, and how many calls the helper was given."""
     posts = []
-    post = _paired._Helper.post
+    submit = ThreadPoolExecutor.submit
 
-    def counted(self, call):
-        posts.append(call)
-        post(self, call)
+    def counted(self, fn, /, *args, **kwargs):
+        posts.append(fn)
+        return submit(self, fn, *args, **kwargs)
 
-    monkeypatch.setattr(_paired._Helper, "post", counted)
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", counted)
 
     def run(count, job):
         monkeypatch.setattr(_paired, "_cpu_count", lambda: count)
@@ -351,3 +356,14 @@ def test_pairs_in_quick_succession_keep_their_results(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert results == [(-i, i * i) for i in range(2000)]
+
+
+def test_importing_the_cli_loads_no_executor():
+    # concurrent.futures loads logging; only a job that pairs imports it
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(granet.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, granet.cli; print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
