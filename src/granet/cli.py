@@ -100,6 +100,16 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"{path}: JSON nested too deeply") from exc
 
 
+@contextlib.contextmanager
+def _validating(path: str):
+    """Re-raise a ConfigError from validating the config read from ``path``
+    as one that starts with the path."""
+    try:
+        yield
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def _load_triple(spec: str, n_nodes: int) -> NonlinearityTriple:
     """A triple preset name, or a JSON file holding a triple spec or a run's
     ``config.expanded.json`` (whose ``"triple"`` entry is used)."""
@@ -174,10 +184,13 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    config = _load_config(args.config) if args.config else {"preset": args.preset}
+    if args.config:
+        config = _load_config(args.config)
+        with _validating(args.config):
+            config = experiments.expand_config(config)
+    else:
+        config = experiments.expand_config({"preset": args.preset})
     if args.seed is not None:
-        # Validate first, so a config that is not a mapping is a config error.
-        config = experiments.expand_config(config)
         config["sim"]["seed"] = args.seed
     result = experiments.run_experiment(config, args.out)
     for kind, metric in sorted(result.metrics.items()):
@@ -193,7 +206,10 @@ def _cmd_sweep(args) -> int:
     # run_sweep rejects a config that is not a mapping.
     if args.seed is not None and isinstance(config, dict):
         config["master_seed"] = args.seed
-    rows = experiments.run_sweep(config, args.out)
+    # A point's errors go into its summary row, so a ConfigError that gets
+    # out of run_sweep comes from validating the config.
+    with _validating(args.config):
+        rows = experiments.run_sweep(config, args.out)
     print(f"wrote sweep summary to {Path(args.out) / 'summary.csv'}")
     return EXIT_NUMERICAL if any(row["error"] for row in rows) else EXIT_OK
 

@@ -4,7 +4,10 @@
 The set runs ``granet experiment`` on each triple preset at delta 0 and 0.1,
 with all seven estimator kinds and an observed set, at ``n_steps`` that
 straddle the moment-chunk and noise-block edges (8191, 8193 and
-3 * 8192 + 5), and ``granet estimate`` on a stored trajectory.  Writing a
+3 * 8192 + 5), ``granet estimate`` on a stored trajectory, and ``granet
+generate`` and ``granet simulate`` for a noise-free linear run whose states
+decay through 1e-11 into subnormals and then to zero, so that its
+trajectory file holds every kind of cell the CSV writer formats.  Writing a
 trajectory is most of a run's time, and its bytes do not depend on delta,
 so each preset stores only its longest trajectory at delta 0.  It runs
 everything twice, with the helper thread of :mod:`granet._paired` off and
@@ -51,6 +54,10 @@ OBSERVED = [0, 3, 7, 11, 20]
 STORED = (0.0, N_STEPS[-1])
 #: The preset whose stored trajectory ``granet estimate`` reads, at delta 0.1.
 ESTIMATE_SOURCE = "example2"
+#: Epochs of the noise-free linear run from y0 = 1.  Its states shrink by
+#: about half each epoch: below 1e-11 from epoch 37, subnormal from about
+#: epoch 1022 and zero from about epoch 1074.
+DECAY_STEPS = 1100
 
 
 def _openblas_strings() -> dict:
@@ -128,6 +135,12 @@ def _commands(root: Path) -> list[tuple[str, list[str]]]:
         "--estimators", kinds, "--delta=0.1",
         "--observed", ",".join(map(str, OBSERVED)),
         "--out", str(root / f"estimate/{preset}")]))
+    commands.append(("generate", ["generate", "--out", str(root / "generate")]))
+    commands.append(("simulate/linear-decay", [
+        "simulate", "--matrix", str(root / "generate" / "matrix.csv"),
+        "--triple", "linear", "--std", "0", "--y0", "1",
+        "--steps", str(DECAY_STEPS), "--out",
+        str(root / "simulate/linear-decay")]))
     return commands
 
 

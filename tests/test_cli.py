@@ -483,7 +483,7 @@ def test_experiment_refuses_a_malformed_nonlinearity_spec(tmp_path_factory,
         rc = cli.main(["experiment", "--config", str(cfg_path),
                        "--out", str(root / "run")])
     assert rc == cli.EXIT_CONFIG, err.getvalue()
-    assert "configuration error: triple: " in err.getvalue()
+    assert f"configuration error: {cfg_path}: triple: " in err.getvalue()
     assert "Traceback" not in err.getvalue()
     assert not (root / "run").exists()
 
@@ -689,7 +689,35 @@ def test_a_config_value_nested_too_deeply_exits_config(tmp_path, capsys,
     assert cli.main([command, "--config", str(path), "--out", str(out)]) == \
         cli.EXIT_CONFIG
     assert capsys.readouterr().err == \
-        "configuration error: triple: nested too deeply\n"
+        f"configuration error: {path}: triple: nested too deeply\n"
+    assert not out.exists()
+
+
+_BAD_CONFIG_VALUES = {
+    "experiment value": ("experiment", {"sim": {"n_steps": 1}},
+                         "sim.n_steps: must be an integer >= 2"),
+    "sweep base value": ("sweep", {"base": {"sim": {"n_steps": 1}},
+                                   "axis": "delta", "values": [0.1]},
+                         "sim.n_steps: must be an integer >= 2"),
+    "sweep point value": ("sweep", {"base": {}, "axis": "delta",
+                                    "values": [0.1, -1.0]},
+                          "weighting: "),
+    "sweep key": ("sweep", {"base": {}, "axis": "seed", "values": [1]},
+                  "unknown sweep axis 'seed'"),
+}
+
+
+@pytest.mark.parametrize("case", _BAD_CONFIG_VALUES)
+def test_a_config_error_starts_with_the_config_file(tmp_path, capsys, case):
+    command, config, message = _BAD_CONFIG_VALUES[case]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(path), "--out", str(out)]) == \
+        cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {path}: {message}"), err
+    assert err.count("\n") == 1
     assert not out.exists()
 
 

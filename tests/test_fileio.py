@@ -1,11 +1,14 @@
 """File formats: CSV/JSON round-trips at full precision."""
 
 import json
+import math
 import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from granet import (
     ConfigError,
@@ -78,7 +81,34 @@ def test_lag_matrices_roundtrip(tmp_path, small_run):
         assert np.array_equal(np.loadtxt(path, delimiter=","), payload)
 
 
-_EDGE_VALUES = (-0.0, 5e-324, 1e12, -1e12, 1 / 3, 0.1, -2.5e-7, 0.0)
+def _around(value: float) -> tuple:
+    """``value`` and the doubles either side of it."""
+    return (float(np.nextafter(value, 0)), value,
+            float(np.nextafter(value, math.inf)))
+
+
+#: Values whose text is easy to get wrong, all of which a trajectory may
+#: hold: each side of every power of ten from 1e-11 to 1e11, and below
+#: 1e12, the largest state a trajectory holds (the cell kernel takes
+#: 1e-11 < |x| < 1e17, and the double nearest 1e-11 lies below 1e-11);
+#: 1e-14 and 1e-70, whose 17 digits round up to a power of ten; dyadic ties
+#: at the 17th digit, rounding to even down and up; subnormals and signed
+#: zeros.
+_EDGE_VALUES = (-0.0, 5e-324, 1e12, -1e12, 1 / 3, 0.1, -2.5e-7, 0.0,
+                *(v for p in range(-11, 12) for v in _around(10.0 ** p)),
+                float(np.nextafter(1e12, 0)),
+                1e-14, -1e-70, 2.0 ** -25, -3 * 2.0 ** -25,
+                123456789012.015625, -123456789012.046875,
+                2.2250738585072014e-308, -1e-300, 12345.0, 100.5)
+#: Values a matrix may hold but a trajectory may not: above 1e12, two ties
+#: in fixed notation with 16 integer digits, each side of every power of
+#: ten from 1e13 to 1e17, the largest double, infinities and a NaN with
+#: either sign bit (``%`` writes both as "nan").
+_BEYOND_TRAJECTORY = (float(np.nextafter(1e12, math.inf)),
+                      1234567890123456.25, -1234567890123456.75,
+                      *(v for p in range(13, 18) for v in _around(10.0 ** p)),
+                      1.7976931348623157e308, -1e300, math.inf, -math.inf,
+                      math.nan, math.copysign(math.nan, -1.0))
 
 
 def _edge_rows(n_rows: int, n_cols: int) -> np.ndarray:
@@ -98,6 +128,69 @@ _WRITER_SHAPES = {
     "one block": (fileio._BLOCK_ROWS, 3),
     "ragged last block": (2 * fileio._BLOCK_ROWS + 3, 4),
 }
+
+
+def _percent_bytes(rows: np.ndarray, header: str = "") -> bytes:
+    """What the cell kernel must write: every cell formatted by ``%``."""
+    line = ",".join([fileio._FMT] * rows.shape[1]) + "\n"
+    text = f"# {header}\n" if header else ""
+    return (text + "".join(line % tuple(row) for row in rows.tolist())).encode()
+
+
+_PERCENT_ROWS = {
+    "edge values": np.array(_EDGE_VALUES + _BEYOND_TRAJECTORY).reshape(-1, 1),
+    "beyond a trajectory": np.resize(np.array(_BEYOND_TRAJECTORY), (11, 7)),
+    "float32": np.array(_EDGE_VALUES, np.float32).reshape(-1, 1),
+    "int64": np.array([[0, 1, -7, 10 ** 16, 10 ** 17 - 1, 10 ** 17],
+                       [2 ** 53 + 1, 12345678901234567, -2 ** 63,
+                        2 ** 63 - 1, 99, -100_000]]),
+    "no column": np.zeros((3, 0)),
+}
+
+
+@pytest.mark.parametrize("rows", _PERCENT_ROWS.values(), ids=_PERCENT_ROWS)
+def test_write_rows_writes_the_bytes_of_percent(tmp_path, rows):
+    fileio._write_rows(tmp_path / "rows.csv", rows, "count=3")
+    assert (tmp_path / "rows.csv").read_bytes() == _percent_bytes(rows,
+                                                                  "count=3")
+
+
+@settings(deadline=None, max_examples=150)
+@given(n_cols=st.integers(min_value=1, max_value=6),
+       data=st.data())
+def test_write_rows_matches_percent_on_raw_bit_patterns(tmp_path_factory,
+                                                        n_cols, data):
+    # Biased exponents near the kernel's range (986 to 1079) are drawn
+    # more often than any other, as are mantissas with many zero bits.
+    exponents = st.one_of(st.integers(0, 2047), st.integers(980, 1085))
+    mantissas = st.one_of(st.integers(0, 2 ** 52 - 1),
+                          st.integers(0, 2 ** 12).map(lambda m: m << 40))
+    cells = st.builds(lambda sign, exp, mant: sign << 63 | exp << 52 | mant,
+                      st.integers(0, 1), exponents, mantissas)
+    patterns = data.draw(st.lists(cells, min_size=n_cols,
+                                  max_size=40 * n_cols))
+    patterns = patterns[:len(patterns) // n_cols * n_cols]
+    rows = np.array(patterns, np.uint64).view(np.float64).reshape(-1, n_cols)
+    path = tmp_path_factory.mktemp("bits") / "rows.csv"
+    fileio._write_rows(path, rows)
+    assert path.read_bytes() == _percent_bytes(rows)
+
+
+def test_save_trajectory_memory_does_not_grow_with_its_rows(tmp_path,
+                                                            peak_traced_bytes):
+    # The writer holds one block's slots and temporaries, about 2.6 MB for
+    # 256 rows of 50 cells, whatever the trajectory's length.
+    rng = np.random.default_rng(7)
+    peaks = []
+    for n_blocks in (3, 12):
+        states = np.tanh(rng.standard_normal((n_blocks * fileio._BLOCK_ROWS,
+                                              50)))
+        traj = Trajectory(states=states, seed=0)
+        _, peak = peak_traced_bytes(
+            lambda: fileio.save_trajectory(traj, tmp_path / "t.csv"))
+        peaks.append(peak)
+    assert max(peaks) < 4 * 2 ** 20
+    assert abs(peaks[1] - peaks[0]) < 2 ** 18
 
 
 @pytest.mark.parametrize("shape", _WRITER_SHAPES.values(), ids=_WRITER_SHAPES)
