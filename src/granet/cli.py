@@ -51,36 +51,36 @@ _TRIPLE_HELP = ("triple preset name (default example1), or a JSON file with a "
 
 @functools.cache
 def _openblas():
-    """The thread-count getter and setter of the scipy-openblas library that
-    NumPy has loaded, or None where there is no such library."""
+    """The scipy-openblas library that NumPy has loaded, or None where there
+    is no such library."""
     libs = Path(np.__file__).parent.with_name("numpy.libs")
     for path in sorted(libs.glob("libscipy_openblas64_-*.so")):
-        try:
-            lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
-            get_threads = lib.scipy_openblas_get_num_threads64_
-            set_threads = lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-        return get_threads, set_threads
+        with contextlib.suppress(OSError):
+            return ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
     return None
 
 
 @contextlib.contextmanager
 def _one_blas_thread():
     """Run the body with OpenBLAS on one thread, then restore the count."""
-    blas = _openblas()
-    if blas is None:
+    lib = _openblas()
+    if lib is None:
         yield
         return
-    get_threads, set_threads = blas
-    found = get_threads()
-    set_threads(1)
+    found = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
     try:
         yield
     finally:
-        set_threads(found)
+        lib.scipy_openblas_set_num_threads64_(found)
+
+
+def _seed(text: str) -> int:
+    """The value of a ``--seed`` flag: a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _out_dir(args) -> Path:
@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=50, help="number of nodes")
     p.add_argument("--p", type=float, default=0.2, help="edge probability")
     p.add_argument("--rho", type=float, default=0.5, help="total row mass")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_generate)
 
@@ -233,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True, help="combination matrix CSV")
     p.add_argument("--triple", default="example1", help=_TRIPLE_HELP)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--std", type=float, default=1.0, help="noise std")
     p.add_argument("--y0", type=float, default=0.0, help="initial state")
     p.add_argument("--out", required=True)
@@ -261,13 +261,13 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--config", help="experiment config JSON")
     src.add_argument("--preset", help="experiment preset name")
-    p.add_argument("--seed", type=int, help="override simulation seed")
+    p.add_argument("--seed", type=_seed, help="override simulation seed")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("sweep", help="run an experiment along one axis")
     p.add_argument("--config", required=True, help="sweep config JSON")
-    p.add_argument("--seed", type=int, help="override master seed")
+    p.add_argument("--seed", type=_seed, help="override master seed")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sweep)
     return parser

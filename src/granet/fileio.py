@@ -3,23 +3,24 @@
 All numeric CSV output uses 17 significant digits so values round-trip
 exactly through text.  Graph files list ``i,j`` pairs under a ``# N=<n>``
 header; trajectory files carry ``# N=<n>, steps=<k>, seed=<s>``; lag-moment
-files prepend ``# count=<c>`` to the dense matrix payload.  Writers emit
-deterministic bytes for identical inputs.
+files prepend ``# count=<c>`` to the dense matrix payload; profile files
+have a ``slot,true,estimate`` header.  Writers emit deterministic bytes.
 
-Every numeric CSV is written by :func:`_write_rows`, with the bytes Python's
-``"%.17g" % x`` gives cell by cell, but by a NumPy integer kernel that
-formats a block of rows at a time.  For a finite cell with 1e-11 < |x| <
-1e17, x = m * 2**e with m < 2**53, a table on e guesses the decimal exponent
-X = floor(log10|x|), and m * 5**(16 - X), at most 116 bits held in two
-64-bit limbs, is shifted right by -(e + 16 - X) bits and rounded half to
-even on the exact remainder.  That gives the 17 digits D exactly; where D
-falls below 10**16 the guess was one too high, and X drops by one before D
-is formed again.  The digits, stripped of trailing zeros, are laid out as
-C's ``%g`` lays them out: fixed notation for -4 <= X < 17, else
-``d.ddde-XX``, a ``-`` from the sign bit, and ``0`` or ``-0`` for a zero.
-The rare cells, |x| <= 1e-11 but not zero (subnormals among them), |x| >=
-1e17, inf and nan, are formatted by ``%`` itself and laid into the same
-slots.
+Every numeric CSV, graph and profile files among them, is written by
+:func:`_write_rows`, with the bytes Python's ``"%.17g" % x`` gives cell by
+cell (a node or slot id below 2**53 as an integer), but by a NumPy integer
+kernel that formats a block of rows at a time.  For a finite cell with
+1e-11 < |x| < 1e17, x = m * 2**e with m < 2**53, a table on e guesses the
+decimal exponent X = floor(log10|x|), and m * 5**(16 - X), at most 116 bits
+held in two 64-bit limbs, is shifted right by -(e + 16 - X) bits and
+rounded half to even on the exact remainder.  That gives the 17 digits D
+exactly; where D falls below 10**16 the guess was one too high, and X drops
+by one before D is formed again.  The digits, stripped of trailing zeros,
+are laid out as C's ``%g`` lays them out: fixed notation for -4 <= X < 17,
+else ``d.ddde-XX``, a ``-`` from the sign bit, and ``0`` or ``-0`` for a
+zero.  The rare cells, |x| <= 1e-11 but not zero (subnormals among them),
+|x| >= 1e17, inf and nan, are formatted by ``%`` itself and laid into the
+same slots.
 
 The matrix and trajectory loaders raise a :class:`ConfigError` that starts
 with the path when the content is bad: a cell that is not a number, a
@@ -294,12 +295,13 @@ def _rows(path: "str | Path") -> np.ndarray:
 
 def _write_rows(path: "str | Path", rows: np.ndarray, header: str = "") -> None:
     """Write the 2-D ``rows`` to ``path`` with the bytes of ``np.savetxt(path,
-    rows, fmt=_FMT, delimiter=",", header=header)``, formatting
-    ``_BLOCK_ROWS`` rows per :func:`_format_cells` call and write."""
+    rows, fmt=_FMT, delimiter=",", header=header, comments="")``: the
+    ``header`` line as given, if any, then ``_BLOCK_ROWS`` rows per
+    :func:`_format_cells` call and write."""
     n_rows, n_cols = rows.shape
     with open(path, "wb") as fh:
         if header:
-            fh.write(f"# {header}\n".encode())
+            fh.write(f"{header}\n".encode())
         if not n_cols:
             fh.write(b"\n" * n_rows)
             return
@@ -310,9 +312,8 @@ def _write_rows(path: "str | Path", rows: np.ndarray, header: str = "") -> None:
 
 
 def save_graph(graph: DirectedGraph, path: "str | Path") -> None:
-    lines = [f"# N={graph.n_nodes}"]
-    lines += [f"{i},{j}" for i, j in graph.sorted_edges()]
-    Path(path).write_text("\n".join(lines) + "\n")
+    edges = np.array(graph.sorted_edges(), np.float64).reshape(-1, 2)
+    _write_rows(path, edges, f"# N={graph.n_nodes}")
 
 
 def save_matrix(matrix: np.ndarray, path: "str | Path") -> None:
@@ -334,7 +335,7 @@ def load_matrix(path: "str | Path") -> np.ndarray:
 
 
 def save_trajectory(traj: Trajectory, path: "str | Path") -> None:
-    header = f"N={traj.n_nodes}, steps={traj.n_steps}, seed={traj.seed}"
+    header = f"# N={traj.n_nodes}, steps={traj.n_steps}, seed={traj.seed}"
     _write_rows(path, traj.states, header)
 
 
@@ -361,7 +362,7 @@ def load_trajectory(path: "str | Path") -> Trajectory:
 def save_lag_matrices(lag: LagMatrices, f0_path: "str | Path",
                       f1_path: "str | Path") -> None:
     for path, payload in ((f0_path, lag.f0_sum), (f1_path, lag.f1_sum)):
-        _write_rows(path, payload, f"count={lag.count}")
+        _write_rows(path, payload, f"# count={lag.count}")
 
 
 def _jsonable(value):
@@ -405,8 +406,6 @@ def save_assumption_report(report: AssumptionReport, path: "str | Path") -> None
 
 
 def save_profile(profile: SortedProfile, path: "str | Path") -> None:
-    lines = ["slot,true,estimate"]
-    lines += [
-        f"{slot},{true:.17g},{est:.17g}" for slot, true, est in profile.rows()
-    ]
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = np.column_stack((profile.slot_ids, profile.true_values,
+                            profile.estimated_values))
+    _write_rows(path, rows, "slot,true,estimate")

@@ -170,10 +170,6 @@ class SortedProfile:
     true_values: np.ndarray
     estimated_values: np.ndarray
 
-    def rows(self):
-        for s, t, e in zip(self.slot_ids, self.true_values, self.estimated_values):
-            yield int(s), float(t), float(e)
-
 
 def sorted_entry_profile(a_true: np.ndarray, a_hat: np.ndarray) -> SortedProfile:
     """Pair each off-diagonal slot's true and estimated values, sorted by truth."""

@@ -4,7 +4,8 @@
 The set runs ``granet experiment`` on each triple preset at delta 0 and 0.1,
 with all seven estimator kinds and an observed set, at ``n_steps`` that
 straddle the moment-chunk and noise-block edges (8191, 8193 and
-3 * 8192 + 5), ``granet estimate`` on a stored trajectory, and ``granet
+3 * 8192 + 5), ``granet estimate`` on a stored trajectory, ``granet score``
+on that estimate's egg matrix against the stored true matrix, and ``granet
 generate`` and ``granet simulate`` for a noise-free linear run whose states
 decay through 1e-11 into subnormals and then to zero, so that its
 trajectory file holds every kind of cell the CSV writer formats.  Writing a
@@ -34,7 +35,6 @@ import ctypes
 import hashlib
 import io
 import json
-import os
 import sys
 import tempfile
 from pathlib import Path
@@ -63,19 +63,14 @@ DECAY_STEPS = 1100
 def _openblas_strings() -> dict:
     """The configuration and core name of the scipy-openblas library that
     NumPy has loaded, or "none" for each where there is no such library."""
-    libs = Path(np.__file__).parent.with_name("numpy.libs")
-    for path in sorted(libs.glob("libscipy_openblas64_-*.so")):
-        try:
-            lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
-            config = lib.scipy_openblas_get_config64_
-            corename = lib.scipy_openblas_get_corename64_
-        except (OSError, AttributeError):
-            continue
-        config.argtypes, config.restype = [], ctypes.c_char_p
-        corename.argtypes, corename.restype = [], ctypes.c_char_p
-        return {"openblas_config": config().decode(),
-                "openblas_corename": corename().decode()}
-    return {"openblas_config": "none", "openblas_corename": "none"}
+    lib = cli._openblas()
+    if lib is None:
+        return {"openblas_config": "none", "openblas_corename": "none"}
+    config = lib.scipy_openblas_get_config64_
+    corename = lib.scipy_openblas_get_corename64_
+    config.restype = corename.restype = ctypes.c_char_p
+    return {"openblas_config": config().decode(),
+            "openblas_corename": corename().decode()}
 
 
 def _cpu_model() -> str:
@@ -141,6 +136,11 @@ def _commands(root: Path) -> list[tuple[str, list[str]]]:
         "--triple", "linear", "--std", "0", "--y0", "1",
         "--steps", str(DECAY_STEPS), "--out",
         str(root / "simulate/linear-decay")]))
+    commands.append((f"score/{preset}", [
+        "score", "--estimate",
+        str(root / f"estimate/{preset}/estimate_egg.csv"),
+        "--truth", str(trajectory.with_name("matrix.csv")),
+        "--out", str(root / f"score/{preset}")]))
     return commands
 
 

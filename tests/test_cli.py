@@ -501,6 +501,25 @@ def test_sweep_mistyped_delta_exit_config(tmp_path, capsys):
         assert not (tmp_path / "out" / "point_000").exists()
 
 
+_SEEDED_COMMANDS = {
+    "generate": ["generate"],
+    "simulate": ["simulate", "--matrix", "matrix.csv", "--steps", "5"],
+    "experiment": ["experiment", "--preset", "example1"],
+    "sweep": ["sweep", "--config", "sweep.json"],
+}
+
+
+@pytest.mark.parametrize("argv", _SEEDED_COMMANDS.values(),
+                         ids=_SEEDED_COMMANDS)
+def test_a_negative_seed_is_named_by_its_flag(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--seed", "-1", "--out", str(tmp_path / "out")])
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert "argument --seed: must be a non-negative integer, got '-1'" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command, payload", [
     ("experiment", [1, 2]),
     ("experiment", {"sim": 5}),
@@ -516,6 +535,84 @@ def test_malformed_config_with_seed_exit_config(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert "configuration error" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+#: Per reader, the command that reads a mutated file, where ``{file}`` is
+#: that file, ``{matrix}`` a valid matrix file and ``{out}`` the output.
+_READER_ARGV = {
+    "matrix csv": ["simulate", "--matrix", "{file}", "--triple", "linear",
+                   "--steps", "30", "--out", "{out}"],
+    "trajectory csv": ["estimate", "--trajectory", "{file}", "--triple",
+                       "linear", "--estimators", "egg,granger", "--out",
+                       "{out}"],
+    "triple json": ["simulate", "--matrix", "{matrix}", "--triple", "{file}",
+                    "--steps", "30", "--out", "{out}"],
+    "experiment config": ["experiment", "--config", "{file}", "--out",
+                          "{out}"],
+}
+#: Bytes to insert: any, or a token one of the readers parses.
+_INSERTS = st.one_of(st.binary(max_size=4), st.sampled_from([
+    b"nan", b"-inf", b"1e999", b"-0", b"\xef\xbb\xbf", b"\r\n", b"\n", b",",
+    b"#", b'"', b"{", b"]", b"null"]))
+
+
+@pytest.fixture(scope="module")
+def reader_inputs(pipeline, tmp_path_factory):
+    """A valid file for each reader of ``_READER_ARGV``."""
+    root = tmp_path_factory.mktemp("readers")
+    files = {"matrix csv": pipeline / "gen" / "matrix.csv",
+             "trajectory csv": pipeline / "sim" / "trajectory.csv",
+             "triple json": root / "triple.json",
+             "experiment config": root / "config.json"}
+    files["triple json"].write_text(json.dumps(_VALID_TRIPLE))
+    # n_nodes is the last number, so a deletion that joins numbers makes at
+    # most 404 steps.
+    files["experiment config"].write_text(json.dumps({
+        "estimators": ["egg"], "triple": "linear", "sim": {"n_steps": 40},
+        "graph": {"n_nodes": 4}}))
+    return files
+
+
+def _byte_mutants(data: bytes, inserts):
+    """Strategy: ``data`` after one to three edits, each of which deletes up
+    to 8 bytes at a position and inserts a string from ``inserts`` there."""
+    edit = st.tuples(st.integers(0, len(data)), st.integers(0, 8), inserts)
+
+    def edited(edits):
+        text = data
+        for at, cut, insert in edits:
+            text = text[:at] + insert + text[at + cut:]
+        return text
+    return st.lists(edit, min_size=1, max_size=3).map(edited)
+
+
+@pytest.mark.parametrize("reader", _READER_ARGV)
+@settings(deadline=None, max_examples=25)
+@given(data=st.data())
+def test_a_mutated_input_file_ends_in_an_exit_code(tmp_path_factory,
+                                                   reader_inputs, reader,
+                                                   data):
+    inserts = _INSERTS
+    if reader == "experiment config":
+        # A digit inserted into n_steps or n_nodes could ask for a run of
+        # any size.
+        inserts = inserts.map(lambda text: text.translate(None, b"0123456789"))
+    mutant = data.draw(_byte_mutants(reader_inputs[reader].read_bytes(),
+                                     inserts))
+    root = tmp_path_factory.mktemp("mutant")
+    path = root / reader_inputs[reader].name
+    path.write_bytes(mutant)
+    argv = [arg.format(file=path, matrix=reader_inputs["matrix csv"],
+                       out=root / "out") for arg in _READER_ARGV[reader]]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    assert rc in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NUMERICAL,
+                  cli.EXIT_IO), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if rc == cli.EXIT_CONFIG:
+        assert not (root / "out").exists()
 
 
 @pytest.mark.parametrize("axis, values, summary", [
@@ -1051,10 +1148,11 @@ def test_command_files_do_not_depend_on_the_blas_thread_count(tmp_path):
 @pytest.mark.parametrize("code", [cli.EXIT_OK, cli.EXIT_CONFIG])
 def test_main_restores_the_callers_blas_thread_count(tmp_path, monkeypatch,
                                                      code):
-    blas = cli._openblas()
-    if blas is None:
+    lib = cli._openblas()
+    if lib is None:
         pytest.skip("NumPy carries no scipy-openblas library")
-    get_threads, set_threads = blas
+    get_threads = lib.scipy_openblas_get_num_threads64_
+    set_threads = lib.scipy_openblas_set_num_threads64_
     found = get_threads()
     seen = []
 

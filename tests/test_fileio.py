@@ -150,7 +150,7 @@ _PERCENT_ROWS = {
 
 @pytest.mark.parametrize("rows", _PERCENT_ROWS.values(), ids=_PERCENT_ROWS)
 def test_write_rows_writes_the_bytes_of_percent(tmp_path, rows):
-    fileio._write_rows(tmp_path / "rows.csv", rows, "count=3")
+    fileio._write_rows(tmp_path / "rows.csv", rows, "# count=3")
     assert (tmp_path / "rows.csv").read_bytes() == _percent_bytes(rows,
                                                                   "count=3")
 
@@ -332,11 +332,55 @@ def test_matrix_loader_rejects_a_non_finite_cell(tmp_path, cell):
         fileio.load_matrix(path)
 
 
+def _row_formatter_bytes(profile) -> bytes:
+    """What a profile file must hold: each row formatted by an f-string."""
+    lines = ["slot,true,estimate"]
+    lines += [f"{int(slot)},{float(true):.17g},{float(est):.17g}"
+              for slot, true, est in zip(profile.slot_ids, profile.true_values,
+                                         profile.estimated_values)]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _joined_graph_bytes(graph: DirectedGraph) -> bytes:
+    """What a graph file must hold: its header and edges joined as text."""
+    lines = [f"# N={graph.n_nodes}"]
+    lines += [f"{i},{j}" for i, j in graph.sorted_edges()]
+    return ("\n".join(lines) + "\n").encode()
+
+
+#: Estimates of the standard 50-node matrix, drawn with a given generator,
+#: whose cells exercise each path of the cell kernel.
+_PROFILE_ESTIMATES = {
+    "scaled and noisy":
+        lambda a, rng: 1.5 * a + 0.01 * rng.standard_normal(a.shape),
+    "zeros and -0.0":
+        lambda a, rng: np.where(rng.random(a.shape) < 0.5, -0.0, a),
+    "below 1e-11": lambda a, rng: 1e-14 * rng.standard_normal(a.shape),
+    "at and above 1e17":
+        lambda a, rng: np.where(rng.random(a.shape) < 0.5, 1e17, 1e20 * a),
+}
+
+
+@pytest.mark.parametrize("estimate", _PROFILE_ESTIMATES.values(),
+                         ids=_PROFILE_ESTIMATES)
+def test_save_profile_writes_the_bytes_of_the_row_formatter(tmp_path,
+                                                            estimate):
+    a_true = build_combination_matrix(
+        generate_binomial_graph(50, 0.2, seed=101), 0.5).entries
+    profile = sorted_entry_profile(
+        a_true, estimate(a_true, np.random.default_rng(29)))
+    fileio.save_profile(profile, tmp_path / "profile.csv")
+    assert (tmp_path / "profile.csv").read_bytes() == \
+        _row_formatter_bytes(profile)
+
+
 def test_profile_without_rows_loads_empty(tmp_path):
     # a one-node matrix has no off-diagonal slot: the file is its header
     path = tmp_path / "profile.csv"
-    fileio.save_profile(sorted_entry_profile(np.eye(1), np.eye(1)), path)
+    profile = sorted_entry_profile(np.eye(1), np.eye(1))
+    fileio.save_profile(profile, path)
     assert path.read_text() == "slot,true,estimate\n"
+    assert path.read_bytes() == _row_formatter_bytes(profile)
 
 
 def test_graph_file_sorted_edge_order(tmp_path):
@@ -345,6 +389,11 @@ def test_graph_file_sorted_edge_order(tmp_path):
     fileio.save_graph(g, path)
     lines = path.read_text().splitlines()
     assert lines[1:] == ["0,3", "2,0", "2,1"]
+    edgeless = DirectedGraph(n_nodes=3, edges=frozenset())
+    standard = generate_binomial_graph(50, 0.2, seed=101)
+    for graph in (g, edgeless, standard):
+        fileio.save_graph(graph, path)
+        assert path.read_bytes() == _joined_graph_bytes(graph)
 
 
 def test_trajectory_roundtrip_large_magnitudes(tmp_path):
