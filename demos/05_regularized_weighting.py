@@ -31,7 +31,7 @@ def main() -> None:
         config = WeightingConfig(delta=delta)
         a_hat = egg_from_trajectory(traj, triple, config).A_hat
         profile = sorted_entry_profile(matrix.entries, a_hat)
-        diff = profile.estimated_values - profile.true_values
+        diff = profile[:, 2] - profile[:, 1]
         offset = diff.mean()
         oscillation = np.abs(diff - offset).max()
         err = score(a_hat, matrix.entries).edge_error_rate

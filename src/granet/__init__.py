@@ -24,9 +24,9 @@ from .lagmoments import (LagMatrices, WeightingConfig, accumulate, finalize,
                          from_trajectory, omega_tail_index, running_onelag_max,
                          running_weight_moment)
 from .presets import triple_preset
-from .recovery import (AssumptionReport, RecoveryMetrics, SortedProfile,
-                       assumption_report, classify_edges, kmeans2_1d, score,
-                       sorted_entry_profile, stability_constant)
+from .recovery import (AssumptionReport, RecoveryMetrics, assumption_report,
+                       classify_edges, kmeans2_1d, score, sorted_entry_profile,
+                       stability_constant)
 
 __version__ = "0.1.0"
 
@@ -35,8 +35,8 @@ __all__ = [
     "DegenerateClusterError", "DirectedGraph", "EstimateReport",
     "FunctionDomainError", "InvalidStateError", "LagMatrices",
     "NearSingularError", "NoiseModel", "NonlinearityTriple", "NumericalError",
-    "RecoveryMetrics", "SimulationDivergedError", "SortedProfile",
-    "Trajectory", "WeightingConfig", "accumulate", "assumption_report",
+    "RecoveryMetrics", "SimulationDivergedError", "Trajectory",
+    "WeightingConfig", "accumulate", "assumption_report",
     "build_combination_matrix", "classify_edges", "correlation_estimate",
     "egg_estimate", "egg_from_trajectory", "finalize", "from_trajectory",
     "generate_binomial_graph", "granger_estimate", "kmeans2_1d",

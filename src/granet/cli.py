@@ -83,6 +83,25 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _observed(text: str) -> "list[int] | None":
+    """The value of an ``--observed`` flag: comma-separated decimal integers,
+    or None for the empty default.  The run checks that they are nodes."""
+    nodes = [node.strip() for node in text.split(",")] if text else []
+    if not all(node.removeprefix("-").isdecimal() for node in nodes):
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated node indices, got {text!r}")
+    return [int(node) for node in nodes] or None
+
+
+def _std(text: str) -> float:
+    """The value of a ``--std`` flag: a finite number >= 0."""
+    with contextlib.suppress(ValueError):
+        if 0 <= (std := float(text)) < np.inf:
+            return std
+    raise argparse.ArgumentTypeError(
+        f"must be a finite number >= 0, got {text!r}")
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -153,11 +172,11 @@ def _cmd_simulate(args) -> int:
 def _cmd_estimate(args) -> int:
     traj = fileio.load_trajectory(args.trajectory)
     triple = _load_triple(args.triple, traj.n_nodes)
-    observed = [int(v) for v in args.observed.split(",")] if args.observed else None
     kinds = [k.strip() for k in args.estimators.split(",")]
     out = Path(args.out)
     _, errors = experiments.run_estimators(
-        out, traj, triple, WeightingConfig(delta=args.delta), kinds, observed)
+        out, traj, triple, WeightingConfig(delta=args.delta), kinds,
+        args.observed)
     for kind in kinds:
         if kind in errors:
             print(f"{kind}: {errors[kind]}", file=sys.stderr)
@@ -234,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--triple", default="example1", help=_TRIPLE_HELP)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--std", type=float, default=1.0, help="noise std")
+    p.add_argument("--std", type=_std, default=1.0, help="noise std")
     p.add_argument("--y0", type=float, default=0.0, help="initial state")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
@@ -246,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated estimator kinds")
     p.add_argument("--delta", type=float, default=0.0,
                    help="regularisation half-width (0 = exact weights)")
-    p.add_argument("--observed", default="",
+    p.add_argument("--observed", type=_observed, default="",
                    help="comma-separated observed nodes for partial kinds")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_estimate)

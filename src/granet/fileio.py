@@ -47,7 +47,7 @@ from .errors import ConfigError
 from .estimators import EstimateReport
 from .graphs import DirectedGraph
 from .lagmoments import LagMatrices
-from .recovery import AssumptionReport, RecoveryMetrics, SortedProfile
+from .recovery import AssumptionReport, RecoveryMetrics
 
 _FMT = "%.17g"
 
@@ -405,7 +405,5 @@ def save_assumption_report(report: AssumptionReport, path: "str | Path") -> None
     _write_json(payload, path)
 
 
-def save_profile(profile: SortedProfile, path: "str | Path") -> None:
-    rows = np.column_stack((profile.slot_ids, profile.true_values,
-                            profile.estimated_values))
+def save_profile(rows: np.ndarray, path: "str | Path") -> None:
     _write_rows(path, rows, "slot,true,estimate")

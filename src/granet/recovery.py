@@ -158,39 +158,20 @@ def score(a_hat: np.ndarray, a_true: np.ndarray) -> RecoveryMetrics:
     )
 
 
-@dataclass(frozen=True)
-class SortedProfile:
-    """Off-diagonal entries sorted by true value, paired with estimates.
-
-    ``slot_ids`` index the row-major enumeration of off-diagonal slots, so
-    the same abscissa refers to the same matrix entry across estimators.
-    """
-
-    slot_ids: np.ndarray
-    true_values: np.ndarray
-    estimated_values: np.ndarray
-
-
-def sorted_entry_profile(a_true: np.ndarray, a_hat: np.ndarray) -> SortedProfile:
-    """Pair each off-diagonal slot's true and estimated values, sorted by truth."""
+def sorted_entry_profile(a_true: np.ndarray, a_hat: np.ndarray) -> np.ndarray:
+    """The ``(N(N-1), 3)`` float64 rows of slot id, true value and estimate
+    of each off-diagonal entry, sorted stably by true value.  Slot ids number
+    the off-diagonal slots in row-major order, the same across estimators."""
     a_true = np.asarray(a_true, dtype=float)
     a_hat = np.asarray(a_hat, dtype=float)
     if a_true.shape != a_hat.shape or a_true.ndim != 2 \
             or a_true.shape[0] != a_true.shape[1]:
-        raise ValueError(
-            f"matrices must be square and matching, got {a_true.shape} "
-            f"and {a_hat.shape}"
-        )
+        raise ValueError(f"matrices must be square and matching, got "
+                         f"{a_true.shape} and {a_hat.shape}")
     off = ~np.eye(a_true.shape[0], dtype=bool)
     true_vals = a_true[off]
-    est_vals = a_hat[off]
     order = np.argsort(true_vals, kind="stable")
-    slots = np.arange(true_vals.size)
-    return SortedProfile(
-        slot_ids=slots[order],
-        true_values=true_vals[order],
-        estimated_values=est_vals[order],
-    )
+    return np.column_stack((order, true_vals[order], a_hat[off][order]))
 
 
 @dataclass(frozen=True)

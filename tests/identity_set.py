@@ -14,9 +14,10 @@ so each preset stores only its longest trajectory at delta 0.  It runs
 everything twice, with the helper thread of :mod:`granet._paired` off and
 on, and both runs must give one manifest.
 
-Bytes depend on NumPy, the BLAS build and the CPU, so the manifest records
-those as its provenance.  ``tests/test_identity_set.py`` reruns the set and
-compares it with the committed manifest where the provenance matches.
+Bytes depend on NumPy, the SIMD targets it dispatches to, the BLAS build
+and the CPU, so the manifest records those as its provenance.
+``tests/test_identity_set.py`` reruns the set with the helper off and on,
+and compares it with the committed manifest where the provenance matches.
 
 Usage::
 
@@ -85,10 +86,21 @@ def _cpu_model() -> str:
     return "unknown"
 
 
+def _numpy_dispatch() -> str:
+    """The SIMD targets that NumPy dispatches its ufunc loops to on this CPU:
+    those it was built for that the CPU has."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # NumPy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return " ".join(target for target in umath.__cpu_dispatch__
+                    if umath.__cpu_features__.get(target))
+
+
 def provenance() -> dict:
     """What the manifest's bytes depend on, besides granet itself."""
-    return {"numpy": np.__version__, **_openblas_strings(),
-            "cpu_model": _cpu_model()}
+    return {"numpy": np.__version__, "numpy_dispatch": _numpy_dispatch(),
+            **_openblas_strings(), "cpu_model": _cpu_model()}
 
 
 def mismatch(recorded: dict) -> "str | None":

@@ -167,7 +167,7 @@ def test_criterion_06_regularization_trade_off(instance50,
         config = WeightingConfig(delta=delta)
         a_hat = egg_from_trajectory(traj, triple, config).A_hat
         profile = sorted_entry_profile(matrix.entries, a_hat)
-        diff = profile.estimated_values - profile.true_values
+        diff = profile[:, 2] - profile[:, 1]
         offset[delta] = diff.mean()
         osc[delta] = np.abs(diff - offset[delta]).max()
         err[delta] = score(a_hat, matrix.entries).edge_error_rate

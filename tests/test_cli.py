@@ -224,11 +224,14 @@ def test_estimate_on_drawn_observed_and_delta(short_trajectories,
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(err):
-        rc = cli.main(["estimate", "--trajectory",
-                       str(short_trajectories / triple / "trajectory.csv"),
-                       "--triple", triple, "--estimators", ",".join(kinds),
-                       f"--observed={observed}", f"--delta={delta}",
-                       "--out", str(out)])
+        try:
+            rc = cli.main(["estimate", "--trajectory",
+                           str(short_trajectories / triple / "trajectory.csv"),
+                           "--triple", triple, "--estimators", ",".join(kinds),
+                           f"--observed={observed}", f"--delta={delta}",
+                           "--out", str(out)])
+        except SystemExit as exc:  # argparse refused a flag's value
+            rc = exc.code
     assert rc in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NUMERICAL), err
     assert "Traceback" not in err.getvalue()
     if rc == cli.EXIT_CONFIG:
@@ -517,6 +520,30 @@ def test_a_negative_seed_is_named_by_its_flag(tmp_path, capsys, argv):
     assert exc.value.code == cli.EXIT_CONFIG
     assert "argument --seed: must be a non-negative integer, got '-1'" in \
         capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+_BAD_FLAG_VALUES = {
+    "observed empty item": ["estimate", "--trajectory", "trajectory.csv",
+                            "--observed", "1,,2"],
+    "observed not a number": ["estimate", "--trajectory", "trajectory.csv",
+                              "--observed", "x"],
+    "std negative": ["simulate", "--matrix", "matrix.csv", "--steps", "5",
+                     "--std", "-1"],
+    "std infinite": ["simulate", "--matrix", "matrix.csv", "--steps", "5",
+                     "--std", "inf"],
+}
+
+
+@pytest.mark.parametrize("argv", _BAD_FLAG_VALUES.values(),
+                         ids=_BAD_FLAG_VALUES)
+def test_a_bad_flag_value_is_named_by_its_flag(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--out", str(tmp_path / "out")])
+    assert exc.value.code == cli.EXIT_CONFIG
+    flag, value = argv[-2:]
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert f"argument {flag}: " in err and repr(value) in err
     assert not (tmp_path / "out").exists()
 
 

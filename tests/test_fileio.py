@@ -258,10 +258,7 @@ def test_profile_roundtrip(tmp_path, small_run):
     path = tmp_path / "profile.csv"
     fileio.save_profile(prof, path)
     assert path.read_text().splitlines()[0] == "slot,true,estimate"
-    slots, true, est = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
-    assert np.array_equal(slots, prof.slot_ids)
-    assert np.array_equal(true, prof.true_values)
-    assert np.array_equal(est, prof.estimated_values)
+    assert np.array_equal(np.loadtxt(path, delimiter=",", skiprows=1), prof)
 
 
 def test_assumption_report_json(tmp_path, small_run):
@@ -336,8 +333,7 @@ def _row_formatter_bytes(profile) -> bytes:
     """What a profile file must hold: each row formatted by an f-string."""
     lines = ["slot,true,estimate"]
     lines += [f"{int(slot)},{float(true):.17g},{float(est):.17g}"
-              for slot, true, est in zip(profile.slot_ids, profile.true_values,
-                                         profile.estimated_values)]
+              for slot, true, est in profile]
     return ("\n".join(lines) + "\n").encode()
 
 

@@ -22,8 +22,8 @@ PUBLIC_NAMES = [
     "DegenerateClusterError", "DirectedGraph", "EstimateReport",
     "FunctionDomainError", "InvalidStateError", "LagMatrices",
     "NearSingularError", "NoiseModel", "NonlinearityTriple", "NumericalError",
-    "RecoveryMetrics", "SimulationDivergedError", "SortedProfile",
-    "Trajectory", "WeightingConfig", "accumulate", "assumption_report",
+    "RecoveryMetrics", "SimulationDivergedError", "Trajectory",
+    "WeightingConfig", "accumulate", "assumption_report",
     "build_combination_matrix", "classify_edges", "correlation_estimate",
     "egg_estimate", "egg_from_trajectory", "finalize", "from_trajectory",
     "generate_binomial_graph", "granger_estimate", "kmeans2_1d",

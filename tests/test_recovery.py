@@ -206,20 +206,19 @@ def test_score_error_count_is_hamming_distance(seed_a, seed_b):
 def test_profile_of_exact_estimate_is_nondecreasing():
     a = build_combination_matrix(generate_binomial_graph(9, 0.3, 5), 0.5).entries
     prof = sorted_entry_profile(a, a)
-    true = np.asarray(prof.true_values)
-    est = np.asarray(prof.estimated_values)
-    assert np.array_equal(true, est)
-    assert np.all(np.diff(true) >= 0)
-    assert len(prof.slot_ids) == 9 * 8
+    assert prof.shape == (9 * 8, 3) and prof.dtype == np.float64
+    assert np.array_equal(prof[:, 1], prof[:, 2])
+    assert np.all(np.diff(prof[:, 1]) >= 0)
 
 
 def test_profile_two_by_two_ordering():
     a = np.array([[0.0, 0.3], [0.1, 0.0]])
     a_hat = np.array([[0.0, 7.0], [5.0, 0.0]])
     prof = sorted_entry_profile(a, a_hat)
-    assert list(prof.true_values) == [0.1, 0.3]
+    assert list(prof[:, 0]) == [1.0, 0.0]
+    assert list(prof[:, 1]) == [0.1, 0.3]
     # estimates follow the ordering induced by the true values
-    assert list(prof.estimated_values) == [5.0, 7.0]
+    assert list(prof[:, 2]) == [5.0, 7.0]
 
 
 def test_profile_shape_mismatch():
