@@ -75,8 +75,9 @@ def _one_blas_thread():
         lib.scipy_openblas_set_num_threads64_(found)
 
 
-def _seed(text: str) -> int:
-    """The value of a ``--seed`` flag: a non-negative integer."""
+def _non_negative_int(text: str) -> int:
+    """The value of a ``--seed`` or ``--steps`` flag: a non-negative decimal
+    integer."""
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(
             f"must be a non-negative integer, got {text!r}")
@@ -93,11 +94,11 @@ def _observed(text: str) -> "list[int] | None":
     return [int(node) for node in nodes] or None
 
 
-def _std(text: str) -> float:
-    """The value of a ``--std`` flag: a finite number >= 0."""
+def _non_negative_float(text: str) -> float:
+    """The value of a ``--std`` or ``--delta`` flag: a finite number >= 0."""
     with contextlib.suppress(ValueError):
-        if 0 <= (std := float(text)) < np.inf:
-            return std
+        if 0 <= (value := float(text)) < np.inf:
+            return value
     raise argparse.ArgumentTypeError(
         f"must be a finite number >= 0, got {text!r}")
 
@@ -244,16 +245,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=50, help="number of nodes")
     p.add_argument("--p", type=float, default=0.2, help="edge probability")
     p.add_argument("--rho", type=float, default=0.5, help="total row mass")
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("simulate", help="simulate the coupled dynamics")
     p.add_argument("--matrix", required=True, help="combination matrix CSV")
     p.add_argument("--triple", default="example1", help=_TRIPLE_HELP)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--std", type=_std, default=1.0, help="noise std")
+    p.add_argument("--steps", type=_non_negative_int, required=True)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
+    p.add_argument("--std", type=_non_negative_float, default=1.0,
+                   help="noise std")
     p.add_argument("--y0", type=float, default=0.0, help="initial state")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
@@ -263,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--triple", default="example1", help=_TRIPLE_HELP)
     p.add_argument("--estimators", default="egg",
                    help="comma-separated estimator kinds")
-    p.add_argument("--delta", type=float, default=0.0,
+    p.add_argument("--delta", type=_non_negative_float, default=0.0,
                    help="regularisation half-width (0 = exact weights)")
     p.add_argument("--observed", type=_observed, default="",
                    help="comma-separated observed nodes for partial kinds")
@@ -280,13 +282,15 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--config", help="experiment config JSON")
     src.add_argument("--preset", help="experiment preset name")
-    p.add_argument("--seed", type=_seed, help="override simulation seed")
+    p.add_argument("--seed", type=_non_negative_int,
+                   help="override simulation seed")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("sweep", help="run an experiment along one axis")
     p.add_argument("--config", required=True, help="sweep config JSON")
-    p.add_argument("--seed", type=_seed, help="override master seed")
+    p.add_argument("--seed", type=_non_negative_int,
+                   help="override master seed")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sweep)
     return parser

@@ -29,12 +29,12 @@ _QR_BLOCK = 1024
 
 #: kind -> (partial, call taking the keywords ``traj``, ``triple``,
 #: ``config``, ``observed`` and ``sums``), as
-#: :func:`granet.experiments.run_estimators` makes it.  ``sums`` are the raw
-#: moment sums of ``traj`` that the stage walked once for the kinds in
-#: :data:`_RAW_KINDS`, or None; a partial kind reads other columns and never
-#: takes them.  A call looks its estimator up when it runs, not when the
-#: table is built, so a patched module attribute (a tracer's or a test's)
-#: reaches every dispatch.
+#: :func:`granet.experiments.run_estimators` makes it.  ``sums`` is the raw
+#: :class:`~granet.lagmoments.LagMatrices` of ``traj`` that the stage walked
+#: once for the kinds in :data:`_RAW_KINDS`, or None; a partial kind reads
+#: other columns and never takes it.  A call looks its estimator up when it
+#: runs, not when the table is built, so a patched module attribute (a
+#: tracer's or a test's) reaches every dispatch.
 _TABLE = {
     "egg": (False, lambda traj, triple, config, **_:
             egg_from_trajectory(traj, triple, config)),
@@ -52,7 +52,7 @@ _TABLE = {
                       least_squares_estimate(traj, triple, config)),
 }
 
-#: The kinds that read the raw moment sums; only granger reads the cross sum.
+#: The kinds that read the raw moment sums.
 _RAW_KINDS = ("granger", "correlation", "precision")
 
 ESTIMATOR_KINDS = tuple(_TABLE)
@@ -188,52 +188,46 @@ def egg_from_trajectory(traj: Trajectory, triple: NonlinearityTriple,
     return egg_estimate(f0_hat, f1_hat, n_samples=lag.count)
 
 
-def granger_estimate(traj: Trajectory, *, sums=None) -> EstimateReport:
-    """Linear one-lag regression on raw (non-centred) state moments.
+def _raw_moments(traj: Trajectory, sums) -> tuple[np.ndarray, np.ndarray]:
+    """The raw (non-centred) state moments ``(R0, R1)`` of all of ``traj``'s
+    pairs, ``R0 = mean y[k] y[k]^T`` and ``R1 = mean y[k+1] y[k]^T``.
 
-    ``sums``, when given, is ``(sum y[k] y[k]^T, sum y[k+1] y[k]^T)`` over
-    all of ``traj``'s pairs, as :func:`lagmoments._moment_sums` forms them
-    with the cross sum; they are read, never written.  Without them
-    ``traj`` is walked here.
+    ``sums``, when given, is the :class:`~granet.lagmoments.LagMatrices`
+    that :func:`lagmoments._moment_sums` forms over those pairs from the
+    raw states, the linear triple's moments bit for bit; it is read, never
+    written.  Without it ``traj`` is walked here.
     """
     _check_steps(traj)
-    n = traj.n_steps
-    r0, r1 = sums or lagmoments._moment_sums(traj.states, n)
-    a_hat, cond = _solve_right(r1 / n, r0 / n, "zero-lag state moment matrix")
-    return EstimateReport(
-        A_hat=a_hat, estimator_kind="granger", n_samples=n, cond_F0=cond,
-    )
+    if sums is None:
+        sums = lagmoments._moment_sums(traj.states, traj.n_steps)
+    return lagmoments.finalize(sums)
+
+
+def granger_estimate(traj: Trajectory, *, sums=None) -> EstimateReport:
+    """Linear one-lag regression on raw state moments (see
+    :func:`_raw_moments` for ``sums``)."""
+    r0, r1 = _raw_moments(traj, sums)
+    a_hat, cond = _solve_right(r1, r0, "zero-lag state moment matrix")
+    return EstimateReport(A_hat=a_hat, estimator_kind="granger",
+                          n_samples=traj.n_steps, cond_F0=cond)
 
 
 def correlation_estimate(traj: Trajectory, *, sums=None) -> EstimateReport:
-    """Raw zero-lag moment matrix used directly as the estimate.
-
-    ``sums``, when given, is ``(sum y[k] y[k]^T, cross)`` over all of
-    ``traj``'s pairs, as :func:`lagmoments._moment_sums` forms them, with a
-    cross sum of None when none was formed; only the first is read, and
-    never written.  Without it ``traj`` is walked here.
-    """
-    _check_steps(traj)
-    n = traj.n_steps
-    r0, _ = sums or lagmoments._moment_sums(traj.states, n, cross=False)
-    return EstimateReport(
-        A_hat=r0 / n, estimator_kind="correlation", n_samples=n, cond_F0=None,
-    )
+    """Raw zero-lag moment matrix used directly as the estimate (see
+    :func:`_raw_moments` for ``sums``)."""
+    r0, _ = _raw_moments(traj, sums)
+    return EstimateReport(A_hat=r0, estimator_kind="correlation",
+                          n_samples=traj.n_steps)
 
 
 def precision_estimate(traj: Trajectory, *, sums=None) -> EstimateReport:
-    """Inverse of the raw zero-lag moment matrix.
-
-    ``sums`` is read as in :func:`correlation_estimate`.
-    """
-    _check_steps(traj)
-    n = traj.n_steps
-    r0, _ = sums or lagmoments._moment_sums(traj.states, n, cross=False)
-    a_hat, cond = _solve_right(np.eye(traj.n_nodes), r0 / n,
+    """Inverse of the raw zero-lag moment matrix (see :func:`_raw_moments`
+    for ``sums``)."""
+    r0, _ = _raw_moments(traj, sums)
+    a_hat, cond = _solve_right(np.eye(traj.n_nodes), r0,
                                "zero-lag state moment matrix")
-    return EstimateReport(
-        A_hat=a_hat, estimator_kind="precision", n_samples=n, cond_F0=cond,
-    )
+    return EstimateReport(A_hat=a_hat, estimator_kind="precision",
+                          n_samples=traj.n_steps, cond_F0=cond)
 
 
 def least_squares_estimate(traj: Trajectory, triple: NonlinearityTriple,

@@ -175,10 +175,10 @@ def run_estimators(out_dir: "str | Path", traj: Trajectory,
     error, and the other kinds still run.  Kinds are looked up in
     ``estimators._TABLE`` as they run, so a patched estimator is the one
     called.  The raw states are walked once for all of the kinds in
-    ``estimators._RAW_KINDS``, forming the cross sum only when granger is
-    listed, and each such kind reads the two sums; a partial kind walks its
-    own observed columns.  Returns the reports and the error messages,
-    keyed by kind.
+    ``estimators._RAW_KINDS``, and each such kind reads the one read-only
+    :class:`~granet.lagmoments.LagMatrices` of that walk; a partial kind
+    walks its own observed columns.  Returns the reports and the error
+    messages, keyed by kind.
     """
     lagmoments._check_regularizable(triple, weighting)
     observed = estimators._check_observed(observed, traj.n_nodes)
@@ -188,11 +188,9 @@ def run_estimators(out_dir: "str | Path", traj: Trajectory,
     out_dir.mkdir(parents=True, exist_ok=True)
     sums = None
     if any(kind in estimators._RAW_KINDS for kind in kinds):
-        sums = lagmoments._moment_sums(traj.states, traj.n_steps,
-                                       cross="granger" in kinds)
-        for total in sums:
-            if total is not None:
-                total.setflags(write=False)
+        sums = lagmoments._moment_sums(traj.states, traj.n_steps)
+        sums.f0_sum.setflags(write=False)
+        sums.f1_sum.setflags(write=False)
     reports: dict[str, EstimateReport] = {}
     errors: dict[str, str] = {}
     for kind in kinds:

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -228,57 +229,51 @@ def _onelag_rows(triple: NonlinearityTriple, config: WeightingConfig,
     return targets, h
 
 
-def _moment_sums(states: np.ndarray, n_pairs: int, fill=None, buffers=None,
-                 cross: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
-    """Chunk-reduced ``(sum base^T base, sum lead^T base)`` over pairs.
+def _moment_sums(states: np.ndarray, n_pairs: int, fill=None) -> LagMatrices:
+    """The :class:`LagMatrices` of the pairs ``k = 0 .. n_pairs - 1``.
 
     By default the ``(lead, base)`` rows of the pairs are the raw states
-    ``(y[k+1], y[k])``.  Otherwise ``fill(start, stop, row)`` writes the
-    rows of the pairs ``start .. stop - 1`` into the chunk buffers
-    ``buffers = (lead, base)`` from row ``row`` on; each chunk is filled as
-    two row halves, the later one beside the earlier (see
-    :func:`_fill_halves`).  Chunks of ``_BATCH_CHUNK`` pairs are reduced
-    with matrix products, the base product here and the cross product
-    beside it, and the per-chunk parts added in order; that order keeps
-    stored moments byte-identical across releases.  With ``cross=False``
-    the cross sum is not formed and None is returned in its place.  A
-    weight that overflowed makes the cross sum non-finite without a
-    warning; the :class:`~granet.estimators.EstimateReport` built from it
-    refuses it.
+    ``(y[k+1], y[k])``, which give the sums of the linear triple bit for
+    bit.  Otherwise ``fill(start, stop, out)`` writes the rows of the pairs
+    ``start .. stop - 1`` into the row views ``out = (lead, base)`` of the
+    two chunk buffers allocated here; each chunk is filled as two row
+    halves, the later one beside the earlier (see :func:`_fill_halves`).
+    Chunks of ``_BATCH_CHUNK`` pairs are reduced with matrix products, the
+    base product here and the cross product beside it, and the per-chunk
+    parts added in order; that order keeps stored moments byte-identical
+    across releases.  A weight that overflowed makes the cross sum
+    non-finite without a warning; the
+    :class:`~granet.estimators.EstimateReport` built from it refuses it.
     """
-    shape = (states.shape[1],) * 2
-    base_sum = np.zeros(shape)
-    cross_sum = np.zeros(shape) if cross else None
+    n_nodes = states.shape[1]
+    lag = LagMatrices(n_nodes=n_nodes, count=n_pairs)
+    if fill is not None:
+        buffers = _chunk_buffers(min(n_pairs, _BATCH_CHUNK), n_nodes)
+
+    def cross_product():
+        with np.errstate(invalid="ignore", over="ignore"):
+            return lead.T @ base
+
     with paired(n_pairs, _BATCH_CHUNK) as pair:
         for start in range(0, n_pairs, _BATCH_CHUNK):
             stop = min(start + _BATCH_CHUNK, n_pairs)
             if fill is None:
                 lead, base = states[start + 1:stop + 1], states[start:stop]
             else:
-                _fill_halves(pair, fill, start, stop)
+                _fill_halves(pair, fill, start, stop, buffers)
                 lead, base = (buf[:stop - start] for buf in buffers)
-            base_part, cross_part = pair(lambda: base.T @ base,
-                                         _cross_product(lead, base)
-                                         if cross else None)
-            base_sum += base_part
-            if cross:
-                with np.errstate(invalid="ignore", over="ignore"):
-                    cross_sum += cross_part
-    return base_sum, cross_sum
+            base_part, cross_part = pair(lambda: base.T @ base, cross_product)
+            lag.f0_sum += base_part
+            with np.errstate(invalid="ignore", over="ignore"):
+                lag.f1_sum += cross_part
+    return lag
 
 
-def _cross_product(lead: np.ndarray, base: np.ndarray):
-    """The call that forms ``lead^T base`` under :func:`_moment_sums`' error
-    state."""
-    def product():
-        with np.errstate(invalid="ignore", over="ignore"):
-            return lead.T @ base
-    return product
-
-
-def _fill_halves(pair, fill, start: int, stop: int) -> None:
-    """``fill(start, stop, 0)`` as two calls over the row halves of the
-    chunk, the earlier here and the later beside it.
+def _fill_halves(pair, fill, start: int, stop: int,
+                 buffers: tuple[np.ndarray, np.ndarray]) -> None:
+    """``fill(start, stop, buffers)`` as two calls over the row halves of
+    the chunk: the earlier here, writing ``buffers`` from row 0, and the
+    later beside it, writing them from the half's first row on.
 
     Each half writes its own buffer rows, so the chunk gets the bits of one
     call.  An error in the earlier half wins, and a fill that reports its
@@ -287,8 +282,9 @@ def _fill_halves(pair, fill, start: int, stop: int) -> None:
     not depend on where the split falls.
     """
     mid = (start + stop + 1) // 2
-    pair(lambda: fill(start, mid, 0),
-         (lambda: fill(mid, stop, mid - start)) if mid < stop else None)
+    later = tuple(buf[mid - start:] for buf in buffers)
+    pair(lambda: fill(start, mid, buffers),
+         (lambda: fill(mid, stop, later)) if mid < stop else None)
 
 
 def _pair_count(traj: Trajectory, triple: NonlinearityTriple,
@@ -381,14 +377,8 @@ def from_trajectory(traj: Trajectory, triple: NonlinearityTriple,
     matrix products.
     """
     n = _pair_count(traj, triple, n_pairs)
-    buffers = _chunk_buffers(min(n, _BATCH_CHUNK), traj.n_nodes)
-
-    def fill(start, stop, row):
-        _onelag_terms(triple, config, traj.states, start, stop,
-                      tuple(buf[row:] for buf in buffers))
-
-    f0_sum, f1_sum = _moment_sums(traj.states, n, fill, buffers)
-    return LagMatrices(n_nodes=traj.n_nodes, count=n, f0_sum=f0_sum, f1_sum=f1_sum)
+    return _moment_sums(traj.states, n,
+                        partial(_onelag_terms, triple, config, traj.states))
 
 
 def finalize(lag: LagMatrices) -> tuple[np.ndarray, np.ndarray]:
@@ -421,8 +411,8 @@ def _weight_norms(traj: Trajectory, triple: NonlinearityTriple,
     valid = np.empty(n, dtype=bool)
     buffers = _chunk_buffers(min(n, _BATCH_CHUNK), traj.n_nodes)
 
-    def fill(start, stop, row):
-        weights, scratch = (buf[row:row + stop - start] for buf in buffers)
+    def fill(start, stop, out):
+        weights, scratch = (buf[:stop - start] for buf in out)
         in_z = _omega_block(triple, config, traj.states[start:stop], weights,
                             scratch)
         np.logical_not(in_z, out=valid[start:stop])
@@ -432,7 +422,8 @@ def _weight_norms(traj: Trajectory, triple: NonlinearityTriple,
 
     with paired(n, _BATCH_CHUNK) as pair:
         for start in range(0, n, _BATCH_CHUNK):
-            _fill_halves(pair, fill, start, min(start + _BATCH_CHUNK, n))
+            _fill_halves(pair, fill, start, min(start + _BATCH_CHUNK, n),
+                         buffers)
     return norms, valid
 
 

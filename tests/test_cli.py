@@ -532,6 +532,11 @@ _BAD_FLAG_VALUES = {
                      "--std", "-1"],
     "std infinite": ["simulate", "--matrix", "matrix.csv", "--steps", "5",
                      "--std", "inf"],
+    "delta negative": ["estimate", "--trajectory", "trajectory.csv",
+                       "--delta", "-1"],
+    "delta nan": ["estimate", "--trajectory", "trajectory.csv",
+                  "--delta", "nan"],
+    "steps negative": ["simulate", "--matrix", "matrix.csv", "--steps", "-2"],
 }
 
 

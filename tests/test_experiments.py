@@ -347,15 +347,15 @@ PAIRS = 2 * lagmoments._BATCH_CHUNK + 37
 
 
 def raw_walks(monkeypatch):
-    """The ``cross`` flag of each walk ``_moment_sums`` makes over raw
-    states, in order."""
+    """The pair count of each walk ``_moment_sums`` makes over raw states,
+    in order."""
     walks = []
     original = lagmoments._moment_sums
 
-    def spy(states, n_pairs, fill=None, buffers=None, cross=True):
+    def spy(states, n_pairs, fill=None):
         if fill is None:
-            walks.append(cross)
-        return original(states, n_pairs, fill, buffers, cross)
+            walks.append(n_pairs)
+        return original(states, n_pairs, fill)
 
     monkeypatch.setattr(lagmoments, "_moment_sums", spy)
     return walks
@@ -367,17 +367,17 @@ def test_the_estimate_stage_walks_the_raw_states_once(tmp_path, monkeypatch,
     triple = presets.triple_preset("example1", 50)
     walks = raw_walks(monkeypatch)
     kinds = ["granger", "correlation", "precision"]
-    for listed, cross in ((kinds, True), (kinds[1:], False)):
+    for listed in (kinds, kinds[1:]):
         walks.clear()
         reports, errors = xp.run_estimators(tmp_path / listed[0], traj, triple,
                                             WeightingConfig(), listed, None)
-        assert walks == [cross] and errors == {}
+        assert walks == [PAIRS] and errors == {}
         # a bare call walks the trajectory itself, to the same bits
         walks.clear()
         for kind in listed:
             alone = estimators._TABLE[kind][1](traj=traj)
             assert reports[kind].A_hat.tobytes() == alone.A_hat.tobytes()
-        assert walks == [kind == "granger" for kind in listed]
+        assert walks == [PAIRS] * len(listed)
 
 
 def test_a_partial_kind_reads_its_own_columns_in_a_stage_with_granger(

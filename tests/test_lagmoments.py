@@ -194,17 +194,19 @@ def test_linear_f0_equals_raw_correlation(instance50):
     assert np.abs(f0 - r0).max() <= 1e-12 * max(1.0, np.abs(r0).max())
 
 
-def test_zero_lag_sums_alone_match_the_pair_pass(instance50):
-    # correlation and precision skip the cross sum; the zero-lag sum keeps
-    # its chunk order (20k pairs span three chunks) and so its bytes
-    _, matrix = instance50
-    traj = simulate(matrix, triple_preset("example2", 50), NoiseModel.uniform(50),
-                    0.0, 20_000, seed=23)
-    r0, r1 = lagmoments._moment_sums(traj.states, traj.n_steps)
-    r0_alone, none = lagmoments._moment_sums(traj.states, traj.n_steps,
-                                             cross=False)
-    assert none is None and r1 is not None
-    assert np.array_equal(r0_alone.view(np.uint64), r0.view(np.uint64))
+@pytest.mark.parametrize("preset, n_steps", [
+    ("example1", 2 * lagmoments._BATCH_CHUNK + 37), ("example2", 1000)],
+    ids=["three chunks", "under a chunk"])
+def test_the_raw_walk_is_the_linear_pass_bit_for_bit(trajectory_factory,
+                                                     preset, n_steps):
+    # the raw baselines read this walk; with linear functions the one-lag
+    # kernel writes the raw states, so both sums keep their bytes
+    traj = trajectory_factory(preset, 12, n_steps)
+    raw = lagmoments._moment_sums(traj.states, traj.n_steps)
+    lag = from_trajectory(traj, linear_triple(50), EXACT)
+    assert isinstance(raw, LagMatrices) and raw.count == lag.count == n_steps
+    assert raw.f0_sum.tobytes() == lag.f0_sum.tobytes()
+    assert raw.f1_sum.tobytes() == lag.f1_sum.tobytes()
 
 
 def test_from_trajectory_prefix_matches_manual_loop():

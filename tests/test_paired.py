@@ -109,8 +109,8 @@ def test_moment_passes_do_not_depend_on_the_helper(cpus, trajectory_factory,
     assert result[0] == "result" and caught == []
     # per chunk: the later half of from_trajectory's terms, its cross
     # product, the later half of each of the two weight-norm passes, and
-    # granger's cross product
-    assert posts == 3 * 5
+    # the cross product of each of the three raw walks
+    assert posts == 3 * 7
 
 
 @pytest.mark.parametrize("n_steps, runs", [
